@@ -7,6 +7,15 @@ with its negation so that an exactly-zero measurement is detectable as a
 (+1, +1) bit pair.  A part is reported heavy when, in a majority of
 repetitions, all three of its bucket rows agree with its assigned signs or
 all three anti-agree.
+
+Row hashes take one PRF word per (repetition, part).  Sub-iteration s of a
+repetition puts the part in the bucket given by a multiply-shift reduction of
+bits [20s, 20s + 20) of that word, and gives it the sign of bit 60 + s.  The
+reduction maps 2**20 equally likely values onto ``buckets`` buckets, so each
+bucket's probability is within 2**-20 of 1/buckets: a relative bias of at
+most buckets / 2**20, which is why a sketch may have at most 2**20 buckets.
+Measure, point queries and the nonzero probe all derive rows through
+``_row_hashes``.
 """
 
 from __future__ import annotations
@@ -18,12 +27,21 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import norm
 
-from .prf import U64, derive_key, fold, rademacher, standard_normal
+from . import prf
+from .model import as_signal
+from .prf import U64, derive_key, fold, standard_normal
 
 # probability mass pinned by the two-sided gaussian clipping constants:
 # P[|N(0,1)| < quantile_hi] = 19/20 and P[|N(0,1)| > quantile_lo] = 19/20
 QUANTILE_HI = float(norm.ppf(0.975))
 QUANTILE_LO = float(norm.ppf(0.525))
+
+# a bucket index is a multiply-shift reduction of a 20-bit slice of a row word
+SLICE_BITS = 20
+MAX_BUCKETS = 1 << SLICE_BITS
+_BUCKET_SHIFTS = np.array([0, SLICE_BITS, 2 * SLICE_BITS], dtype=np.uint64)[:, None]
+_SIGN_SHIFTS = np.arange(3, dtype=np.int8)[:, None]  # sign s is bit 60 + s
+_ZERO_PAIR = np.ones(2, dtype=np.int8).view(np.int16)[0]  # bits (+1, +1): z == 0
 
 
 class AnalysisMarginWarning(RuntimeWarning):
@@ -145,10 +163,6 @@ class PointQuerySchema:
         return derive_key(self.seed, 1)
 
     @property
-    def sign_key(self) -> np.uint64:
-        return derive_key(self.seed, 2)
-
-    @property
     def gauss_key(self) -> np.uint64:
         return derive_key(self.seed, 3)
 
@@ -194,6 +208,10 @@ def build_schema(
         raise ValueError(f"sparsity k must be >= 1, got {k}")
     reps = max(1, math.ceil(constants.rep_factor * math.log2(1.0 / delta)))
     buckets = constants.bucket_factor * k
+    if buckets > MAX_BUCKETS:
+        raise ValueError(
+            f"{buckets} buckets exceed the {MAX_BUCKETS} a {SLICE_BITS}-bit hash slice addresses"
+        )
     hi, lo = QUANTILE_HI, QUANTILE_LO
     if lo / math.sqrt(k) <= hi * math.sqrt(20.0 / (constants.bucket_factor * k)):
         needed = math.ceil(20.0 * (hi / lo) ** 2)
@@ -217,15 +235,46 @@ def build_schema(
     )
 
 
-def measure(schema: PointQuerySchema, x, rep_block_elems: int = 2_000_000) -> SketchBits:
+def _row_hashes(schema: PointQuerySchema, reps, parts) -> tuple[np.ndarray, np.ndarray]:
+    """Buckets (int64) and signs (int8, +-1) of ``parts`` in repetitions ``reps``.
+
+    Both have shape (len(reps), 3, len(parts)); axis 1 is the sub-iteration.
+    All three sub-iterations of a (repetition, part) come from one PRF word.
+    """
+    words = fold(fold(schema.bucket_key, reps)[:, None], np.asarray(parts)[None, :])
+    words = words[:, None, :]
+    bucket = words >> _BUCKET_SHIFTS
+    bucket &= U64(MAX_BUCKETS - 1)
+    bucket *= U64(schema.buckets)
+    bucket >>= U64(SLICE_BITS)
+    sign = (words >> U64(60)).astype(np.int8) >> _SIGN_SHIFTS
+    sign &= 1
+    sign <<= 1
+    sign -= 1
+    return bucket.view(np.int64), sign
+
+
+def _bucket_bits(sketch: SketchBits, bucket: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sign(z) bit of each row ``bucket`` addresses, and whether that row
+    measured z == 0 exactly; ``bucket`` is ``_row_hashes`` over repetitions
+    0, 1, ..., bucket.shape[0] - 1."""
+    buckets = sketch.bits.shape[2]
+    rows = (np.arange(bucket.shape[0] * 3) * buckets).reshape(-1, 3, 1)
+    # one int16 per (sign(z), sign(-z)) pair, gathered in a single take
+    pairs = np.ascontiguousarray(sketch.bits).view(np.int16).reshape(-1).take(bucket + rows)
+    return pairs.view(np.int8)[..., ::2], pairs == _ZERO_PAIR
+
+
+def measure(schema: PointQuerySchema, x) -> SketchBits:
     """Take all sign measurements of ``x`` under the schema.
 
     One pass over the nonzeros of x per repetition; the underlying real
     measurements exist only transiently.  sign(0) = +1, so empty buckets
-    produce (+1, +1) pairs.  Repetitions are processed in blocks sized to
-    keep intermediate arrays near ``rep_block_elems`` elements.
+    produce (+1, +1) pairs.  Repetitions are processed in blocks of about
+    ``prf.BLOCK_WORDS`` gaussian entries (at least one repetition each); the
+    bits do not depend on the block size.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = as_signal(x)
     if x.shape != (schema.n,):
         raise ValueError(f"signal shape {x.shape} does not match n={schema.n}")
     reps, buckets = schema.reps, schema.buckets
@@ -236,28 +285,23 @@ def measure(schema: PointQuerySchema, x, rep_block_elems: int = 2_000_000) -> Sk
     vals = x[nz]
     occupied, inverse = np.unique(schema.partition.parts_of(nz), return_inverse=True)
     n_occ = occupied.size
-    occ_u64 = occupied.astype(np.uint64)
-    block = max(1, rep_block_elems // max(3 * max(n_occ, nz.size), 1))
+    block = max(1, prf.BLOCK_WORDS // nz.size)
+    # flat (repetition, part) and (repetition, sub-iteration) offsets of a
+    # full block; a shorter last block uses their prefixes
+    flat_part = (np.arange(block)[:, None] * n_occ + inverse[None, :]).ravel()
+    row_offset = (np.arange(block * 3) * buckets).reshape(block, 3, 1)
     for r0 in range(0, reps, block):
         rr = np.arange(r0, min(r0 + block, reps))
         nb = rr.size
         gauss = standard_normal(fold(schema.gauss_key, rr)[:, None], nz[None, :])
-        flat_part = (np.arange(nb)[:, None] * n_occ + inverse[None, :]).ravel()
+        gauss *= vals
         part_sums = np.bincount(
-            flat_part, weights=(gauss * vals).ravel(), minlength=nb * n_occ
-        ).reshape(nb, n_occ)
-        rl = (rr[:, None] * 3 + np.arange(3)[None, :]).ravel()
-        bucket = (
-            fold(fold(schema.bucket_key, rl)[:, None], occupied[None, :]) % U64(buckets)
-        ).astype(np.int64)
-        sg = rademacher(
-            fold(schema.sign_key, rl)[:, None],
-            occ_u64[None, :] * U64(buckets) + bucket.astype(np.uint64),
-        )
-        weights = sg * np.repeat(part_sums, 3, axis=0)
-        flat_bucket = (np.arange(nb * 3)[:, None] * buckets + bucket).ravel()
+            flat_part[: gauss.size], weights=gauss.ravel(), minlength=nb * n_occ
+        ).reshape(nb, 1, n_occ)
+        bucket, sign = _row_hashes(schema, rr, occupied)
+        bucket += row_offset[:nb]
         z = np.bincount(
-            flat_bucket, weights=weights.ravel(), minlength=nb * 3 * buckets
+            bucket.ravel(), weights=(sign * part_sums).ravel(), minlength=nb * 3 * buckets
         ).reshape(nb, 3, buckets)
         bits[rr, :, :, 0] = np.where(z >= 0, 1, -1)
         bits[rr, :, :, 1] = np.where(-z >= 0, 1, -1)
@@ -268,7 +312,6 @@ def query_stats(
     schema: PointQuerySchema,
     sketch: SketchBits,
     parts,
-    chunk: int = 2048,
 ) -> QueryStats:
     """Tally good repetitions and zero detections for a batch of parts.
 
@@ -280,28 +323,19 @@ def query_stats(
     parts = np.atleast_1d(np.asarray(parts, dtype=np.int64))
     if parts.size and (parts.min() < 0 or parts.max() >= schema.partition.size):
         raise ValueError("queried part index out of range")
-    reps, buckets = schema.reps, schema.buckets
-    rl = np.arange(reps * 3)
-    row_keys = fold(schema.bucket_key, rl)[:, None]
-    sign_keys = fold(schema.sign_key, rl)[:, None]
-    flat = sketch.bits.reshape(reps * 3, buckets, 2)
-    rl_col = rl[:, None]
+    reps = schema.reps
+    rr = np.arange(reps)
+    step = max(1, prf.BLOCK_WORDS // reps)
     good = np.empty(parts.size, dtype=np.int64)
     zero_declared = np.empty(parts.size, dtype=bool)
-    for lo in range(0, parts.size, chunk):
-        block = parts[lo : lo + chunk]
-        bucket = (fold(row_keys, block[None, :]) % U64(buckets)).astype(np.int64)
-        sg = rademacher(
-            sign_keys, block.astype(np.uint64)[None, :] * U64(buckets) + bucket.astype(np.uint64)
-        )
-        y = flat[rl_col, bucket, 0]
-        y_neg = flat[rl_col, bucket, 1]
-        is_zero = ((y == 1) & (y_neg == 1)).reshape(reps, 3, -1)
-        matches = (y == sg).reshape(reps, 3, -1)
+    for lo in range(0, parts.size, step):
+        bucket, sign = _row_hashes(schema, rr, parts[lo : lo + step])
+        y, is_zero = _bucket_bits(sketch, bucket)
+        matches = y == sign
         clean = ~is_zero.any(axis=1)
         good_rep = clean & (matches.all(axis=1) | (~matches).all(axis=1))
-        good[lo : lo + chunk] = good_rep.sum(axis=0)
-        zero_declared[lo : lo + chunk] = 2 * is_zero.all(axis=1).sum(axis=0) > reps
+        good[lo : lo + step] = good_rep.sum(axis=0)
+        zero_declared[lo : lo + step] = 2 * is_zero.all(axis=1).sum(axis=0) > reps
     return QueryStats(parts=parts, good_counts=good, zero_declared=zero_declared)
 
 
@@ -327,7 +361,6 @@ def nonzero_candidates(
     schema: PointQuerySchema,
     sketch: SketchBits,
     probe_reps: int = 8,
-    chunk: int = 8192,
 ) -> np.ndarray:
     """Parts that show a fully nonzero bucket row triple in an early repetition.
 
@@ -338,22 +371,14 @@ def nonzero_candidates(
     skipping them turns the exhaustive scan into work proportional to the
     occupied parts on sparse signals.
     """
-    reps = min(probe_reps, schema.reps)
-    buckets = schema.buckets
-    rl = np.arange(reps * 3)
-    row_keys = fold(schema.bucket_key, rl)[:, None]
-    flat = sketch.bits.reshape(schema.reps * 3, buckets, 2)[: reps * 3]
-    rl_col = rl[:, None]
+    rr = np.arange(min(probe_reps, schema.reps))
+    step = max(1, prf.BLOCK_WORDS // rr.size)
     keep = []
-    all_parts = np.arange(schema.partition.size)
-    for lo in range(0, all_parts.size, chunk):
-        block = all_parts[lo : lo + chunk]
-        bucket = (fold(row_keys, block[None, :]) % U64(buckets)).astype(np.int64)
-        y = flat[rl_col, bucket, 0]
-        y_neg = flat[rl_col, bucket, 1]
-        is_zero = ((y == 1) & (y_neg == 1)).reshape(reps, 3, -1)
-        clean_rep = ~is_zero.any(axis=1)
-        keep.append(block[clean_rep.any(axis=0)])
+    for lo in range(0, schema.partition.size, step):
+        block = np.arange(lo, min(lo + step, schema.partition.size))
+        bucket, _ = _row_hashes(schema, rr, block)
+        _, is_zero = _bucket_bits(sketch, bucket)
+        keep.append(block[(~is_zero.any(axis=1)).any(axis=0)])
     return np.concatenate(keep) if keep else np.empty(0, dtype=np.int64)
 
 

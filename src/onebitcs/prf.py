@@ -23,13 +23,27 @@ _GAMMA = U64(0x9E3779B97F4A7C15)
 _PHI = U64(0x165667B19E3779F9)
 
 
+# Kernels that sweep a large batch of PRF words (partition-sketch measure,
+# gaussian sign blocks) take it in blocks of about this many 64-bit words, so
+# the temporaries of each block stay in cache instead of streaming through RAM.
+BLOCK_WORDS = 1 << 16
+
+
 def mix64(z) -> np.ndarray:
-    """splitmix64 finalizer; wraps mod 2**64 by construction."""
+    """splitmix64 finalizer; wraps mod 2**64 by construction.
+
+    Leaves ``z`` unmodified: the first shift makes a fresh array, and every
+    xor and multiply after it writes into that array in place.
+    """
+    z = np.asarray(z, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        z = np.asarray(z, dtype=np.uint64)
-        z = (z ^ (z >> U64(30))) * _MUL1
-        z = (z ^ (z >> U64(27))) * _MUL2
-        return z ^ (z >> U64(31))
+        out = z >> U64(30)
+        out ^= z
+        out *= _MUL1
+        out ^= out >> U64(27)
+        out *= _MUL2
+        out ^= out >> U64(31)
+    return out
 
 
 def fold(key, word) -> np.ndarray:
@@ -39,9 +53,9 @@ def fold(key, word) -> np.ndarray:
     indices yields the full key matrix in one call.
     """
     with np.errstate(over="ignore"):
-        k = np.asarray(key, dtype=np.uint64)
-        w = np.asarray(word, dtype=np.uint64)
-        return mix64(k ^ (w * _GAMMA + _PHI))
+        z = np.asarray(word, dtype=np.uint64) * _GAMMA
+        z += _PHI
+        return mix64(np.asarray(key, dtype=np.uint64) ^ z)
 
 
 def derive_key(seed: int, *words: int) -> np.uint64:
@@ -54,13 +68,19 @@ def derive_key(seed: int, *words: int) -> np.uint64:
 
 def uniform01(key, idx) -> np.ndarray:
     """Uniform floats in (0, 1), one per index; never exactly 0 or 1."""
-    u = fold(key, idx)
-    return (u >> U64(11)).astype(np.float64) * 2.0**-53 + 2.0**-54
+    u = np.asarray(fold(key, idx))
+    u >>= U64(11)
+    # the top 53 bits convert exactly; the float result reuses the word buffer
+    f = u.view(np.float64)
+    np.multiply(u, 2.0**-53, out=f)
+    f += 2.0**-54
+    return f[()]
 
 
 def standard_normal(key, idx) -> np.ndarray:
     """Standard normal deviates via the inverse normal CDF."""
-    return ndtri(uniform01(key, idx))
+    u = np.asarray(uniform01(key, idx))
+    return ndtri(u, out=u)[()]
 
 
 def rademacher(key, idx) -> np.ndarray:

@@ -23,7 +23,8 @@ import numpy as np
 
 from . import heavy_hitters as hh
 from . import partition_sketch as ps
-from .model import SparseEstimate
+from . import prf
+from .model import SparseEstimate, as_signal
 from .prf import derive_key, fold, standard_normal
 
 
@@ -60,40 +61,37 @@ class GaussianSchema:
         return self.noise_sigma * standard_normal(self.noise_key, np.asarray(rows))
 
 
-def sign_measure(schema: GaussianSchema, x, row_block: int = 0) -> np.ndarray:
-    """y = sign(Gx + v) as int8, regenerating G in row blocks."""
-    x = np.asarray(x, dtype=np.float64)
+def sign_measure(schema: GaussianSchema, x) -> np.ndarray:
+    """y = sign(Gx + v) as int8, regenerating G in blocks of rows holding
+    about ``prf.BLOCK_WORDS`` entries."""
+    x = as_signal(x)
     if x.shape != (schema.n,):
         raise ValueError(f"signal shape {x.shape} does not match n={schema.n}")
     nz = np.nonzero(x)[0]
+    vals = x[nz]
     y = np.empty(schema.rows, dtype=np.int8)
-    if row_block <= 0:
-        row_block = max(1, 4_000_000 // max(nz.size, 1))
-    for lo in range(0, schema.rows, row_block):
-        rows = np.arange(lo, min(lo + row_block, schema.rows))
-        dot = (
-            schema.entries(rows, nz) @ x[nz]
-            if nz.size
-            else np.zeros(rows.size)
-        )
+    step = max(1, prf.BLOCK_WORDS // max(nz.size, 1))
+    for lo in range(0, schema.rows, step):
+        rows = np.arange(lo, min(lo + step, schema.rows))
+        dot = schema.entries(rows, nz) @ vals if nz.size else np.zeros(rows.size)
         if schema.noise_sigma > 0:
-            dot = dot + schema.noise(rows)
+            dot += schema.noise(rows)
         y[rows] = np.where(dot >= 0, 1, -1)
     return y
 
 
-def correlation(schema: GaussianSchema, y, support, row_block: int = 0) -> np.ndarray:
-    """c = G_S^T y over the support columns, regenerated in row blocks."""
+def correlation(schema: GaussianSchema, y, support) -> np.ndarray:
+    """c = G_S^T y over the support columns, regenerated in blocks of columns
+    holding about ``prf.BLOCK_WORDS`` entries."""
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (schema.rows,):
         raise ValueError("measurement length mismatch")
     support = np.asarray(support, dtype=np.int64)
-    if row_block <= 0:
-        row_block = max(1, 4_000_000 // max(support.size, 1))
-    c = np.zeros(support.size)
-    for lo in range(0, schema.rows, row_block):
-        rows = np.arange(lo, min(lo + row_block, schema.rows))
-        c += schema.entries(rows, support).T @ y[rows]
+    rows = np.arange(schema.rows)
+    step = max(1, prf.BLOCK_WORDS // schema.rows)
+    c = np.empty(support.size)
+    for lo in range(0, support.size, step):
+        c[lo : lo + step] = schema.entries(rows, support[lo : lo + step]).T @ y
     return c
 
 

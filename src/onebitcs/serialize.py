@@ -3,7 +3,11 @@
 File layout: an ASCII magic line, one JSON header line carrying every
 parameter needed to rebuild the schema (including the master seed, so all
 hash/sign/gaussian families regenerate on the decode side), then raw packed
-bit blocks whose byte lengths are listed in the header.
+bit blocks whose byte lengths are listed in the header.  The magic line names
+the format version; a file of any other version is rejected, because its bits
+were taken under a different hash layout (v2: one PRF word per repetition and
+part of every partition sketch).  Every block must have exactly the length
+its bit count requires, and nothing may follow the last block.
 
 Bits pack +1 -> 1 and -1 -> 0 in little-endian bit order, following each
 sketch's flattened row order (repetition-major, then sub-iteration, then
@@ -19,7 +23,7 @@ import numpy as np
 from . import btree, expander, heavy_hitters, recovery
 from . import partition_sketch as ps
 
-MAGIC = "onebitcs-bits v1"
+MAGIC = "onebitcs-bits v2"
 
 
 def pack_bits(sketch: ps.SketchBits) -> bytes:
@@ -27,12 +31,19 @@ def pack_bits(sketch: ps.SketchBits) -> bytes:
     return np.packbits(flat, bitorder="little").tobytes()
 
 
+def _unpack_exact(data: bytes, count: int, what: str) -> np.ndarray:
+    """``count`` bits of a packed block as +-1 int8; the block must hold
+    exactly the ceil(count / 8) bytes that packing ``count`` bits gives."""
+    if len(data) != -(-count // 8):
+        raise ValueError(
+            f"{what} has {len(data)} bytes, expected {-(-count // 8)} for {count} bits"
+        )
+    flat = np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=count, bitorder="little")
+    return np.where(flat.astype(bool), 1, -1).astype(np.int8)
+
+
 def unpack_bits(data: bytes, reps: int, buckets: int) -> ps.SketchBits:
-    count = reps * 3 * buckets * 2
-    flat = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
-    if flat.size < count:
-        raise ValueError("bit block shorter than schema requires")
-    bits = np.where(flat[:count].astype(bool), 1, -1).astype(np.int8)
+    bits = _unpack_exact(data, reps * 3 * buckets * 2, "bit block")
     return ps.SketchBits(bits=bits.reshape(reps, 3, buckets, 2))
 
 
@@ -41,10 +52,7 @@ def pack_sign_vector(y: np.ndarray) -> bytes:
 
 
 def unpack_sign_vector(data: bytes, rows: int) -> np.ndarray:
-    flat = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
-    if flat.size < rows:
-        raise ValueError("sign block shorter than expected")
-    return np.where(flat[:rows].astype(bool), 1, -1).astype(np.int8)
+    return _unpack_exact(data, rows, "sign block")
 
 
 def _constants_dict(c: ps.SketchConstants) -> dict:
@@ -72,12 +80,18 @@ def write_blocks(path: str, scheme: str, header: dict, blocks: list[bytes]):
 
 def read_blocks(path: str) -> tuple[str, dict, list[bytes]]:
     with open(path, "rb") as fh:
-        magic = fh.readline().decode().rstrip("\n")
-        if not magic.startswith(MAGIC):
-            raise ValueError(f"{path} is not a onebitcs bits file")
+        magic, _, scheme = fh.readline().decode().rstrip("\n").rpartition(" ")
+        if magic != MAGIC:
+            raise ValueError(f"{path} is not a {MAGIC} file (magic {magic!r})")
         header = json.loads(fh.readline().decode())
+        if not isinstance(header, dict) or header.get("scheme") != scheme:
+            raise ValueError(f"{path}: header scheme does not match magic line")
         blocks = [fh.read(length) for length in header["block_lengths"]]
-    return header["scheme"], header, blocks
+        if any(len(b) != length for b, length in zip(blocks, header["block_lengths"])):
+            raise ValueError(f"{path} is truncated")
+        if fh.read(1):
+            raise ValueError(f"{path} has trailing bytes after its last block")
+    return scheme, header, blocks
 
 
 # -- scheme-specific save/load ------------------------------------------------

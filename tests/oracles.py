@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from onebitcs.prf import U64, RandomSource, fold, rademacher, standard_normal
+from onebitcs.prf import RandomSource, fold, standard_normal
 
 
 def sparse_unit(n, k, seed):
@@ -48,6 +48,19 @@ def crowded_signal(n, parts, width, source, query_scale=1e-3):
     return x, jq
 
 
+def row_hash(schema, rep, part):
+    """[(bucket, sign)] of one part in the three rows of one repetition, by
+    the layout's definition in Python integers: one PRF word per (repetition,
+    part); sub-iteration s takes bucket (bits [20s, 20s + 20) * buckets) >> 20
+    and sign +1 when bit 60 + s is set, else -1."""
+    word = int(fold(fold(schema.bucket_key, rep), part))
+    return [
+        ((((word >> (20 * sub)) & 0xFFFFF) * schema.buckets) >> 20,
+         1 if (word >> (60 + sub)) & 1 else -1)
+        for sub in range(3)
+    ]
+
+
 def brute_force_bits(schema, x):
     """Evaluate the measurement definition directly: per-bucket signed sums
     of per-part gaussian inner products, via scalar loops over the same PRF."""
@@ -57,20 +70,13 @@ def brute_force_bits(schema, x):
     out = np.ones((reps, 3, buckets, 2), dtype=np.int8)
     for r in range(reps):
         g = standard_normal(fold(schema.gauss_key, r), np.arange(part.n))
-        for sub in range(3):
-            z = np.zeros(buckets)
-            for j in range(part.size):
-                inner = float(np.sum(g[labels == j] * x[labels == j]))
-                b = int(fold(fold(schema.bucket_key, r * 3 + sub), j) % U64(buckets))
-                sg = int(
-                    rademacher(
-                        fold(schema.sign_key, r * 3 + sub),
-                        np.uint64(j) * U64(buckets) + np.uint64(b),
-                    )
-                )
-                z[b] += sg * inner
-            out[r, sub, :, 0] = np.where(z >= 0, 1, -1)
-            out[r, sub, :, 1] = np.where(-z >= 0, 1, -1)
+        z = np.zeros((3, buckets))
+        for j in range(part.size):
+            inner = float(np.sum(g[labels == j] * x[labels == j]))
+            for sub, (b, sg) in enumerate(row_hash(schema, r, j)):
+                z[sub, b] += sg * inner
+        out[r, :, :, 0] = np.where(z >= 0, 1, -1)
+        out[r, :, :, 1] = np.where(-z >= 0, 1, -1)
     return out
 
 

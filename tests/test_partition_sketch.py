@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_bits, crowded_signal, planted_signal
+from oracles import brute_force_bits, crowded_signal, planted_signal, row_hash
 
 from onebitcs import partition_sketch as ps
-from onebitcs.prf import U64, RandomSource, fold, rademacher, standard_normal
+from onebitcs import prf
+from onebitcs.prf import RandomSource, fold, standard_normal
 
 
 class TestBuild:
@@ -37,6 +38,16 @@ class TestBuild:
         for bad in (0.0, 1.0, -0.5, 1.5):
             with pytest.raises(ValueError):
                 ps.build_schema(part, 1, bad, seed=1)
+
+    def test_rejects_buckets_beyond_hash_slice(self):
+        # a bucket index is a multiply-shift reduction of a 20-bit slice
+        part = ps.PartitionFamily.contiguous(16, 4)
+        wide = ps.build_schema(part, 2, 0.5, seed=1,
+                               constants=ps.SketchConstants(bucket_factor=2**19))
+        assert wide.buckets == 2**20
+        with pytest.raises(ValueError):
+            ps.build_schema(part, 1, 0.5, seed=1,
+                            constants=ps.SketchConstants(bucket_factor=2**20 + 1))
 
     def test_margin_warning_fires_at_defaults(self):
         part = ps.PartitionFamily.contiguous(16, 4)
@@ -99,14 +110,7 @@ class TestMeasure:
         bits = ps.measure(schema, x)
         for r in range(schema.reps):
             g = float(standard_normal(fold(schema.gauss_key, r), np.array(37)))
-            for sub in range(3):
-                b = int(fold(fold(schema.bucket_key, r * 3 + sub), j_star) % U64(schema.buckets))
-                sg = int(
-                    rademacher(
-                        fold(schema.sign_key, r * 3 + sub),
-                        np.uint64(j_star) * U64(schema.buckets) + np.uint64(b),
-                    )
-                )
+            for sub, (b, sg) in enumerate(row_hash(schema, r, j_star)):
                 want = sg * (1 if g * 2.5 >= 0 else -1)
                 assert bits.bits[r, sub, b, 0] == want
                 # all other buckets are empty: (+1, +1) pairs
@@ -125,6 +129,54 @@ class TestMeasure:
         schema = ps.build_schema(part, 1, 0.5, seed=1)
         with pytest.raises(ValueError):
             ps.measure(schema, np.zeros(17))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        part = ps.PartitionFamily.contiguous(64, 64)
+        schema = ps.build_schema(part, 2, 0.25, seed=9)
+        x = RandomSource(4).gaussian(np.arange(64))
+        x[5] = bad
+        with pytest.raises(ValueError):
+            ps.measure(schema, x)
+
+    @pytest.mark.parametrize("block_words", [1, 7, 200])
+    def test_independent_of_block_size(self, monkeypatch, block_words):
+        # 96 nonzeros: one repetition per block below 96 words, two at 200
+        part = ps.PartitionFamily.from_labels(np.arange(96) % 20)
+        schema = ps.build_schema(part, 2, 0.3, seed=23)
+        x = RandomSource(8).gaussian(np.arange(96))
+        bits = ps.measure(schema, x)
+        stats = ps.query_stats(schema, bits, np.arange(20))
+        probe = ps.nonzero_candidates(schema, bits)
+        monkeypatch.setattr(prf, "BLOCK_WORDS", block_words)
+        assert np.array_equal(ps.measure(schema, x).bits, bits.bits)
+        small = ps.query_stats(schema, bits, np.arange(20))
+        assert np.array_equal(small.good_counts, stats.good_counts)
+        assert np.array_equal(small.zero_declared, stats.zero_declared)
+        assert np.array_equal(ps.nonzero_candidates(schema, bits), probe)
+
+
+class TestRowHashes:
+    def test_uniform_over_many_parts(self):
+        parts = 2**16
+        part = ps.PartitionFamily.contiguous(parts, parts)
+        schema = ps.build_schema(part, 7, 0.25, seed=31)  # 224 buckets, 16 reps
+        buckets = schema.buckets
+        bucket, sign = ps._row_hashes(schema, np.arange(schema.reps), np.arange(parts))
+        assert bucket.shape == sign.shape == (schema.reps, 3, parts)
+        assert bucket.min() >= 0 and bucket.max() < buckets
+        assert set(np.unique(sign)) == {-1, 1}
+        samples = schema.reps * parts
+        dof = buckets - 1
+        for sub in range(3):
+            counts = np.bincount(bucket[:, sub].ravel(), minlength=buckets)
+            expected = samples / buckets
+            chi2 = float(np.sum((counts - expected) ** 2) / expected)
+            assert chi2 < dof + 6 * math.sqrt(2 * dof)
+            assert abs(float(sign[:, sub].mean())) < 4 / math.sqrt(samples)
+        for a, b in ((0, 1), (0, 2), (1, 2)):
+            rate = float(np.mean(bucket[:, a] == bucket[:, b]))
+            assert abs(rate * buckets - 1) < 0.1
 
 
 class TestBitProperties:

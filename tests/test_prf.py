@@ -11,6 +11,7 @@ from onebitcs.prf import (
     RandomSource,
     derive_key,
     fold,
+    mix64,
     rademacher,
     standard_normal,
     uniform01,
@@ -68,6 +69,30 @@ def test_fold_broadcasts():
     for i in range(3):
         row = fold(fold(derive_key(1), i), np.arange(5))
         assert np.array_equal(out[i], row)
+
+
+def _splitmix64_finalizer(z: int) -> int:
+    """The splitmix64 output function in Python integers."""
+    mask = (1 << 64) - 1
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
+def test_mix64_known_answers():
+    # 0x9E37...7C15 is splitmix64's first state from seed 0; its published
+    # first output is 0xE220A8397B1DCDAF
+    words = [0, 1, 0x9E3779B97F4A7C15, 2**63, 2**64 - 1]
+    words += [int(w) for w in fold(derive_key(3), np.arange(200))]
+    z = np.array(words, dtype=np.uint64)
+    before = z.copy()
+    out = mix64(z)
+    assert out.tolist() == [_splitmix64_finalizer(w) for w in words]
+    assert int(out[2]) == 0xE220A8397B1DCDAF
+    assert np.array_equal(z, before)  # the input is left unmodified
+    assert int(mix64(np.uint64(words[2]))) == 0xE220A8397B1DCDAF
+    grid = z.reshape(5, 41)
+    assert np.array_equal(mix64(grid), out.reshape(5, 41))
 
 
 def test_hash_family_contract():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,8 +6,33 @@ import pytest
 
 from oracles import ascent_oracle, dual_bound, random_instances
 
-from onebitcs import recovery
+from onebitcs import prf, recovery
 from onebitcs.prf import RandomSource
+
+
+def sha256(a) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+# sha256 of the sign bits and of one block of G, recorded with the earlier
+# out-of-place, unblocked PRF kernels: a kernel change that moves any bit of
+# either fails here
+PINNED = {
+    101: ("0146c1c53cf2e97353cc0b5f2b3c978a5aa286a5288301c2bc99985f30b95655",
+          "2bf57337c49e2b20be51c0c2342c07e9907a3fd5f6372598fa1b0088e3777f08"),
+    202: ("52da62f029e414fed0968044c9aed711683fd40b0fb42fed34c4ec0d865fdf1f",
+          "46ffc432c77c19d49e5641bd221eb5a0b0212e9ed53d0a9d513ff91857278be9"),
+}
+
+
+def pinned_case(seed):
+    """(schema, x): 300 rows over n = 4096, dense (seed 101) or half-sparse
+    with pre-quantization noise (seed 202)."""
+    noise, density = {101: (0.0, 1.0), 202: (0.5, 0.5)}[seed]
+    schema = recovery.GaussianSchema(rows=300, n=4096, seed=seed, noise_sigma=noise)
+    src = RandomSource(seed)
+    x = src.gaussian(np.arange(4096)) * (src.uniform(np.arange(4096)) < density)
+    return schema, x
 
 
 class TestSolve:
@@ -94,6 +120,37 @@ class TestGaussianMeasurements:
         block = schema.entries(np.arange(32), np.arange(64))
         # row-block and column-subset paths agree with the full block
         assert np.allclose(block[5:9, [3, 7]], schema.entries(np.arange(5, 9), [3, 7]))
+
+    @pytest.mark.parametrize("seed", sorted(PINNED))
+    def test_pinned_digests(self, monkeypatch, seed):
+        schema, x = pinned_case(seed)
+        bits_digest, entries_digest = PINNED[seed]
+        assert sha256(recovery.sign_measure(schema, x)) == bits_digest
+        assert sha256(schema.entries(np.arange(40), np.arange(0, 5000, 7))) == entries_digest
+        monkeypatch.setattr(prf, "BLOCK_WORDS", 1)  # one row per block
+        assert sha256(recovery.sign_measure(schema, x)) == bits_digest
+
+    @pytest.mark.parametrize("block_words", [1, 1000, 1 << 16])
+    def test_correlation_matches_dense_block(self, monkeypatch, block_words):
+        schema, x = pinned_case(202)
+        y = recovery.sign_measure(schema, x)
+        support = np.nonzero(x)[0][:60]
+        G = schema.entries(np.arange(schema.rows), support)
+        dense = G.T @ y
+        monkeypatch.setattr(prf, "BLOCK_WORDS", block_words)
+        c = recovery.correlation(schema, y, support)
+        # blocking may reorder the sums; any order is within
+        # (rows - 1) * eps * sum|terms| of the exact sum
+        bound = 2 * (schema.rows - 1) * np.finfo(float).eps * np.abs(G).sum(axis=0)
+        assert np.all(np.abs(c - dense) <= bound)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        schema = recovery.GaussianSchema(rows=64, n=16, seed=5)
+        x = np.ones(16)
+        x[3] = bad
+        with pytest.raises(ValueError):
+            recovery.sign_measure(schema, x)
 
     def test_noise_changes_bits(self):
         x = RandomSource(10).gaussian(np.arange(32)) * 0.01

@@ -42,6 +42,18 @@ class TestPacking:
         with pytest.raises(ValueError):
             serialize.unpack_bits(b"\x00", reps=4, buckets=64)
 
+    def test_overlong_block_rejected(self):
+        bits = ps.SketchBits(bits=np.ones((2, 3, 5, 2), dtype=np.int8))
+        packed = serialize.pack_bits(bits)
+        assert len(packed) == 8  # 60 bits
+        with pytest.raises(ValueError):
+            serialize.unpack_bits(packed + b"\x00", reps=2, buckets=5)
+        y = np.ones(17, dtype=np.int8)
+        with pytest.raises(ValueError):
+            serialize.unpack_sign_vector(serialize.pack_sign_vector(y) + b"\x00", 17)
+        with pytest.raises(ValueError):
+            serialize.unpack_sign_vector(serialize.pack_sign_vector(y)[:-1], 17)
+
 
 class TestFiles:
     def test_ppcs_file_is_self_contained(self, tmp_path):
@@ -116,6 +128,35 @@ class TestFiles:
         est_b, _ = recovery.decode(schema2, bits2)
         assert np.array_equal(est_a.indices, est_b.indices)
         assert np.allclose(est_a.values, est_b.values)
+
+    def _ppcs_file(self, tmp_path):
+        schema = ps.build_schema(ps.PartitionFamily.contiguous(512, 64), 2, 0.01, seed=21)
+        x, _ = sparse_unit(512, 2, 22)
+        path = tmp_path / "m.bits"
+        serialize.save_ppcs(str(path), schema, ps.measure(schema, x))
+        serialize.load_measurement(str(path))  # intact, it loads
+        return path
+
+    def test_truncated_file_rejected(self, tmp_path):
+        path = self._ppcs_file(tmp_path)
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(ValueError):
+            serialize.load_measurement(str(path))
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = self._ppcs_file(tmp_path)
+        path.write_bytes(path.read_bytes() + bytes(16))
+        with pytest.raises(ValueError):
+            serialize.load_measurement(str(path))
+
+    def test_earlier_format_version_rejected(self, tmp_path):
+        # v1 files hold bits of the earlier hash layout; they must not decode
+        path = self._ppcs_file(tmp_path)
+        data = path.read_bytes()
+        assert data.startswith(b"onebitcs-bits v2 ppcs\n")
+        path.write_bytes(b"onebitcs-bits v1" + data[len("onebitcs-bits v2"):])
+        with pytest.raises(ValueError):
+            serialize.load_measurement(str(path))
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bits"
