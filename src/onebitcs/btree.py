@@ -75,12 +75,12 @@ def _level_starts(n: int, k: int, b: int, depth: int) -> list[np.ndarray]:
     for r in range(1, depth + 1):
         width = max(1, -(-n // (k * b**r)))
         prev = levels[-1]
-        ends = np.append(prev[1:], n)
-        pieces = [
-            np.arange(start, end, width, dtype=np.int64)
-            for start, end in zip(prev, ends)
-        ]
-        levels.append(np.concatenate(pieces))
+        # parent p has ceil(len_p / width) children at prev[p] + j * width
+        counts = -(-np.diff(prev, append=n) // width)
+        first = np.cumsum(counts) - counts
+        parent = np.repeat(np.arange(prev.size), counts)
+        j = np.arange(int(counts.sum()), dtype=np.int64) - first[parent]
+        levels.append(prev[parent] + j * width)
     return levels
 
 

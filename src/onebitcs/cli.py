@@ -9,7 +9,7 @@ import numpy as np
 
 from . import btree, expander, harness, heavy_hitters, recovery, serialize, signals
 from . import partition_sketch as ps
-from .model import tail_stats
+from .model import as_signal
 from .prf import RandomSource, derive_key
 
 
@@ -55,7 +55,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _read_signal(path: str) -> np.ndarray:
-    return np.loadtxt(path, ndmin=1, dtype=np.float64)
+    return as_signal(np.loadtxt(path, ndmin=1, dtype=np.float64))
 
 
 def _cmd_encode(args) -> int:
@@ -208,8 +208,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    """Run one command; bad input (an unreadable or malformed signal, config
+    or bits file) prints one line to stderr and returns 2, like a usage error."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -271,8 +271,9 @@ def measure(schema: PointQuerySchema, x) -> SketchBits:
     One pass over the nonzeros of x per repetition; the underlying real
     measurements exist only transiently.  sign(0) = +1, so empty buckets
     produce (+1, +1) pairs.  Repetitions are processed in blocks of about
-    ``prf.BLOCK_WORDS`` gaussian entries (at least one repetition each); the
-    bits do not depend on the block size.
+    ``prf.BLOCK_WORDS`` gaussian entries (at least one repetition each), run
+    through ``prf.map_blocks``; the bits depend on neither the block size nor
+    the thread count.
     """
     x = as_signal(x)
     if x.shape != (schema.n,):
@@ -290,7 +291,8 @@ def measure(schema: PointQuerySchema, x) -> SketchBits:
     # full block; a shorter last block uses their prefixes
     flat_part = (np.arange(block)[:, None] * n_occ + inverse[None, :]).ravel()
     row_offset = (np.arange(block * 3) * buckets).reshape(block, 3, 1)
-    for r0 in range(0, reps, block):
+
+    def measure_block(r0):
         rr = np.arange(r0, min(r0 + block, reps))
         nb = rr.size
         gauss = standard_normal(fold(schema.gauss_key, rr)[:, None], nz[None, :])
@@ -303,8 +305,10 @@ def measure(schema: PointQuerySchema, x) -> SketchBits:
         z = np.bincount(
             bucket.ravel(), weights=(sign * part_sums).ravel(), minlength=nb * 3 * buckets
         ).reshape(nb, 3, buckets)
-        bits[rr, :, :, 0] = np.where(z >= 0, 1, -1)
-        bits[rr, :, :, 1] = np.where(-z >= 0, 1, -1)
+        bits[r0 : r0 + nb, :, :, 0] = np.where(z >= 0, 1, -1)
+        bits[r0 : r0 + nb, :, :, 1] = np.where(-z >= 0, 1, -1)
+
+    prf.map_blocks(measure_block, range(0, reps, block))
     return SketchBits(bits=bits)
 
 
@@ -328,7 +332,8 @@ def query_stats(
     step = max(1, prf.BLOCK_WORDS // reps)
     good = np.empty(parts.size, dtype=np.int64)
     zero_declared = np.empty(parts.size, dtype=bool)
-    for lo in range(0, parts.size, step):
+
+    def query_block(lo):
         bucket, sign = _row_hashes(schema, rr, parts[lo : lo + step])
         y, is_zero = _bucket_bits(sketch, bucket)
         matches = y == sign
@@ -336,6 +341,8 @@ def query_stats(
         good_rep = clean & (matches.all(axis=1) | (~matches).all(axis=1))
         good[lo : lo + step] = good_rep.sum(axis=0)
         zero_declared[lo : lo + step] = 2 * is_zero.all(axis=1).sum(axis=0) > reps
+
+    prf.map_blocks(query_block, range(0, parts.size, step))
     return QueryStats(parts=parts, good_counts=good, zero_declared=zero_declared)
 
 
@@ -373,12 +380,14 @@ def nonzero_candidates(
     """
     rr = np.arange(min(probe_reps, schema.reps))
     step = max(1, prf.BLOCK_WORDS // rr.size)
-    keep = []
-    for lo in range(0, schema.partition.size, step):
+
+    def probe_block(lo):
         block = np.arange(lo, min(lo + step, schema.partition.size))
         bucket, _ = _row_hashes(schema, rr, block)
         _, is_zero = _bucket_bits(sketch, bucket)
-        keep.append(block[(~is_zero.any(axis=1)).any(axis=0)])
+        return block[(~is_zero.any(axis=1)).any(axis=0)]
+
+    keep = prf.map_blocks(probe_block, range(0, schema.partition.size, step))
     return np.concatenate(keep) if keep else np.empty(0, dtype=np.int64)
 
 

@@ -10,6 +10,9 @@ processes.
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +30,50 @@ _PHI = U64(0x165667B19E3779F9)
 # gaussian sign blocks) take it in blocks of about this many 64-bit words, so
 # the temporaries of each block stay in cache instead of streaming through RAM.
 BLOCK_WORDS = 1 << 16
+
+
+def available_cpus() -> int:
+    """CPUs this process may run on (its affinity set where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def map_blocks(fn, starts) -> list:
+    """``[fn(s) for s in starts]``, run on up to one thread per available CPU.
+
+    For block loops whose blocks are independent: each ``fn(s)`` may write
+    only its own slice of a shared output, so results do not depend on the
+    thread count.  The PRF kernels spend their time in numpy and scipy
+    ufuncs, which release the interpreter lock, so blocks overlap.  The
+    calling thread takes blocks too, beside one helper thread per further
+    CPU: each thread keeps block temporaries in its own malloc arena, so
+    fewer threads hold less memory.  One block, or one CPU, runs inline
+    without a pool.  An exception raised by any block reaches the caller.
+    """
+    starts = list(starts)
+    workers = min(len(starts), available_cpus())
+    if workers <= 1:
+        return [fn(s) for s in starts]
+    results = [None] * len(starts)
+    todo = iter(range(len(starts)))
+    lock = threading.Lock()
+
+    def drain():
+        while True:
+            with lock:
+                i = next(todo, None)
+            if i is None:
+                return
+            results[i] = fn(starts[i])
+
+    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+        helpers = [pool.submit(drain) for _ in range(workers - 1)]
+        drain()
+        for helper in helpers:
+            helper.result()
+    return results
 
 
 def mix64(z) -> np.ndarray:

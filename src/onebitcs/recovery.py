@@ -63,7 +63,7 @@ class GaussianSchema:
 
 def sign_measure(schema: GaussianSchema, x) -> np.ndarray:
     """y = sign(Gx + v) as int8, regenerating G in blocks of rows holding
-    about ``prf.BLOCK_WORDS`` entries."""
+    about ``prf.BLOCK_WORDS`` entries, run through ``prf.map_blocks``."""
     x = as_signal(x)
     if x.shape != (schema.n,):
         raise ValueError(f"signal shape {x.shape} does not match n={schema.n}")
@@ -71,18 +71,21 @@ def sign_measure(schema: GaussianSchema, x) -> np.ndarray:
     vals = x[nz]
     y = np.empty(schema.rows, dtype=np.int8)
     step = max(1, prf.BLOCK_WORDS // max(nz.size, 1))
-    for lo in range(0, schema.rows, step):
+
+    def measure_block(lo):
         rows = np.arange(lo, min(lo + step, schema.rows))
         dot = schema.entries(rows, nz) @ vals if nz.size else np.zeros(rows.size)
         if schema.noise_sigma > 0:
             dot += schema.noise(rows)
-        y[rows] = np.where(dot >= 0, 1, -1)
+        y[lo : lo + rows.size] = np.where(dot >= 0, 1, -1)
+
+    prf.map_blocks(measure_block, range(0, schema.rows, step))
     return y
 
 
 def correlation(schema: GaussianSchema, y, support) -> np.ndarray:
     """c = G_S^T y over the support columns, regenerated in blocks of columns
-    holding about ``prf.BLOCK_WORDS`` entries."""
+    holding about ``prf.BLOCK_WORDS`` entries, run through ``prf.map_blocks``."""
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (schema.rows,):
         raise ValueError("measurement length mismatch")
@@ -90,8 +93,11 @@ def correlation(schema: GaussianSchema, y, support) -> np.ndarray:
     rows = np.arange(schema.rows)
     step = max(1, prf.BLOCK_WORDS // schema.rows)
     c = np.empty(support.size)
-    for lo in range(0, support.size, step):
+
+    def correlate_block(lo):
         c[lo : lo + step] = schema.entries(rows, support[lo : lo + step]).T @ y
+
+    prf.map_blocks(correlate_block, range(0, support.size, step))
     return c
 
 

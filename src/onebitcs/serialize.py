@@ -6,8 +6,10 @@ hash/sign/gaussian families regenerate on the decode side), then raw packed
 bit blocks whose byte lengths are listed in the header.  The magic line names
 the format version; a file of any other version is rejected, because its bits
 were taken under a different hash layout (v2: one PRF word per repetition and
-part of every partition sketch).  Every block must have exactly the length
-its bit count requires, and nothing may follow the last block.
+part of every partition sketch).  The header must hold every field its
+scheme's loader reads, the file must hold exactly as many blocks as the
+rebuilt schema measures, every block must have exactly the length its bit
+count requires, and nothing may follow the last block.
 
 Bits pack +1 -> 1 and -1 -> 0 in little-endian bit order, following each
 sketch's flattened row order (repetition-major, then sub-iteration, then
@@ -67,6 +69,21 @@ def _constants_from(d: dict) -> ps.SketchConstants:
     return ps.SketchConstants(**d)
 
 
+class _Header(dict):
+    """A parsed file header: a missing field is a malformed file, so reading
+    one raises ``ValueError`` naming the field instead of ``KeyError``."""
+
+    def __missing__(self, key):
+        raise ValueError(f"bits file header lacks the field {key!r}")
+
+
+def _check_block_count(blocks: list[bytes], expected: int, scheme: str):
+    if len(blocks) != expected:
+        raise ValueError(
+            f"{scheme} file holds {len(blocks)} bit blocks, its schema measures {expected}"
+        )
+
+
 def write_blocks(path: str, scheme: str, header: dict, blocks: list[bytes]):
     header = dict(header)
     header["scheme"] = scheme
@@ -86,6 +103,7 @@ def read_blocks(path: str) -> tuple[str, dict, list[bytes]]:
         header = json.loads(fh.readline().decode())
         if not isinstance(header, dict) or header.get("scheme") != scheme:
             raise ValueError(f"{path}: header scheme does not match magic line")
+        header = _Header(header)
         blocks = [fh.read(length) for length in header["block_lengths"]]
         if any(len(b) != length for b, length in zip(blocks, header["block_lengths"])):
             raise ValueError(f"{path} is truncated")
@@ -123,6 +141,7 @@ def load_ppcs(header: dict, blocks: list[bytes]):
     )
     if schema.reps != header["reps"] or schema.buckets != header["buckets"]:
         raise ValueError("rebuilt schema does not match file header")
+    _check_block_count(blocks, 1, "ppcs")
     return schema, unpack_bits(blocks[0], schema.reps, schema.buckets)
 
 
@@ -142,6 +161,7 @@ def load_btree(header: dict, blocks: list[bytes]):
     )
     if len(schema.levels) != header["levels"]:
         raise ValueError("rebuilt level count does not match file header")
+    _check_block_count(blocks, len(schema.levels), "btree")
     level_bits = [
         unpack_bits(block, level.schema.reps, level.schema.buckets)
         for block, level in zip(blocks, schema.levels)
@@ -171,6 +191,7 @@ def load_expander(header: dict, blocks: list[bytes]):
     )
     if schema.layers_count != header["layers"]:
         raise ValueError("rebuilt layer count does not match file header")
+    _check_block_count(blocks, 2 * schema.layers_count, "expander")
     bits = []
     for j, layer in enumerate(schema.layers):
         heavy = unpack_bits(blocks[2 * j], layer.heavy_schema.reps, layer.heavy_schema.buckets)
@@ -193,6 +214,10 @@ def save_heavy_hitters(path: str, schema: heavy_hitters.HeavyHitterSchema, bucke
             blocks.append(pack_bits(layer_bits.heavy))
             blocks.append(pack_bits(layer_bits.check))
     write_blocks(path, "heavy-hitters", header, blocks)
+
+
+def _hh_block_count(schema: heavy_hitters.HeavyHitterSchema) -> int:
+    return 2 * sum(len(sub.layers) for sub in schema.sub_schemas)
 
 
 def _unpack_hh_blocks(schema: heavy_hitters.HeavyHitterSchema, blocks: list[bytes]):
@@ -218,6 +243,7 @@ def load_heavy_hitters(header: dict, blocks: list[bytes]):
     )
     if schema.buckets != header["buckets"]:
         raise ValueError("rebuilt bucket count does not match file header")
+    _check_block_count(blocks, _hh_block_count(schema), "heavy-hitters")
     return schema, _unpack_hh_blocks(schema, blocks)
 
 
@@ -246,6 +272,7 @@ def load_pipeline(header: dict, blocks: list[bytes]):
     )
     if schema.support_schema.buckets != header["hh_buckets"]:
         raise ValueError("rebuilt bucketing does not match file header")
+    _check_block_count(blocks, _hh_block_count(schema.support_schema) + 1, "pipeline")
     support_bits = _unpack_hh_blocks(schema.support_schema, blocks[:-1])
     sign_bits = unpack_sign_vector(blocks[-1], schema.gauss_schema.rows)
     return schema, recovery.PipelineBits(support_bits=support_bits, sign_bits=sign_bits)

@@ -61,6 +61,23 @@ def row_hash(schema, rep, part):
     ]
 
 
+def level_starts_loop(n, k, b, depth):
+    """b-tree interval starts built part by part: each level-r part is cut
+    into children of width ceil(n / (k b^{r+1})) with one arange per part."""
+    width0 = -(-n // k)
+    levels = [np.arange(0, n, width0, dtype=np.int64)]
+    for r in range(1, depth + 1):
+        width = max(1, -(-n // (k * b**r)))
+        prev = levels[-1]
+        ends = np.append(prev[1:], n)
+        pieces = [
+            np.arange(start, end, width, dtype=np.int64)
+            for start, end in zip(prev, ends)
+        ]
+        levels.append(np.concatenate(pieces))
+    return levels
+
+
 def brute_force_bits(schema, x):
     """Evaluate the measurement definition directly: per-bucket signed sums
     of per-part gaussian inner products, via scalar loops over the same PRF."""

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import level_starts_loop
+
 from onebitcs import btree
 from onebitcs import partition_sketch as ps
 from onebitcs.prf import RandomSource
@@ -23,6 +25,16 @@ class TestBuild:
     def test_leaves_are_singletons(self):
         schema = btree.build_schema(100, 3, 3, 0.1, seed=1)
         assert schema.levels[-1].starts.size == 100
+
+    @pytest.mark.parametrize("n,k,b", [(1000, 3, 7), (17, 2, 2), (65536, 8, 16), (12345, 7, 3)])
+    def test_level_starts_match_part_by_part_loop(self, n, k, b):
+        depth = btree.build_schema(n, k, b, 0.1, seed=1).depth
+        fast = btree._level_starts(n, k, b, depth)
+        slow = level_starts_loop(n, k, b, depth)
+        assert len(fast) == len(slow) == depth + 1
+        for got, want in zip(fast, slow):
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want)
 
     def test_rejects_bad_branching(self):
         with pytest.raises(ValueError):

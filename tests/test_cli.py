@@ -79,3 +79,27 @@ class TestSelftest:
         out = capsys.readouterr().out
         assert "[FAIL]" not in out
         assert out.count("[PASS]") == 5
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_encode_rejects_non_finite_signal(self, tmp_path, capsys, bad):
+        sig = tmp_path / "signal.txt"
+        sig.write_text(f"0.5\n{bad}\n-1.0\n0.0\n")
+        bits = tmp_path / "m.bits"
+        code = run_cli("encode", "--scheme", "btree", "--signal", str(sig),
+                       "--out", str(bits), "--k", "1", "--b", "2")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("onebitcs: error:") and "non-finite" in err
+        assert err.count("\n") == 1
+        assert not bits.exists()
+
+    def test_decode_rejects_malformed_bits_file(self, tmp_path, capsys):
+        bits = tmp_path / "m.bits"
+        bits.write_bytes(b"onebitcs-bits v2 ppcs\n{\"scheme\": \"ppcs\"}\n")
+        assert run_cli("decode", "--bits", str(bits)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("onebitcs: error:")
+        assert captured.err.count("\n") == 1

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -14,6 +15,15 @@ def sparse_unit(n, k, seed):
     x = np.zeros(n)
     x[sup] = src.derive(2).signs(np.arange(k)) / math.sqrt(k)
     return x, sup
+
+
+def ppcs_file(tmp_path):
+    schema = ps.build_schema(ps.PartitionFamily.contiguous(512, 64), 2, 0.01, seed=21)
+    x, _ = sparse_unit(512, 2, 22)
+    path = tmp_path / "m.bits"
+    serialize.save_ppcs(str(path), schema, ps.measure(schema, x))
+    serialize.load_measurement(str(path))  # intact, it loads
+    return path
 
 
 class TestPacking:
@@ -129,29 +139,21 @@ class TestFiles:
         assert np.array_equal(est_a.indices, est_b.indices)
         assert np.allclose(est_a.values, est_b.values)
 
-    def _ppcs_file(self, tmp_path):
-        schema = ps.build_schema(ps.PartitionFamily.contiguous(512, 64), 2, 0.01, seed=21)
-        x, _ = sparse_unit(512, 2, 22)
-        path = tmp_path / "m.bits"
-        serialize.save_ppcs(str(path), schema, ps.measure(schema, x))
-        serialize.load_measurement(str(path))  # intact, it loads
-        return path
-
     def test_truncated_file_rejected(self, tmp_path):
-        path = self._ppcs_file(tmp_path)
+        path = ppcs_file(tmp_path)
         path.write_bytes(path.read_bytes()[:-1])
         with pytest.raises(ValueError):
             serialize.load_measurement(str(path))
 
     def test_trailing_bytes_rejected(self, tmp_path):
-        path = self._ppcs_file(tmp_path)
+        path = ppcs_file(tmp_path)
         path.write_bytes(path.read_bytes() + bytes(16))
         with pytest.raises(ValueError):
             serialize.load_measurement(str(path))
 
     def test_earlier_format_version_rejected(self, tmp_path):
         # v1 files hold bits of the earlier hash layout; they must not decode
-        path = self._ppcs_file(tmp_path)
+        path = ppcs_file(tmp_path)
         data = path.read_bytes()
         assert data.startswith(b"onebitcs-bits v2 ppcs\n")
         path.write_bytes(b"onebitcs-bits v1" + data[len("onebitcs-bits v2"):])
@@ -162,4 +164,51 @@ class TestFiles:
         path = tmp_path / "junk.bits"
         path.write_bytes(b"not a bits file\n{}\n")
         with pytest.raises(ValueError):
+            serialize.load_measurement(str(path))
+
+
+def rewrite(path, edit_header=None, edit_blocks=None):
+    """Write a bits file back with its header and block list edited; the
+    header's block_lengths follow the edited blocks."""
+    scheme, header, blocks = serialize.read_blocks(str(path))
+    header = dict(header)
+    if edit_header:
+        edit_header(header)
+    if edit_blocks:
+        blocks = edit_blocks(blocks)
+    serialize.write_blocks(str(path), scheme, header, blocks)
+
+
+class TestMalformedHeaders:
+    def test_btree_file_with_an_extra_block_rejected(self, tmp_path):
+        x, _ = sparse_unit(256, 2, 23)
+        schema, bits = btree.build_and_measure(x, 256, 2, 4, 0.1, seed=24)
+        path = tmp_path / "t.bits"
+        serialize.save_btree(str(path), schema, bits)
+        rewrite(path, edit_blocks=lambda blocks: blocks + [blocks[-1]])
+        with pytest.raises(ValueError, match="bit blocks"):
+            serialize.load_measurement(str(path))
+
+    def test_pipeline_file_missing_a_block_rejected(self, tmp_path):
+        schema = recovery.build_pipeline(512, 2, 0.3, seed=29, gauss_rows=400)
+        x, _ = sparse_unit(512, 2, 30)
+        path = tmp_path / "p.bits"
+        serialize.save_pipeline(str(path), schema, recovery.measure(schema, x))
+        rewrite(path, edit_blocks=lambda blocks: blocks[1:])
+        with pytest.raises(ValueError, match="bit blocks"):
+            serialize.load_measurement(str(path))
+
+    def test_missing_block_lengths_rejected(self, tmp_path):
+        path = ppcs_file(tmp_path)
+        magic, header, body = path.read_bytes().split(b"\n", 2)
+        fields = json.loads(header)
+        del fields["block_lengths"]
+        path.write_bytes(b"\n".join([magic, json.dumps(fields).encode(), body]))
+        with pytest.raises(ValueError, match="block_lengths"):
+            serialize.load_measurement(str(path))
+
+    def test_missing_n_rejected(self, tmp_path):
+        path = ppcs_file(tmp_path)
+        rewrite(path, edit_header=lambda header: header.pop("n"))
+        with pytest.raises(ValueError, match="'n'"):
             serialize.load_measurement(str(path))
