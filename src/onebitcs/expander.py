@@ -47,9 +47,20 @@ def circulant_neighbors(s: int, degree: int) -> tuple[tuple[int, ...], ...]:
 class LayerSchema:
     index: int
     partition: ps.PartitionFamily
-    names: np.ndarray  # (parts, 2 + degree) field table, row per part
+    # one packed name per part, sorted, so a part's label is its key's rank
+    keys: np.ndarray
+    widths: tuple[int, ...]  # bit width of each name field, own hash first
     heavy_schema: ps.PointQuerySchema  # count-sketch mode
     check_schema: ps.PointQuerySchema  # point-query mode
+
+    def names_of(self, parts) -> np.ndarray:
+        """(len(parts), 2 + degree) name fields of the given parts."""
+        return _unpack_keys(self.keys[np.asarray(parts, dtype=np.int64)], self.widths)
+
+    @property
+    def names(self) -> np.ndarray:
+        """(parts, 2 + degree) name field table, row per part."""
+        return self.names_of(np.arange(self.partition.size))
 
 
 @dataclass(frozen=True)
@@ -62,6 +73,7 @@ class ExpanderSchema:
     degree: int
     h_range: int
     error_fraction: float
+    log_factor: float  # sparsity limit: k <= max_sparsity(n, log_factor)
     neighbors: tuple[tuple[int, ...], ...]
     layers: tuple[LayerSchema, ...]
     constants: ps.SketchConstants
@@ -124,20 +136,32 @@ def _hash_fields(schema_seed: int, n: int, s: int, h_range: int) -> np.ndarray:
     )
 
 
-def _pack_rows(fields: np.ndarray, widths: list[int]) -> np.ndarray:
-    """Pack small nonnegative integer columns into one comparable key per row.
+def _pack_rows(columns, widths) -> np.ndarray:
+    """Pack columns of small nonnegative integers into one comparable key per row.
 
-    Falls back to a lexicographic structured view when the packed width
-    exceeds 64 bits.
+    Keys sort in the lexicographic order of the columns.  When the packed
+    width exceeds 64 bits the key is a record of int64 fields instead.
     """
-    total = sum(widths)
-    if total <= 64:
-        out = np.zeros(fields.shape[0], dtype=np.uint64)
-        for col, w in enumerate(widths):
-            out = (out << np.uint64(w)) | fields[:, col].astype(np.uint64)
+    if sum(widths) <= 64:
+        out = np.zeros(len(columns[0]), dtype=np.uint64)
+        for col, w in zip(columns, widths):
+            out <<= np.uint64(w)
+            out |= np.asarray(col, dtype=np.int64).view(np.uint64)
         return out
-    rec = np.ascontiguousarray(fields.astype(np.int64))
-    return rec.view([("", np.int64)] * fields.shape[1]).reshape(-1)
+    rec = np.ascontiguousarray(np.column_stack(columns), dtype=np.int64)
+    return rec.view([("", np.int64)] * len(columns)).reshape(-1)
+
+
+def _unpack_keys(keys: np.ndarray, widths) -> np.ndarray:
+    """Inverse of ``_pack_rows``: one int64 row of fields per key."""
+    if keys.dtype.names:
+        return keys.view(np.int64).reshape(-1, len(widths))
+    fields = np.empty((keys.size, len(widths)), dtype=np.int64)
+    shift = 0
+    for col in range(len(widths) - 1, -1, -1):
+        fields[:, col] = (keys >> np.uint64(shift)) & np.uint64((1 << widths[col]) - 1)
+        shift += widths[col]
+    return fields
 
 
 def build_schema(
@@ -181,16 +205,13 @@ def build_schema(
     heavy_delta = float((1 << code.t)) ** (-heavy_exponent)
     check_delta = min(0.5, float(math.ceil(math.log2(n))) ** (-check_exponent))
     h_bits = max(1, math.ceil(math.log2(h_range)))
-    widths = [h_bits, code.t] + [h_bits] * deg
+    widths = (h_bits, code.t) + (h_bits,) * deg
 
     layers = []
     for j in range(s):
-        fields = np.column_stack(
-            [own_hash[j], codewords[:, j]] + [own_hash[nb] for nb in neighbors[j]]
-        )
-        packed = _pack_rows(fields, widths)
-        _, first, labels = np.unique(packed, return_index=True, return_inverse=True)
-        partition = ps.PartitionFamily(n=n, size=int(first.size), labels=labels)
+        columns = [own_hash[j], codewords[:, j]] + [own_hash[nb] for nb in neighbors[j]]
+        keys, labels = np.unique(_pack_rows(columns, widths), return_inverse=True)
+        partition = ps.PartitionFamily(n=n, size=int(keys.size), labels=labels)
         heavy_schema = ps.build_schema(
             partition, k, heavy_delta,
             seed=int(derive_key(seed, 400 + j)), constants=constants,
@@ -203,14 +224,16 @@ def build_schema(
             LayerSchema(
                 index=j,
                 partition=partition,
-                names=fields[first],
+                keys=keys,
+                widths=widths,
                 heavy_schema=heavy_schema,
                 check_schema=check_schema,
             )
         )
     return ExpanderSchema(
         n=n, k=k, seed=seed, layers_count=s, code=code, degree=deg,
-        h_range=h_range, error_fraction=error_fraction, neighbors=neighbors,
+        h_range=h_range, error_fraction=error_fraction, log_factor=log_factor,
+        neighbors=neighbors,
         layers=tuple(layers), constants=constants,
     )
 
@@ -271,7 +294,7 @@ def layer_decode(
     )
     if found.size == 0:
         return empty
-    own = ls.names[found, 0]
+    own = ls.names_of(found)[:, 0]
     _, inverse, counts = np.unique(own, return_inverse=True, return_counts=True)
     unique_mask = counts[inverse] == 1
     found = found[unique_mask]
@@ -292,7 +315,7 @@ def layer_decode(
     order = np.argsort(found)
     found, good = found[order], good[order]
     return LayerList(
-        layer=layer, parts=found, names=ls.names[found], good_counts=good,
+        layer=layer, parts=found, names=ls.names_of(found), good_counts=good,
         point_queries=queries, bit_reads=reads,
     )
 

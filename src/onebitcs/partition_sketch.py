@@ -254,14 +254,24 @@ def _row_hashes(schema: PointQuerySchema, reps, parts) -> tuple[np.ndarray, np.n
     return bucket.view(np.int64), sign
 
 
+def _check_bits(schema: PointQuerySchema, sketch: SketchBits):
+    """Decoders read bits by the schema's layout; any other shape is malformed."""
+    expected = (schema.reps, 3, schema.buckets, 2)
+    if sketch.bits.shape != expected:
+        raise ValueError(
+            f"bit tensor shape {sketch.bits.shape} does not match the schema's {expected}"
+        )
+
+
 def _bucket_bits(sketch: SketchBits, bucket: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The sign(z) bit of each row ``bucket`` addresses, and whether that row
     measured z == 0 exactly; ``bucket`` is ``_row_hashes`` over repetitions
-    0, 1, ..., bucket.shape[0] - 1."""
+    0, 1, ..., bucket.shape[0] - 1, and is overwritten with flat row indices
+    rather than copied."""
     buckets = sketch.bits.shape[2]
-    rows = (np.arange(bucket.shape[0] * 3) * buckets).reshape(-1, 3, 1)
+    bucket += (np.arange(bucket.shape[0] * 3) * buckets).reshape(-1, 3, 1)
     # one int16 per (sign(z), sign(-z)) pair, gathered in a single take
-    pairs = np.ascontiguousarray(sketch.bits).view(np.int16).reshape(-1).take(bucket + rows)
+    pairs = np.ascontiguousarray(sketch.bits).view(np.int16).reshape(-1).take(bucket)
     return pairs.view(np.int8)[..., ::2], pairs == _ZERO_PAIR
 
 
@@ -324,6 +334,7 @@ def query_stats(
     rows is an exact zero.  A part whose three rows are all zero in a strict
     majority of repetitions is declared exactly zero.
     """
+    _check_bits(schema, sketch)
     parts = np.atleast_1d(np.asarray(parts, dtype=np.int64))
     if parts.size and (parts.min() < 0 or parts.max() >= schema.partition.size):
         raise ValueError("queried part index out of range")
@@ -378,6 +389,7 @@ def nonzero_candidates(
     skipping them turns the exhaustive scan into work proportional to the
     occupied parts on sparse signals.
     """
+    _check_bits(schema, sketch)
     rr = np.arange(min(probe_reps, schema.reps))
     step = max(1, prf.BLOCK_WORDS // rr.size)
 

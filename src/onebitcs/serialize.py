@@ -77,6 +77,18 @@ class _Header(dict):
         raise ValueError(f"bits file header lacks the field {key!r}")
 
 
+def _optional(header: dict, *fields: str) -> dict:
+    """Build parameters that older v2 files may lack; a missing one takes its
+    build default."""
+    return {name: header[name] for name in fields if name in header}
+
+
+def _sub_schema_params(schema: heavy_hitters.HeavyHitterSchema) -> dict:
+    """Layered-sketch parameters shared by every bucket's sub-sketch."""
+    sub = schema.sub_schemas[0]
+    return {"degree": sub.degree, "error_fraction": sub.error_fraction}
+
+
 def _check_block_count(blocks: list[bytes], expected: int, scheme: str):
     if len(blocks) != expected:
         raise ValueError(
@@ -173,7 +185,9 @@ def save_expander(path: str, schema: expander.ExpanderSchema, bits):
     header = {
         "n": schema.n, "k": schema.k, "seed": schema.seed,
         "layers": schema.layers_count,
+        "degree": schema.degree,
         "error_fraction": schema.error_fraction,
+        "log_factor": schema.log_factor,
         "constants": _constants_dict(schema.constants),
     }
     blocks = []
@@ -188,6 +202,7 @@ def load_expander(header: dict, blocks: list[bytes]):
         header["n"], header["k"], header["seed"],
         _constants_from(header["constants"]),
         error_fraction=header["error_fraction"],
+        **_optional(header, "degree", "log_factor"),
     )
     if schema.layers_count != header["layers"]:
         raise ValueError("rebuilt layer count does not match file header")
@@ -206,6 +221,7 @@ def save_heavy_hitters(path: str, schema: heavy_hitters.HeavyHitterSchema, bucke
         "buckets": schema.buckets,
         "log_factor": schema.log_factor,
         "bucket_factor": schema.bucket_factor,
+        **_sub_schema_params(schema),
         "constants": _constants_dict(schema.constants),
     }
     blocks = []
@@ -240,6 +256,7 @@ def load_heavy_hitters(header: dict, blocks: list[bytes]):
         _constants_from(header["constants"]),
         log_factor=header["log_factor"],
         bucket_factor=header["bucket_factor"],
+        **_optional(header, "degree", "error_fraction"),
     )
     if schema.buckets != header["buckets"]:
         raise ValueError("rebuilt bucket count does not match file header")
@@ -253,6 +270,9 @@ def save_pipeline(path: str, schema: recovery.PipelineSchema, bits: recovery.Pip
         "gauss_rows": schema.gauss_schema.rows,
         "noise_sigma": schema.gauss_schema.noise_sigma,
         "hh_buckets": schema.support_schema.buckets,
+        "log_factor": schema.support_schema.log_factor,
+        "bucket_factor": schema.support_schema.bucket_factor,
+        **_sub_schema_params(schema.support_schema),
         "constants": _constants_dict(schema.support_schema.constants),
     }
     blocks = []
@@ -269,6 +289,7 @@ def load_pipeline(header: dict, blocks: list[bytes]):
         header["n"], header["k"], header["delta"], header["seed"],
         gauss_rows=header["gauss_rows"], noise_sigma=header["noise_sigma"],
         constants=_constants_from(header["constants"]),
+        **_optional(header, "degree", "error_fraction", "log_factor", "bucket_factor"),
     )
     if schema.support_schema.buckets != header["hh_buckets"]:
         raise ValueError("rebuilt bucketing does not match file header")

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from onebitcs.prf import RandomSource, fold, standard_normal
+from onebitcs.prf import RandomSource, derive_key, fold, standard_normal, uniform_index
 
 
 def sparse_unit(n, k, seed):
@@ -76,6 +76,33 @@ def level_starts_loop(n, k, b, depth):
         ]
         levels.append(np.concatenate(pieces))
     return levels
+
+
+def layer_name_table(schema, j):
+    """(labels, names) of expander layer j by the full name table: stack the
+    n x (2 + degree) field columns, pack each row into one key (a record of
+    int64 fields when the names exceed 64 bits), take np.unique with
+    return_index and gather the first row of every distinct key."""
+    coords = np.arange(schema.n)
+    own = [
+        uniform_index(derive_key(schema.seed, 300 + layer), coords, schema.h_range)
+        for layer in range(schema.layers_count)
+    ]
+    fields = np.column_stack(
+        [own[j], schema.code.encode_many(coords)[:, j]]
+        + [own[nb] for nb in schema.neighbors[j]]
+    )
+    h_bits = max(1, math.ceil(math.log2(schema.h_range)))
+    widths = [h_bits, schema.code.t] + [h_bits] * schema.degree
+    if sum(widths) <= 64:
+        packed = np.zeros(schema.n, dtype=np.uint64)
+        for col, w in enumerate(widths):
+            packed = (packed << np.uint64(w)) | fields[:, col].astype(np.uint64)
+    else:
+        rec = np.ascontiguousarray(fields.astype(np.int64))
+        packed = rec.view([("", np.int64)] * fields.shape[1]).reshape(-1)
+    _, first, labels = np.unique(packed, return_index=True, return_inverse=True)
+    return labels, fields[first]
 
 
 def brute_force_bits(schema, x):

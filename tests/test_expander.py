@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from oracles import layer_name_table
+
 from onebitcs import expander
 from onebitcs import partition_sketch as ps
 from onebitcs.prf import RandomSource
@@ -95,9 +97,36 @@ class TestNames:
 
     def test_pack_rows_wide_fallback(self):
         fields = np.array([[1, 2, 3], [1, 2, 3], [4, 5, 6]])
-        packed = expander._pack_rows(fields, [40, 40, 40])
+        packed = expander._pack_rows(fields.T, [40, 40, 40])
         uniq, inv = np.unique(packed, return_inverse=True)
         assert inv[0] == inv[1] != inv[2]
+
+
+@pytest.fixture(scope="module")
+def wide_schema():
+    # n = 2^17 is the smallest n whose names exceed 64 bits
+    schema = expander.build_schema(1 << 17, 2, seed=12)
+    assert schema.name_bits > 64
+    return schema
+
+
+class TestNameKeys:
+    @pytest.mark.parametrize("n", [1 << 10, 1 << 16, 1 << 17])
+    def test_keys_match_name_table_oracle(self, n, wide_schema):
+        schema = wide_schema if n == wide_schema.n else expander.build_schema(n, 2, seed=12)
+        for j, layer in enumerate(schema.layers):
+            labels, names = layer_name_table(schema, j)
+            assert np.array_equal(layer.partition.labels, labels)
+            assert np.array_equal(layer.names, names)
+            assert layer.names.dtype == names.dtype
+
+    def test_make_name_matches_wide_keys(self, wide_schema):
+        probe = RandomSource(13).choice_without_replacement(wide_schema.n, 200)
+        for j, layer in enumerate(wide_schema.layers):
+            assert np.array_equal(
+                expander.make_name(wide_schema, probe, j),
+                layer.names_of(layer.partition.parts_of(probe)),
+            )
 
 
 class TestLayerDecode:

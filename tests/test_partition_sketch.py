@@ -226,6 +226,28 @@ class TestQuery:
         with pytest.raises(ValueError):
             ps.point_query(schema, bits, 8)
 
+    @pytest.mark.parametrize(
+        "reshape",
+        [
+            lambda b: np.concatenate([b, b], axis=2),  # doubled buckets
+            lambda b: np.concatenate([b, b[:1]], axis=0),  # one repetition too many
+            lambda b: b[:-1],  # one repetition too few
+        ],
+        ids=["doubled-buckets", "extra-rep", "missing-rep"],
+    )
+    def test_mis_shaped_bits_rejected(self, reshape):
+        part = ps.PartitionFamily.contiguous(64, 8)
+        schema = ps.build_schema(part, 2, 0.25, seed=31)
+        x = np.zeros(64)
+        x[5] = 1.0
+        bad = ps.SketchBits(bits=reshape(ps.measure(schema, x).bits))
+        with pytest.raises(ValueError, match="does not match the schema"):
+            ps.query_stats(schema, bad, np.arange(8))
+        with pytest.raises(ValueError, match="does not match the schema"):
+            ps.nonzero_candidates(schema, bad)
+        with pytest.raises(ValueError, match="does not match the schema"):
+            ps.count_sketch_decode(schema, bad)
+
     def test_planted_detection_rate(self):
         n, parts, k, delta, trials = 1024, 128, 4, 0.1, 120
         part = ps.PartitionFamily.contiguous(n, parts)

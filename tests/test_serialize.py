@@ -167,6 +167,82 @@ class TestFiles:
             serialize.load_measurement(str(path))
 
 
+# scheme -> (build with extra keyword arguments, measure, save); k = 12 at
+# n = 2^10 is bucketed into 2 buckets under the default log_factor of 1
+LAYERED = {
+    "expander": (
+        lambda **kw: expander.build_schema(1 << 10, 2, seed=41, **kw),
+        expander.measure, serialize.save_expander,
+    ),
+    "heavy-hitters": (
+        lambda **kw: heavy_hitters.build_schema(1 << 10, 12, seed=42, **kw),
+        heavy_hitters.measure, serialize.save_heavy_hitters,
+    ),
+    "pipeline": (
+        lambda **kw: recovery.build_pipeline(1 << 10, 12, 0.3, seed=43, gauss_rows=400, **kw),
+        recovery.measure, serialize.save_pipeline,
+    ),
+}
+NON_DEFAULT = {"degree": 2, "error_fraction": 0.1, "log_factor": 2.0, "bucket_factor": 2.0}
+
+
+def layered_params(schema) -> dict:
+    """The layered-sketch build parameters a schema holds."""
+    support = getattr(schema, "support_schema", schema)
+    sub = support.sub_schemas[0] if hasattr(support, "sub_schemas") else support
+    return {
+        "degree": sub.degree,
+        "error_fraction": sub.error_fraction,
+        "log_factor": sub.log_factor,
+        "bucket_factor": getattr(support, "bucket_factor", None),
+        "buckets": getattr(support, "buckets", 1),
+    }
+
+
+def save_layered(tmp_path, scheme, **kw):
+    build, measure, save = LAYERED[scheme]
+    schema = build(**kw)
+    x, _ = sparse_unit(schema.n, 2, 44)
+    path = tmp_path / f"{scheme}.bits"
+    save(str(path), schema, measure(schema, x))
+    return schema, path
+
+
+class TestLayeredParameters:
+    @pytest.mark.parametrize(
+        "scheme, param",
+        [
+            (scheme, param)
+            for scheme in LAYERED
+            for param in NON_DEFAULT
+            if not (scheme == "expander" and param == "bucket_factor")
+        ],
+    )
+    def test_non_default_parameter_round_trips(self, tmp_path, scheme, param):
+        schema, path = save_layered(tmp_path, scheme, **{param: NON_DEFAULT[param]})
+        assert layered_params(schema)[param] == NON_DEFAULT[param]
+        _, schema2, _ = serialize.load_measurement(str(path))
+        assert layered_params(schema2) == layered_params(schema)
+
+    @pytest.mark.parametrize("scheme", list(LAYERED))
+    def test_header_without_parameters_loads_build_defaults(self, tmp_path, scheme):
+        # earlier v2 files do not record these fields
+        unrecorded = {
+            "expander": ("degree", "log_factor"),
+            "heavy-hitters": ("degree", "error_fraction"),
+            "pipeline": ("degree", "error_fraction", "log_factor", "bucket_factor"),
+        }[scheme]
+
+        def drop(header):
+            for name in unrecorded:
+                del header[name]
+
+        schema, path = save_layered(tmp_path, scheme)
+        rewrite(path, edit_header=drop)
+        _, schema2, _ = serialize.load_measurement(str(path))
+        assert layered_params(schema2) == layered_params(schema)
+
+
 def rewrite(path, edit_header=None, edit_blocks=None):
     """Write a bits file back with its header and block list edited; the
     header's block_lengths follow the edited blocks."""
