@@ -136,31 +136,85 @@ def _hash_fields(schema_seed: int, n: int, s: int, h_range: int) -> np.ndarray:
     )
 
 
+def _word_fields(widths) -> list[range]:
+    """Fields of each 64-bit key word: runs of consecutive fields, filled
+    greedily, so that comparing the words in order compares the fields in
+    order."""
+    words, start, used = [], 0, 0
+    for i, w in enumerate(widths):
+        if used + w > 64:
+            words.append(range(start, i))
+            start, used = i, 0
+        used += w
+    words.append(range(start, len(widths)))
+    return words
+
+
 def _pack_rows(columns, widths) -> np.ndarray:
     """Pack columns of small nonnegative integers into one comparable key per row.
 
     Keys sort in the lexicographic order of the columns.  When the packed
-    width exceeds 64 bits the key is a record of int64 fields instead.
+    width exceeds 64 bits the key is a record of uint64 words instead, each
+    holding a run of fields (see ``_word_fields``).
     """
-    if sum(widths) <= 64:
+    words = []
+    for fields in _word_fields(widths):
         out = np.zeros(len(columns[0]), dtype=np.uint64)
-        for col, w in zip(columns, widths):
-            out <<= np.uint64(w)
-            out |= np.asarray(col, dtype=np.int64).view(np.uint64)
-        return out
-    rec = np.ascontiguousarray(np.column_stack(columns), dtype=np.int64)
-    return rec.view([("", np.int64)] * len(columns)).reshape(-1)
+        for i in fields:
+            out <<= np.uint64(widths[i])
+            out |= np.asarray(columns[i], dtype=np.int64).view(np.uint64)
+        words.append(out)
+    if len(words) == 1:
+        return words[0]
+    rec = np.empty(words[0].size, dtype=[(f"w{i}", np.uint64) for i in range(len(words))])
+    for name, word in zip(rec.dtype.names, words):
+        rec[name] = word
+    return rec
+
+
+def _rank_keys(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sorted distinct keys, rank of each row's key among them).
+
+    Record keys are ordered by an ``np.argsort`` of their first word, and
+    only the rows whose first word is tied are ordered by all words with
+    ``np.lexsort``; both sort uint64 arrays, where ``np.unique`` would
+    compare the records generically.
+    """
+    if not packed.dtype.names:
+        return np.unique(packed, return_inverse=True)
+    words = [packed[name] for name in packed.dtype.names]
+    order = np.argsort(words[0])
+    first = words[0].take(order)
+    same = first[1:] == first[:-1]  # sorted neighbours tied in every word so far
+    ranks = np.empty(order.size, dtype=np.intp)
+    if not same.any():
+        # distinct first words: each key is distinct, ranked by its position
+        ranks[order] = np.arange(order.size)
+        return packed.take(order), ranks
+    tied = np.zeros(order.size, dtype=bool)
+    tied[1:] |= same
+    tied[:-1] |= same
+    # tied rows form runs in first-word order; sorting them by all words
+    # keeps the runs in place and orders each run by the later words
+    sub = order[tied]
+    order[tied] = sub[np.lexsort([word[sub] for word in words[::-1]])]
+    for word in words[1:]:
+        ordered = word.take(order)
+        same &= ordered[1:] == ordered[:-1]
+    new = np.concatenate(([True], ~same))
+    ranks[order] = np.cumsum(new) - 1
+    return packed.take(order[new]), ranks
 
 
 def _unpack_keys(keys: np.ndarray, widths) -> np.ndarray:
     """Inverse of ``_pack_rows``: one int64 row of fields per key."""
-    if keys.dtype.names:
-        return keys.view(np.int64).reshape(-1, len(widths))
+    words = [keys[name] for name in keys.dtype.names] if keys.dtype.names else [keys]
     fields = np.empty((keys.size, len(widths)), dtype=np.int64)
-    shift = 0
-    for col in range(len(widths) - 1, -1, -1):
-        fields[:, col] = (keys >> np.uint64(shift)) & np.uint64((1 << widths[col]) - 1)
-        shift += widths[col]
+    for word, cols in zip(words, _word_fields(widths)):
+        shift = 0
+        for col in reversed(cols):
+            fields[:, col] = (word >> np.uint64(shift)) & np.uint64((1 << widths[col]) - 1)
+            shift += widths[col]
     return fields
 
 
@@ -210,7 +264,7 @@ def build_schema(
     layers = []
     for j in range(s):
         columns = [own_hash[j], codewords[:, j]] + [own_hash[nb] for nb in neighbors[j]]
-        keys, labels = np.unique(_pack_rows(columns, widths), return_inverse=True)
+        keys, labels = _rank_keys(_pack_rows(columns, widths))
         partition = ps.PartitionFamily(n=n, size=int(keys.size), labels=labels)
         heavy_schema = ps.build_schema(
             partition, k, heavy_delta,
@@ -272,6 +326,10 @@ def layer_decode(
     Count-sketch decode over the realized names (pruned by the nonzero
     probe), then drop candidates whose own-hash collides within the list,
     then keep those passing the point-query check, capped by good count.
+    ``bit_reads`` counts the probe as reading every part's rows in all
+    ``prefilter_reps`` repetitions; the probe reads the later repetitions'
+    rows only for the parts that pass repetition 0, so the count is an upper
+    bound.
     """
     ls = schema.layers[layer]
     n_parts = ls.partition.size
@@ -336,18 +394,11 @@ class _UnionFind:
             self.parent[max(ra, rb)] = min(ra, rb)
 
 
-def link_cluster_decode(
+def _components(
     schema: ExpanderSchema, layer_lists: list[LayerList]
-) -> tuple[np.ndarray, np.ndarray, RecoveryDiagnostics]:
-    """Stitch per-layer name lists into coordinates.
-
-    Vertices are (layer, name) survivors; an edge is added between adjacent
-    layers only when each endpoint's name carries the other's own-hash (both
-    endpoints must suggest it).  Each connected component contributes one
-    chunk per layer (a missing layer is an erasure, conflicting claims count
-    as a possible corruption), is decoded, and is kept only when the decoded
-    coordinate's recomputed names agree with the component on enough layers.
-    """
+) -> list[list[tuple[int, int]]]:
+    """Connected (layer, row) survivors: an edge joins adjacent layers only
+    when each endpoint's name carries the other's own-hash."""
     s = schema.layers_count
     offsets = np.cumsum([0] + [ll.parts.size for ll in layer_lists])
     total = int(offsets[-1])
@@ -382,36 +433,62 @@ def link_cluster_decode(
         for row in range(layer_lists[j].parts.size):
             root = uf.find(int(offsets[j]) + row)
             components.setdefault(root, []).append((j, row))
+    return list(components.values())
 
-    min_matches = math.ceil((1.0 - schema.error_fraction) * s - 1e-9)
-    results: dict[int, float] = {}
+
+def link_cluster_decode(
+    schema: ExpanderSchema, layer_lists: list[LayerList]
+) -> tuple[np.ndarray, np.ndarray, RecoveryDiagnostics]:
+    """Stitch per-layer name lists into coordinates.
+
+    Vertices are (layer, name) survivors; an edge is added between adjacent
+    layers only when each endpoint's name carries the other's own-hash (both
+    endpoints must suggest it).  Each connected component contributes one
+    chunk per layer (a missing layer is an erasure, conflicting claims count
+    as a possible corruption), is decoded, and is kept only when the decoded
+    coordinate's recomputed names agree with the component on enough layers.
+    Every component is decoded first; then one ``make_name`` call per layer
+    recomputes that layer's names for all decoded coordinates.
+    """
+    s = schema.layers_count
+    components = _components(schema, layer_lists)
     decode_failures = 0
-    verify_failures = 0
-    for members in components.values():
-        slots = np.zeros(s, dtype=np.int64)
-        erasures = [True] * s
+    values: list[int] = []
+    claims_of: list[dict[int, list[int]]] = []
+    for members in components:
         claims: dict[int, list[int]] = {}
         for j, row in members:
             claims.setdefault(j, []).append(row)
+        slots = np.zeros(s, dtype=np.int64)
         for j, rows in claims.items():
             # conflicting claims stay in as a possible corruption for the
             # code to fix; the lowest part index supplies the symbol
             row = min(rows, key=lambda r: layer_lists[j].parts[r])
             slots[j] = layer_lists[j].names[row, 1]
-            erasures[j] = False
-        value = schema.code.decode(slots, [j for j in range(s) if erasures[j]])
+        value = schema.code.decode(slots, [j for j in range(s) if j not in claims])
         if value is None or not 0 <= value < schema.n:
             decode_failures += 1
             continue
-        matches = 0
-        for j in range(s):
-            rows = claims.get(j)
-            if not rows or len(rows) != 1:
-                continue
-            expected = make_name(schema, value, j)[0]
-            if np.array_equal(expected, layer_lists[j].names[rows[0]]):
-                matches += 1
-        if matches < min_matches:
+        values.append(value)
+        claims_of.append(claims)
+
+    # a layer counts as a match when the component has exactly one name
+    # there and it equals the decoded coordinate's name
+    decoded = np.array(values, dtype=np.int64)
+    matches = np.zeros(decoded.size, dtype=np.int64)
+    for j in range(s):
+        single = [c for c, claims in enumerate(claims_of) if len(claims.get(j, ())) == 1]
+        if not single:
+            continue
+        rows = [claims_of[c][j][0] for c in single]
+        expected = make_name(schema, decoded[single], j)
+        matches[single] += (expected == layer_lists[j].names[rows]).all(axis=1)
+
+    min_matches = math.ceil((1.0 - schema.error_fraction) * s - 1e-9)
+    results: dict[int, float] = {}
+    verify_failures = 0
+    for value, claims, match in zip(values, claims_of, matches):
+        if match < min_matches:
             verify_failures += 1
             continue
         score = float(

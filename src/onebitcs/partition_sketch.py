@@ -263,13 +263,16 @@ def _check_bits(schema: PointQuerySchema, sketch: SketchBits):
         )
 
 
-def _bucket_bits(sketch: SketchBits, bucket: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _bucket_bits(
+    sketch: SketchBits, bucket: np.ndarray, first_rep: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
     """The sign(z) bit of each row ``bucket`` addresses, and whether that row
     measured z == 0 exactly; ``bucket`` is ``_row_hashes`` over repetitions
-    0, 1, ..., bucket.shape[0] - 1, and is overwritten with flat row indices
+    first_rep, first_rep + 1, ..., and is overwritten with flat row indices
     rather than copied."""
     buckets = sketch.bits.shape[2]
-    bucket += (np.arange(bucket.shape[0] * 3) * buckets).reshape(-1, 3, 1)
+    rows = np.arange(3 * first_rep, 3 * (first_rep + bucket.shape[0]))
+    bucket += (rows * buckets).reshape(-1, 3, 1)
     # one int16 per (sign(z), sign(-z)) pair, gathered in a single take
     pairs = np.ascontiguousarray(sketch.bits).view(np.int16).reshape(-1).take(bucket)
     return pairs.view(np.int8)[..., ::2], pairs == _ZERO_PAIR
@@ -380,27 +383,44 @@ def nonzero_candidates(
     sketch: SketchBits,
     probe_reps: int = 8,
 ) -> np.ndarray:
-    """Parts that show a fully nonzero bucket row triple in an early repetition.
+    """Parts whose three bucket rows are nonzero in each of the first
+    ``probe_reps`` repetitions.
 
     A part holding any signal mass makes all three of its bucket rows nonzero
-    in every repetition, so it always survives this probe.  Parts failing it
-    sit in exactly-zero buckets throughout the probed repetitions, which
-    cannot reach the vote threshold except by vanishing-probability chance;
-    skipping them turns the exhaustive scan into work proportional to the
-    occupied parts on sparse signals.
+    in every repetition, so it always survives this probe.  A part that sits
+    in an exactly-zero bucket row in some probed repetition cannot reach the
+    vote threshold except by vanishing-probability chance.  The probe is
+    progressive: a first sweep probes repetition 0 over every part, and a
+    second probes the remaining repetitions over the parts that passed it.
+    On sparse signals the first sweep prunes nearly every unoccupied part,
+    so the probe costs about one PRF word per part plus work proportional to
+    the survivors; on dense ones every part passes and the work is that of
+    probing all repetitions at once.  Each sweep runs through
+    ``prf.map_blocks`` in blocks of about ``prf.BLOCK_WORDS`` PRF words.
     """
     _check_bits(schema, sketch)
-    rr = np.arange(min(probe_reps, schema.reps))
-    step = max(1, prf.BLOCK_WORDS // rr.size)
+    reps = min(probe_reps, schema.reps)
 
-    def probe_block(lo):
-        block = np.arange(lo, min(lo + step, schema.partition.size))
-        bucket, _ = _row_hashes(schema, rr, block)
-        _, is_zero = _bucket_bits(sketch, bucket)
-        return block[(~is_zero.any(axis=1)).any(axis=0)]
+    def sweep(parts, first, last):
+        """The ``parts`` whose rows are nonzero in repetitions [first, last)."""
+        rr = np.arange(first, last)
+        step = max(1, prf.BLOCK_WORDS // rr.size)
 
-    keep = prf.map_blocks(probe_block, range(0, schema.partition.size, step))
-    return np.concatenate(keep) if keep else np.empty(0, dtype=np.int64)
+        def probe_block(lo):
+            block = parts[lo : lo + step]
+            bucket, _ = _row_hashes(schema, rr, block)
+            _, is_zero = _bucket_bits(sketch, bucket, first_rep=first)
+            return block[~is_zero.any(axis=1).any(axis=0)]
+
+        keep = prf.map_blocks(probe_block, range(0, parts.size, step))
+        return np.concatenate(keep) if keep else parts[:0]
+
+    keep = np.arange(schema.partition.size)
+    if reps > 0:
+        keep = sweep(keep, 0, 1)
+    if reps > 1:
+        keep = sweep(keep, 1, reps)
+    return keep
 
 
 def count_sketch_decode(

@@ -63,7 +63,11 @@ class GaussianSchema:
 
 def sign_measure(schema: GaussianSchema, x) -> np.ndarray:
     """y = sign(Gx + v) as int8, regenerating G in blocks of rows holding
-    about ``prf.BLOCK_WORDS`` entries, run through ``prf.map_blocks``."""
+    about ``prf.BLOCK_WORDS`` entries, run through ``prf.map_blocks``.
+
+    The row dots use ``np.einsum``, not BLAS: a BLAS call inside a block
+    would wake BLAS's own threads, which then compete with the block threads.
+    """
     x = as_signal(x)
     if x.shape != (schema.n,):
         raise ValueError(f"signal shape {x.shape} does not match n={schema.n}")
@@ -74,7 +78,7 @@ def sign_measure(schema: GaussianSchema, x) -> np.ndarray:
 
     def measure_block(lo):
         rows = np.arange(lo, min(lo + step, schema.rows))
-        dot = schema.entries(rows, nz) @ vals if nz.size else np.zeros(rows.size)
+        dot = np.einsum("ij,j->i", schema.entries(rows, nz), vals)
         if schema.noise_sigma > 0:
             dot += schema.noise(rows)
         y[lo : lo + rows.size] = np.where(dot >= 0, 1, -1)

@@ -9,7 +9,9 @@ were taken under a different hash layout (v2: one PRF word per repetition and
 part of every partition sketch).  The header must hold every field its
 scheme's loader reads, the file must hold exactly as many blocks as the
 rebuilt schema measures, every block must have exactly the length its bit
-count requires, and nothing may follow the last block.
+count requires, and nothing may follow the last block.  Header values are
+typed: integer fields must be JSON integers and float fields finite JSON
+numbers (booleans are neither).
 
 Bits pack +1 -> 1 and -1 -> 0 in little-endian bit order, following each
 sketch's flattened row order (repetition-major, then sub-iteration, then
@@ -19,6 +21,7 @@ bucket, then polarity).
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -57,24 +60,63 @@ def unpack_sign_vector(data: bytes, rows: int) -> np.ndarray:
     return _unpack_exact(data, rows, "sign block")
 
 
-def _constants_dict(c: ps.SketchConstants) -> dict:
-    return {
-        "bucket_factor": c.bucket_factor,
-        "rep_factor": c.rep_factor,
-        "cap_factor": c.cap_factor,
-    }
+_CONSTANT_FIELDS = ("bucket_factor", "rep_factor", "cap_factor")
+
+# type of every top-level header field a loader reads
+_FIELD_TYPES = {
+    **dict.fromkeys(
+        ("n", "k", "seed", "parts", "reps", "buckets", "b", "levels", "layers",
+         "degree", "gauss_rows", "hh_buckets"),
+        int,
+    ),
+    **dict.fromkeys(
+        ("delta", "error_fraction", "log_factor", "bucket_factor", "noise_sigma"), float
+    ),
+}
 
 
-def _constants_from(d: dict) -> ps.SketchConstants:
-    return ps.SketchConstants(**d)
+def _typed(field: str, value, kind: type):
+    """``value`` if it is an integer (``kind`` int) or a finite number
+    (``kind`` float), else ``ValueError`` naming the field."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        ok = False
+    elif kind is int:
+        ok = isinstance(value, int)
+    else:
+        ok = math.isfinite(value)
+    if not ok:
+        what = "an integer" if kind is int else "a finite number"
+        raise ValueError(f"bits file header field {field!r} must be {what}, not {value!r}")
+    return value
 
 
 class _Header(dict):
     """A parsed file header: a missing field is a malformed file, so reading
-    one raises ``ValueError`` naming the field instead of ``KeyError``."""
+    one raises ``ValueError`` naming the field instead of ``KeyError``, and
+    so does reading a field whose value does not have its type in ``types``."""
+
+    def __init__(self, fields: dict, types: dict):
+        super().__init__(fields)
+        self.types = types
 
     def __missing__(self, key):
         raise ValueError(f"bits file header lacks the field {key!r}")
+
+    def __getitem__(self, key):
+        value = super().__getitem__(key)
+        kind = self.types.get(key)
+        return value if kind is None else _typed(key, value, kind)
+
+
+def _constants_dict(c: ps.SketchConstants) -> dict:
+    return {name: getattr(c, name) for name in _CONSTANT_FIELDS}
+
+
+def _constants_from(d) -> ps.SketchConstants:
+    if not isinstance(d, dict):
+        raise ValueError(f"bits file header field 'constants' must be an object, not {d!r}")
+    d = _Header(d, dict.fromkeys(_CONSTANT_FIELDS, int))
+    return ps.SketchConstants(**{name: d[name] for name in _CONSTANT_FIELDS})
 
 
 def _optional(header: dict, *fields: str) -> dict:
@@ -115,9 +157,15 @@ def read_blocks(path: str) -> tuple[str, dict, list[bytes]]:
         header = json.loads(fh.readline().decode())
         if not isinstance(header, dict) or header.get("scheme") != scheme:
             raise ValueError(f"{path}: header scheme does not match magic line")
-        header = _Header(header)
-        blocks = [fh.read(length) for length in header["block_lengths"]]
-        if any(len(b) != length for b, length in zip(blocks, header["block_lengths"])):
+        header = _Header(header, _FIELD_TYPES)
+        lengths = header["block_lengths"]
+        if not isinstance(lengths, list):
+            raise ValueError(f"{path}: header field 'block_lengths' must be a list")
+        for length in lengths:
+            if _typed("block_lengths", length, int) < 0:
+                raise ValueError(f"{path}: negative block length {length}")
+        blocks = [fh.read(length) for length in lengths]
+        if any(len(b) != length for b, length in zip(blocks, lengths)):
             raise ValueError(f"{path} is truncated")
         if fh.read(1):
             raise ValueError(f"{path} has trailing bytes after its last block")

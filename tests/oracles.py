@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 
+from onebitcs.partition_sketch import PartitionFamily, SketchConstants, build_schema, measure
 from onebitcs.prf import RandomSource, derive_key, fold, standard_normal, uniform_index
 
 
@@ -59,6 +60,77 @@ def row_hash(schema, rep, part):
          1 if (word >> (60 + sub)) & 1 else -1)
         for sub in range(3)
     ]
+
+
+def sparse_probe_case():
+    """(schema, bits): 8 buckets per sub-iteration over 40 parts, 3 of them
+    occupied.  An unoccupied part often has three nonzero rows in one
+    repetition but rarely in each of 8, so probing any one repetition and
+    probing all of them keep different parts."""
+    part = PartitionFamily.from_labels(np.arange(200) % 40)
+    schema = build_schema(part, 2, 0.05, seed=61, constants=SketchConstants(bucket_factor=4))
+    x = np.zeros(200)
+    x[[3, 77, 151]] = [1.0, -0.5, 0.8]
+    return schema, measure(schema, x)
+
+
+def probe_all_reps(schema, sketch, probe_reps):
+    """Parts whose three rows in each of the first ``probe_reps``
+    repetitions are all nonzero, part by part: a row is zero when its bit
+    pair reads (+1, +1)."""
+    bits = sketch.bits
+    keep = []
+    for part in range(schema.partition.size):
+        if all(
+            not (bits[rep, sub, bucket, 0] == 1 and bits[rep, sub, bucket, 1] == 1)
+            for rep in range(min(probe_reps, schema.reps))
+            for sub, (bucket, _) in enumerate(row_hash(schema, rep, part))
+        ):
+            keep.append(part)
+    return np.array(keep, dtype=np.int64)
+
+
+def link_cluster_loop(schema, layer_lists):
+    """(coords, scores, (components, decode failures, verify failures)) of
+    link-and-cluster with the components from ``expander._components``,
+    verified one component at a time: decode its chunks, then recompute the
+    decoded coordinate's name with one ``make_name`` call per layer."""
+    from onebitcs import expander
+
+    s = schema.layers_count
+    components = expander._components(schema, layer_lists)
+    min_matches = math.ceil((1.0 - schema.error_fraction) * s - 1e-9)
+    results = {}
+    decode_failures = verify_failures = 0
+    for members in components:
+        claims = {}
+        for j, row in members:
+            claims.setdefault(j, []).append(row)
+        slots = np.zeros(s, dtype=np.int64)
+        for j, rows in claims.items():
+            slots[j] = layer_lists[j].names[min(rows, key=lambda r: layer_lists[j].parts[r]), 1]
+        value = schema.code.decode(slots, [j for j in range(s) if j not in claims])
+        if value is None or not 0 <= value < schema.n:
+            decode_failures += 1
+            continue
+        matches = sum(
+            np.array_equal(expander.make_name(schema, value, j)[0], layer_lists[j].names[rows[0]])
+            for j, rows in claims.items()
+            if len(rows) == 1
+        )
+        if matches < min_matches:
+            verify_failures += 1
+            continue
+        score = float(sum(
+            layer_lists[j].good_counts[rows[0]] for j, rows in claims.items() if len(rows) == 1
+        ))
+        results[value] = max(score, results.get(value, score))
+    coords = np.array(sorted(results), dtype=np.int64)
+    scores = np.array([results[int(i)] for i in coords])
+    if coords.size > schema.cap:
+        keep = np.sort(np.lexsort((coords, -scores))[: schema.cap])
+        coords, scores = coords[keep], scores[keep]
+    return coords, scores, (len(components), decode_failures, verify_failures)
 
 
 def level_starts_loop(n, k, b, depth):

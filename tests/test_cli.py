@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from onebitcs import cli, harness
+from onebitcs import cli, expander, harness, serialize
 
 
 def run_cli(*argv):
@@ -102,4 +102,16 @@ class TestBadInput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("onebitcs: error:")
+        assert captured.err.count("\n") == 1
+
+    def test_decode_rejects_ill_typed_header(self, tmp_path, capsys):
+        schema = expander.build_schema(256, 2, seed=3)
+        bits = tmp_path / "m.bits"
+        serialize.save_expander(str(bits), schema, expander.measure(schema, np.zeros(256)))
+        scheme, header, blocks = serialize.read_blocks(str(bits))
+        serialize.write_blocks(str(bits), scheme, {**header, "degree": "3"}, blocks)
+        assert run_cli("decode", "--bits", str(bits)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("onebitcs: error:") and "'degree'" in captured.err
         assert captured.err.count("\n") == 1

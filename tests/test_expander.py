@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import layer_name_table
+from oracles import layer_name_table, link_cluster_loop
 
 from onebitcs import expander
 from onebitcs import partition_sketch as ps
@@ -129,6 +129,65 @@ class TestNameKeys:
             )
 
 
+    @pytest.mark.parametrize(
+        "widths, high",
+        [
+            ((40, 40, 40), 3),  # one field per word, many duplicate keys
+            ((13, 8, 13, 13, 13, 13), 2),  # two words, first words often tied
+            ((13, 8, 13, 13, 13, 13), 1 << 8),  # two words, keys distinct
+        ],
+    )
+    def test_rank_keys_matches_unique_on_records(self, widths, high):
+        rng = np.random.default_rng(len(widths) + high)
+        fields = rng.integers(0, high, size=(3000, len(widths)))
+        if high == 1 << 8:
+            fields[:, 0] = rng.permutation(3000)
+        records = np.ascontiguousarray(fields).view([("", np.int64)] * len(widths)).reshape(-1)
+        want_keys, want_ranks = np.unique(records, return_inverse=True)
+        keys, ranks = expander._rank_keys(expander._pack_rows(fields.T, widths))
+        assert np.array_equal(ranks, want_ranks)
+        assert np.array_equal(
+            expander._unpack_keys(keys, widths), want_keys.view(np.int64).reshape(-1, len(widths))
+        )
+
+
+def tangled_lists(schema, seed):
+    """Layer lists that mix the true names of a few coordinates with missing
+    layers, corrupted name fields, conflicting claims and random names, so
+    that some components decode and verify, some fail to decode and some
+    decode to a coordinate whose names do not match."""
+    rng = np.random.default_rng(seed)
+    width = 2 + schema.degree
+    high = np.array([schema.h_range, 1 << schema.code.t] + [schema.h_range] * schema.degree)
+    coords = rng.choice(schema.n, size=4, replace=False)
+    lists = []
+    for j in range(schema.layers_count):
+        names = []
+        for i in coords:
+            if rng.random() < 0.15:
+                continue  # the layer lost this coordinate
+            name = expander.make_name(schema, i, j)[0]
+            if rng.random() < 0.3:
+                col = rng.integers(1, width)
+                name[col] = rng.integers(high[col])
+            names.append(name)
+            if rng.random() < 0.1:
+                twin = name.copy()
+                twin[1] = rng.integers(high[1])
+                names.append(twin)
+        names += [rng.integers(high) for _ in range(rng.integers(0, 3))]
+        names = np.array(names, dtype=np.int64).reshape(-1, width)
+        lists.append(
+            expander.LayerList(
+                layer=j,
+                parts=rng.choice(schema.layers[j].partition.size, size=len(names), replace=False),
+                names=names,
+                good_counts=rng.integers(0, 40, size=len(names)),
+            )
+        )
+    return lists
+
+
 class TestLayerDecode:
     def test_zero_signal_empty_layers(self):
         schema = expander.build_schema(1 << 10, 2, seed=7)
@@ -218,6 +277,22 @@ class TestLinkCluster:
         coords, _, _ = expander.link_cluster_decode(schema, lists)
         assert 3999 not in coords.tolist()
         assert coords.tolist() == [100]
+
+
+    def test_batched_name_check_matches_component_loop(self):
+        schema = expander.build_schema(1 << 10, 2, seed=17)
+        totals = np.zeros(3, dtype=np.int64)
+        for seed in range(40):
+            lists = tangled_lists(schema, seed)
+            coords, scores, diag = expander.link_cluster_decode(schema, lists)
+            want_coords, want_scores, want_diag = link_cluster_loop(schema, lists)
+            assert np.array_equal(coords, want_coords)
+            assert np.array_equal(scores, want_scores)
+            got = (diag.components, diag.decode_failures, diag.verify_failures)
+            assert got == want_diag
+            totals += [coords.size, diag.decode_failures, diag.verify_failures]
+        # the lists exercise every outcome: kept, undecodable, unverified
+        assert (totals > 0).all()
 
 
 class TestRecover:

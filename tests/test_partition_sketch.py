@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_bits, crowded_signal, planted_signal, row_hash
+from oracles import (
+    brute_force_bits,
+    crowded_signal,
+    planted_signal,
+    probe_all_reps,
+    row_hash,
+    sparse_probe_case,
+)
 
 from onebitcs import partition_sketch as ps
 from onebitcs import prf
@@ -354,3 +361,20 @@ class TestCountSketchDecode:
         assert np.isin(occupied, candidates).all()
         pruned = ps.count_sketch_decode(schema, bits, candidates)
         assert np.isin(occupied, pruned).all()
+
+    @pytest.mark.parametrize("block_words", [1, 7, 200])
+    @pytest.mark.parametrize("probe_reps", [1, 3, 8])
+    def test_probe_keeps_parts_nonzero_in_every_probed_rep(
+        self, monkeypatch, block_words, probe_reps
+    ):
+        schema, bits = sparse_probe_case()
+        monkeypatch.setattr(prf, "BLOCK_WORDS", block_words)
+        probe = ps.nonzero_candidates(schema, bits, probe_reps)
+        assert np.array_equal(probe, probe_all_reps(schema, bits, probe_reps))
+        assert np.isin([3, 37, 31], probe).all()  # the occupied parts
+
+    def test_probing_more_reps_keeps_fewer_parts(self):
+        # the case tells "nonzero in every probed repetition" from "in any"
+        schema, bits = sparse_probe_case()
+        one, eight = (probe_all_reps(schema, bits, r).size for r in (1, 8))
+        assert one > eight == 3

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import ascent_oracle, dual_bound, random_instances
+from oracles import ascent_oracle, dual_bound, random_instances, sparse_unit
 
 from onebitcs import prf, recovery
 from onebitcs.prf import RandomSource
@@ -175,6 +175,20 @@ class TestPipeline:
             err = float(np.sum((x - estimate.to_dense(n)) ** 2))
             wins += err <= 0.25
         assert wins / trials >= 0.9
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_probe_leaves_sparse_decode_unchanged(self, seed):
+        # k = 24 >= log2(n) = 11: the support sketch hashes into 3 buckets
+        n, k = 1 << 11, 24
+        schema = recovery.build_pipeline(n, k, 0.25, seed=seed)
+        assert schema.support_schema.buckets >= 2
+        x, _ = sparse_unit(n, k, 60 + seed)
+        bits = recovery.measure(schema, x)
+        probed, _ = recovery.decode(schema, bits, prefilter_reps=8)
+        exhaustive, _ = recovery.decode(schema, bits, prefilter_reps=0)
+        assert probed.indices.size > 0
+        assert np.array_equal(probed.indices, exhaustive.indices)
+        assert probed.values.tobytes() == exhaustive.values.tobytes()
 
     def test_zero_signal_flagged(self):
         n, k = 256, 2

@@ -288,3 +288,53 @@ class TestMalformedHeaders:
         rewrite(path, edit_header=lambda header: header.pop("n"))
         with pytest.raises(ValueError, match="'n'"):
             serialize.load_measurement(str(path))
+
+
+# (scheme, header field, ill-typed value)
+ILL_TYPED = [
+    ("expander", "degree", "3"),
+    ("expander", "n", "256"),
+    ("expander", "k", 2.5),
+    ("expander", "k", 2.0),
+    ("expander", "seed", True),
+    ("expander", "error_fraction", float("inf")),
+    ("expander", "log_factor", None),
+    ("heavy-hitters", "bucket_factor", [1.0]),
+    ("heavy-hitters", "buckets", False),
+    ("pipeline", "delta", "0.3"),
+    ("pipeline", "noise_sigma", float("nan")),
+    ("pipeline", "gauss_rows", 400.0),
+]
+
+
+class TestTypedHeaders:
+    @pytest.mark.parametrize("scheme, name, value", ILL_TYPED)
+    def test_ill_typed_field_rejected(self, tmp_path, scheme, name, value):
+        _, path = save_layered(tmp_path, scheme)
+        rewrite(path, edit_header=lambda header: header.update({name: value}))
+        with pytest.raises(ValueError, match=f"'{name}'"):
+            serialize.load_measurement(str(path))
+
+    @pytest.mark.parametrize("constants", [{"bucket_factor": 32.0, "rep_factor": 8,
+                                            "cap_factor": 16}, 5])
+    def test_ill_typed_constants_rejected(self, tmp_path, constants):
+        path = ppcs_file(tmp_path)
+        rewrite(path, edit_header=lambda header: header.update(constants=constants))
+        with pytest.raises(ValueError, match="bucket_factor|constants"):
+            serialize.load_measurement(str(path))
+
+    @pytest.mark.parametrize("lengths", [["3"], [-1], 3])
+    def test_ill_typed_block_lengths_rejected(self, tmp_path, lengths):
+        path = ppcs_file(tmp_path)
+        magic, header, body = path.read_bytes().split(b"\n", 2)
+        fields = json.loads(header)
+        fields["block_lengths"] = lengths
+        path.write_bytes(b"\n".join([magic, json.dumps(fields).encode(), body]))
+        with pytest.raises(ValueError, match="block"):
+            serialize.load_measurement(str(path))
+
+    def test_integer_for_a_float_field_accepted(self, tmp_path):
+        schema, path = save_layered(tmp_path, "expander", log_factor=2.0)
+        rewrite(path, edit_header=lambda header: header.update(log_factor=2))
+        _, schema2, _ = serialize.load_measurement(str(path))
+        assert layered_params(schema2) == layered_params(schema)

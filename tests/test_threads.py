@@ -13,6 +13,8 @@ import time
 import numpy as np
 import pytest
 
+from oracles import probe_all_reps, sparse_probe_case
+
 from onebitcs import partition_sketch as ps
 from onebitcs import prf, recovery
 from onebitcs.prf import RandomSource
@@ -129,6 +131,15 @@ class TestIdenticalOnAnyThreadCount:
         threaded = gauss_outputs()
         for a, b in zip(serial, threaded):
             assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("count", [1, 4])
+    def test_probe_matches_oracle(self, cpus, monkeypatch, count):
+        schema, bits = sparse_probe_case()
+        monkeypatch.setattr(prf, "BLOCK_WORDS", 16)  # several blocks per sweep
+        cpus(count)
+        assert np.array_equal(
+            ps.nonzero_candidates(schema, bits), probe_all_reps(schema, bits, 8)
+        )
 
     def test_measure_repeats_under_contention(self, cpus, monkeypatch):
         # 35 one-repetition blocks of 2,048 buckets, 10,000 nonzeros each:
