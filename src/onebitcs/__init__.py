@@ -25,10 +25,9 @@ from .model import (
     sign_vector,
     tail_stats,
 )
-from .prf import HashFamily, RandomSource
+from .prf import RandomSource
 
 __all__ = [
-    "HashFamily",
     "RandomSource",
     "SparseEstimate",
     "TailStats",

@@ -4,41 +4,33 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 import numpy as np
 
-from . import btree, expander, harness, heavy_hitters, recovery, serialize, signals
+from . import expander, harness, serialize, signals
 from . import partition_sketch as ps
 from .model import as_signal
 from .prf import RandomSource, derive_key
 
 
 def _add_experiment_flags(p: argparse.ArgumentParser):
-    p.add_argument("--scheme", choices=harness.SCHEMES)
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--b", type=int)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--mg", type=int)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--model", choices=signals.MODELS)
-    p.add_argument("--tail", type=float)
-    p.add_argument("--out")
+    """One flag per ``ExperimentConfig`` field; an unset flag is None."""
+    choices = {"scheme": harness.SCHEMES, "model": signals.MODELS}
+    notes = {"timing": "record wall time per trial (breaks byte-identical reruns)"}
+    types = {"int": int, "float": float, "str": str}
+    for f in fields(harness.ExperimentConfig):
+        if f.type == "bool":
+            p.add_argument(f"--{f.name}", action="store_true", default=None,
+                           help=notes.get(f.name))
+        else:
+            p.add_argument(f"--{f.name}", type=types[f.type], choices=choices.get(f.name))
     p.add_argument("--config", help="key=value config file; flags override it")
-    p.add_argument("--timing", action="store_true", default=None,
-                   help="record wall time per trial (breaks byte-identical reruns)")
 
 
 def _cmd_experiment(args) -> int:
     file_values = harness.read_config_file(args.config) if args.config else {}
-    flag_values = {
-        key: getattr(args, key)
-        for key in ("scheme", "n", "k", "delta", "b", "gamma", "sigma", "mg",
-                    "trials", "seed", "model", "tail", "out", "timing")
-    }
+    flag_values = {f.name: getattr(args, f.name) for f in fields(harness.ExperimentConfig)}
     config = harness.config_from_mappings(file_values, flag_values)
     records = harness.run_experiment(config)
     if config.out:
@@ -60,61 +52,27 @@ def _read_signal(path: str) -> np.ndarray:
 
 def _cmd_encode(args) -> int:
     x = _read_signal(args.signal)
-    n = x.size
-    seed = args.seed
-    if args.scheme == "ppcs":
-        partition = ps.PartitionFamily.contiguous(n, min(n, harness.PARTS_PER_SPARSITY * args.k))
-        schema = ps.build_schema(partition, args.k, args.delta, seed)
-        serialize.save_ppcs(args.out, schema, ps.measure(schema, x))
-    elif args.scheme == "btree":
-        schema = btree.build_schema(n, args.k, args.b, args.delta, seed)
-        serialize.save_btree(args.out, schema, btree.measure(schema, x))
-    elif args.scheme == "expander":
-        schema = expander.build_schema(n, args.k, seed)
-        serialize.save_expander(args.out, schema, expander.measure(schema, x))
-    elif args.scheme == "heavy-hitters":
-        schema = heavy_hitters.build_schema(n, args.k, seed)
-        serialize.save_heavy_hitters(args.out, schema, heavy_hitters.measure(schema, x))
-    else:  # pipeline
-        schema = recovery.build_pipeline(
-            n, args.k, args.delta, seed,
-            gauss_rows=args.mg or None, noise_sigma=args.sigma,
-        )
-        serialize.save_pipeline(args.out, schema, recovery.measure(schema, x))
-    print(f"encoded {args.scheme} measurements for n={n} into {args.out}")
+    scheme = harness.SCHEMES[args.scheme]
+    schema = scheme.build(args, x.size, args.seed)  # the flags are named as config fields
+    scheme.save(args.out, schema, scheme.measure(schema, x))
+    print(f"encoded {args.scheme} measurements for n={x.size} into {args.out}")
     return 0
 
 
 def _cmd_decode(args) -> int:
-    scheme, schema, bits = serialize.load_measurement(args.bits)
-    lines: list[str]
-    if scheme == "ppcs":
-        found = ps.count_sketch_decode(schema, bits)
-        lines = [f"{int(p)}" for p in found]
-        kind = "part"
-    elif scheme == "btree":
-        result = btree.decode(schema, bits)
-        lines = [f"{int(i)}" for i in result.indices]
-        kind = "index"
-    elif scheme == "expander":
-        found, _, _ = expander.recover(schema, bits)
-        lines = [f"{int(i)}" for i in found]
-        kind = "index"
-    elif scheme == "heavy-hitters":
-        found, _, _ = heavy_hitters.decode(schema, bits)
-        lines = [f"{int(i)}" for i in found]
-        kind = "index"
-    else:  # pipeline
-        estimate, _ = recovery.decode(schema, bits)
-        lines = [
-            f"{int(i)},{float(v)!r}" for i, v in zip(estimate.indices, estimate.values)
-        ]
-        kind = "index,value"
+    name, schema, bits = serialize.load_measurement(args.bits)
+    scheme = harness.SCHEMES[name]
+    found, values, _ = scheme.decode(schema, bits)
+    if values is None:
+        kind, lines = scheme.unit, [f"{int(i)}" for i in found]
+    else:
+        kind = f"{scheme.unit},value"
+        lines = [f"{int(i)},{float(v)!r}" for i, v in zip(found, values)]
     text = f"# {kind}\n" + "".join(line + "\n" for line in lines)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-        print(f"decoded {len(lines)} entries from {scheme} bits into {args.out}")
+        print(f"decoded {len(lines)} entries from {name} bits into {args.out}")
     else:
         print(text, end="")
     return 0
@@ -183,8 +141,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.set_defaults(func=_cmd_experiment)
 
     p_enc = sub.add_parser("encode", help="measure a signal file into a bits file")
-    p_enc.add_argument("--scheme", required=True,
-                       choices=("ppcs", "btree", "expander", "heavy-hitters", "pipeline"))
+    p_enc.add_argument("--scheme", required=True, choices=[
+        name for name, scheme in harness.SCHEMES.items() if scheme.save is not None
+    ])
     p_enc.add_argument("--signal", required=True, help="text file, one value per line")
     p_enc.add_argument("--out", required=True)
     p_enc.add_argument("--k", type=int, required=True)

@@ -12,7 +12,7 @@ each connected component's chunks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +45,6 @@ def circulant_neighbors(s: int, degree: int) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class LayerSchema:
-    index: int
     partition: ps.PartitionFamily
     # one packed name per part, sorted, so a part's label is its key's rank
     keys: np.ndarray
@@ -120,8 +119,8 @@ class RecoveryDiagnostics:
     components: int = 0
     decode_failures: int = 0
     verify_failures: int = 0
-    layer_sizes: tuple[int, ...] = ()
-    extras: dict = field(default_factory=dict)
+    point_queries: int = 0
+    bit_reads: int = 0
 
 
 def max_sparsity(n: int, log_factor: float = 1.0) -> int:
@@ -225,15 +224,12 @@ def build_schema(
     constants: ps.SketchConstants = ps.SketchConstants(),
     error_fraction: float = 0.25,
     degree: int = 4,
-    heavy_exponent: int = 2,
-    check_exponent: int = 2,
     log_factor: float = 1.0,
 ) -> ExpanderSchema:
     """Build the layered naming scheme and its per-layer sketches.
 
-    heavy_exponent fixes the count-sketch failure target (2^t)^-heavy_exponent
-    from the name chunk width; check_exponent fixes the point-query failure
-    target log2(n)^-check_exponent.
+    The count-sketch failure target is (2^t)^-2 for name chunks of t bits;
+    the point-query failure target is log2(n)^-2.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -256,8 +252,8 @@ def build_schema(
     own_hash = _hash_fields(seed, n, s, h_range)
     codewords = code.encode_many(np.arange(n))  # (n, s)
 
-    heavy_delta = float((1 << code.t)) ** (-heavy_exponent)
-    check_delta = min(0.5, float(math.ceil(math.log2(n))) ** (-check_exponent))
+    heavy_delta = float((1 << code.t)) ** -2
+    check_delta = min(0.5, float(math.ceil(math.log2(n))) ** -2)
     h_bits = max(1, math.ceil(math.log2(h_range)))
     widths = (h_bits, code.t) + (h_bits,) * deg
 
@@ -276,7 +272,6 @@ def build_schema(
         )
         layers.append(
             LayerSchema(
-                index=j,
                 partition=partition,
                 keys=keys,
                 widths=widths,
@@ -507,11 +502,8 @@ def link_cluster_decode(
         components=len(components),
         decode_failures=decode_failures,
         verify_failures=verify_failures,
-        layer_sizes=tuple(int(ll.parts.size) for ll in layer_lists),
-        extras={
-            "point_queries": sum(ll.point_queries for ll in layer_lists),
-            "bit_reads": sum(ll.bit_reads for ll in layer_lists),
-        },
+        point_queries=sum(ll.point_queries for ll in layer_lists),
+        bit_reads=sum(ll.bit_reads for ll in layer_lists),
     )
     return coords, scores, diag
 

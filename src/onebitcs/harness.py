@@ -13,21 +13,15 @@ import csv
 import io
 import math
 import time
-from dataclasses import dataclass, field, fields, replace
+from collections.abc import Callable
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
-from . import btree, expander, heavy_hitters, recovery, signals
+from . import btree, expander, heavy_hitters, recovery, serialize, signals
 from . import partition_sketch as ps
 from .model import tail_stats
 from .prf import RandomSource, derive_key
-
-SCHEMES = ("ppq", "ppcs", "btree", "expander", "heavy-hitters", "pipeline")
-
-CSV_COLUMNS = (
-    "trial_id", "scheme", "n", "k", "delta", "m_total", "success",
-    "err_sq", "tail_sq", "decode_ops", "wall_ms", "seed",
-)
 
 # partition size used by the partition-level schemes, in units of sparsity
 PARTS_PER_SPARSITY = 64
@@ -40,7 +34,6 @@ class ExperimentConfig:
     k: int = 4
     delta: float = 0.1
     b: int = 16
-    gamma: float = 0.5
     sigma: float = 0.0
     mg: int = 0  # 0 = use the default gaussian row budget
     trials: int = 10
@@ -52,7 +45,7 @@ class ExperimentConfig:
 
     def validate(self) -> "ExperimentConfig":
         if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}; pick one of {SCHEMES}")
+            raise ValueError(f"unknown scheme {self.scheme!r}; pick one of {tuple(SCHEMES)}")
         if self.trials < 1:
             raise ValueError("need at least one trial")
         if not 1 <= self.k <= self.n:
@@ -61,15 +54,6 @@ class ExperimentConfig:
             raise ValueError(f"delta must be in (0,1), got {self.delta}")
         if self.model not in signals.MODELS:
             raise ValueError(f"unknown signal model {self.model!r}")
-        if self.scheme == "btree" and not 2 <= self.b <= self.n:
-            raise ValueError(f"branching factor {self.b} out of range")
-        if self.scheme == "expander":
-            cap = expander.max_sparsity(self.n)
-            if self.k > cap:
-                raise ValueError(
-                    f"expander scheme needs k <= {cap} at n={self.n}; "
-                    "use heavy-hitters for larger sparsity"
-                )
         return self
 
 
@@ -89,9 +73,116 @@ class TrialRecord:
     seed: int
 
 
-def _partition_for(config: ExperimentConfig) -> ps.PartitionFamily:
-    parts = min(config.n, PARTS_PER_SPARSITY * config.k)
-    return ps.PartitionFamily.contiguous(config.n, parts)
+CSV_COLUMNS = tuple(f.name for f in fields(TrialRecord))
+
+
+# judges: (success, err_sq) of a decode's found parts or coordinates, or of
+# its estimate; a set must hold every heavy coordinate, an estimate must be
+# within twice the tail energy plus delta
+
+def _judge_parts(x, stats, config, schema, found, values):
+    covered = np.isin(schema.partition.parts_of(np.arange(x.size)), found)
+    return bool(covered[stats.heavy].all()), float(np.sum(x[~covered] ** 2))
+
+
+def _judge_coords(x, stats, config, schema, found, values):
+    err_sq = float(np.sum(x**2) - np.sum(x[found] ** 2))
+    return bool(np.isin(stats.heavy, found).all()), err_sq
+
+
+def _judge_estimate(x, stats, config, schema, found, values):
+    estimate = np.zeros(x.size)
+    estimate[found] = values
+    err_sq = float(np.sum((x - estimate) ** 2))
+    return err_sq <= 2 * stats.tail_sq + config.delta, err_sq
+
+
+def _work(diag) -> int:
+    return diag.point_queries + diag.bit_reads
+
+
+def _decode_ppcs(schema, bits):
+    # the decoder point-queries every part, reading all of its rows
+    work = schema.partition.size * (1 + 3 * schema.reps * 2)
+    return ps.count_sketch_decode(schema, bits), None, work
+
+
+def _decode_btree(schema, bits):
+    result = btree.decode(schema, bits)
+    return result.indices, None, _work(result)
+
+
+def _decode_expander(schema, bits):
+    found, _, diag = expander.recover(schema, bits)
+    return found, None, _work(diag)
+
+
+def _decode_heavy_hitters(schema, bits):
+    found, _, diags = heavy_hitters.decode(schema, bits)
+    return found, None, sum(_work(d) for d in diags)
+
+
+def _decode_pipeline(schema, bits):
+    estimate, diag = recovery.decode(schema, bits)
+    return estimate.indices, estimate.values, _work(diag)
+
+
+@dataclass(frozen=True)
+class Scheme:
+    """One scheme's steps, shared by the harness and the CLI.
+
+    ``build(config, n, seed)`` reads config.k, .delta, .b, .sigma and .mg.
+    ``decode(schema, bits)`` returns (found, values or None, point queries
+    plus bit reads); ``found`` lists parts when ``unit`` is "part", else
+    coordinates.  ``judge(x, stats, config, schema, found, values)`` returns
+    (success, err_sq).  ``save(path, schema, bits)`` writes a bits file; a
+    scheme without one is harness-only.
+    """
+
+    build: Callable
+    measure: Callable
+    decode: Callable
+    judge: Callable
+    save: Callable | None
+    unit: str = "index"
+
+
+_PPCS = Scheme(
+    build=lambda c, n, seed: ps.build_schema(
+        ps.PartitionFamily.contiguous(n, min(n, PARTS_PER_SPARSITY * c.k)),
+        c.k, c.delta, seed,
+    ),
+    measure=ps.measure, decode=_decode_ppcs, judge=_judge_parts,
+    save=serialize.save_ppcs, unit="part",
+)
+
+SCHEMES = {
+    # a single point query on the heaviest coordinate's part (see _run_trial)
+    "ppq": replace(_PPCS, save=None),
+    "ppcs": _PPCS,
+    "btree": Scheme(
+        build=lambda c, n, seed: btree.build_schema(n, c.k, c.b, c.delta, seed),
+        measure=btree.measure, decode=_decode_btree, judge=_judge_coords,
+        save=serialize.save_btree,
+    ),
+    "expander": Scheme(
+        build=lambda c, n, seed: expander.build_schema(n, c.k, seed),
+        measure=expander.measure, decode=_decode_expander, judge=_judge_coords,
+        save=serialize.save_expander,
+    ),
+    "heavy-hitters": Scheme(
+        build=lambda c, n, seed: heavy_hitters.build_schema(n, c.k, seed),
+        measure=heavy_hitters.measure, decode=_decode_heavy_hitters,
+        judge=_judge_coords, save=serialize.save_heavy_hitters,
+    ),
+    "pipeline": Scheme(
+        build=lambda c, n, seed: recovery.build_pipeline(
+            n, c.k, c.delta, seed, gauss_rows=c.mg or None, noise_sigma=c.sigma
+        ),
+        measure=recovery.measure, decode=_decode_pipeline, judge=_judge_estimate,
+        save=serialize.save_pipeline,
+    ),
+}
 
 
 def _run_trial(config: ExperimentConfig, trial: int) -> TrialRecord:
@@ -99,68 +190,22 @@ def _run_trial(config: ExperimentConfig, trial: int) -> TrialRecord:
     schema_seed = int(derive_key(config.seed, 2000, trial))
     x = signals.gen_signal(config.model, config.n, config.k, src, config.tail)
     stats = tail_stats(x, config.k)
+    scheme = SCHEMES[config.scheme]
     started = time.perf_counter()
-    if config.scheme in ("ppq", "ppcs"):
-        partition = _partition_for(config)
-        schema = ps.build_schema(partition, config.k, config.delta, schema_seed)
-        bits = ps.measure(schema, x)
-        heavy_parts = np.unique(partition.parts_of(stats.heavy))
-        if config.scheme == "ppq":
-            target = int(partition.parts_of([int(np.argmax(np.abs(x)))])[0])
-            success = ps.point_query(schema, bits, target) == 1
-            err_sq = 0.0 if success else 1.0
-            decode_ops = 1 + 3 * schema.reps * 2
-        else:
-            found = ps.count_sketch_decode(schema, bits)
-            success = bool(np.isin(heavy_parts, found).all()) and found.size <= schema.cap
-            mask = np.isin(partition.parts_of(np.arange(config.n)), found)
-            err_sq = float(np.sum(x[~mask] ** 2))
-            decode_ops = partition.size * (1 + 3 * schema.reps * 2)
-        m_total = schema.rows
-    elif config.scheme == "btree":
-        schema, level_bits = btree.build_and_measure(
-            x, config.n, config.k, config.b, config.delta, schema_seed
-        )
-        result = btree.decode(schema, level_bits)
-        success = bool(np.isin(stats.heavy, result.indices).all())
-        err_sq = float(np.sum(x**2) - np.sum(x[result.indices] ** 2))
-        decode_ops = result.point_queries + result.bit_reads
-        m_total = schema.total_rows
-    elif config.scheme == "expander":
-        schema = expander.build_schema(config.n, config.k, schema_seed)
-        bits = expander.measure(schema, x)
-        found, _, diag = expander.recover(schema, bits)
-        success = bool(np.isin(stats.heavy, found).all())
-        err_sq = float(np.sum(x**2) - np.sum(x[found] ** 2))
-        decode_ops = diag.extras["point_queries"] + diag.extras["bit_reads"]
-        m_total = schema.total_rows
-    elif config.scheme == "heavy-hitters":
-        schema = heavy_hitters.build_schema(config.n, config.k, schema_seed)
-        bits = heavy_hitters.measure(schema, x)
-        found, _, diags = heavy_hitters.decode(schema, bits)
-        success = (
-            bool(np.isin(stats.heavy, found).all()) and found.size <= schema.cap
-        )
-        err_sq = float(np.sum(x**2) - np.sum(x[found] ** 2))
-        decode_ops = sum(
-            d.extras["point_queries"] + d.extras["bit_reads"] for d in diags
-        )
-        m_total = schema.total_rows
-    else:  # pipeline
-        schema = recovery.build_pipeline(
-            config.n, config.k, config.delta, schema_seed,
-            gauss_rows=config.mg or None, noise_sigma=config.sigma,
-        )
-        bits = recovery.measure(schema, x)
-        estimate, diag = recovery.decode(schema, bits)
-        err_sq = float(np.sum((x - estimate.to_dense(config.n)) ** 2))
-        success = err_sq <= 2 * stats.tail_sq + config.delta
-        decode_ops = diag.point_queries + diag.bit_reads
-        m_total = schema.total_rows
+    schema = scheme.build(config, config.n, schema_seed)
+    bits = scheme.measure(schema, x)
+    if config.scheme == "ppq":
+        target = int(schema.partition.parts_of([int(np.argmax(np.abs(x)))])[0])
+        success = ps.point_query(schema, bits, target) == 1
+        err_sq = 0.0 if success else 1.0
+        decode_ops = 1 + 3 * schema.reps * 2
+    else:
+        found, values, decode_ops = scheme.decode(schema, bits)
+        success, err_sq = scheme.judge(x, stats, config, schema, found, values)
     wall_ms = (time.perf_counter() - started) * 1000.0 if config.timing else 0.0
     return TrialRecord(
         trial_id=trial, scheme=config.scheme, n=config.n, k=config.k,
-        delta=config.delta, m_total=int(m_total), success=bool(success),
+        delta=config.delta, m_total=int(schema.total_rows), success=bool(success),
         err_sq=err_sq, tail_sq=stats.tail_sq, decode_ops=int(decode_ops),
         wall_ms=wall_ms, seed=config.seed,
     )
@@ -210,12 +255,8 @@ def render_report(records: list[TrialRecord], config: ExperimentConfig | None = 
         buf.write(_config_comment(config) + "\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for r in records:
-        writer.writerow([
-            r.trial_id, r.scheme, r.n, r.k, repr(r.delta), r.m_total,
-            int(r.success), repr(r.err_sq), repr(r.tail_sq), r.decode_ops,
-            repr(r.wall_ms), r.seed,
-        ])
+    for r in records:  # floats print as repr, success as 0 or 1
+        writer.writerow([int(v) if isinstance(v, bool) else v for v in astuple(r)])
     return buf.getvalue()
 
 
@@ -237,23 +278,24 @@ def emit_report(
     return summary
 
 
+def _parse(kind: str, text: str):
+    """A config or CSV value from its text, by its field's type annotation."""
+    if kind == "int":
+        return int(text)
+    if kind == "float":
+        return float(text)
+    if kind == "bool":
+        return text.lower() in ("1", "true", "yes", "on")
+    return text
+
+
 def parse_report(path: str) -> list[TrialRecord]:
-    records = []
     with open(path, encoding="utf-8") as fh:
         rows = [line for line in fh if not line.startswith("#")]
-    reader = csv.DictReader(rows)
-    for row in reader:
-        records.append(
-            TrialRecord(
-                trial_id=int(row["trial_id"]), scheme=row["scheme"],
-                n=int(row["n"]), k=int(row["k"]), delta=float(row["delta"]),
-                m_total=int(row["m_total"]), success=bool(int(row["success"])),
-                err_sq=float(row["err_sq"]), tail_sq=float(row["tail_sq"]),
-                decode_ops=int(row["decode_ops"]), wall_ms=float(row["wall_ms"]),
-                seed=int(row["seed"]),
-            )
-        )
-    return records
+    return [
+        TrialRecord(**{f.name: _parse(f.type, row[f.name]) for f in fields(TrialRecord)})
+        for row in csv.DictReader(rows)
+    ]
 
 
 def read_config_file(path: str) -> dict[str, str]:
@@ -284,14 +326,6 @@ def config_from_mappings(*mappings: dict) -> ExperimentConfig:
                 continue
             if key not in _FIELD_TYPES:
                 raise ValueError(f"unknown config key {key!r}")
-            target = _FIELD_TYPES[key]
-            if isinstance(value, str) and target is not str:
-                if target in ("int", int):
-                    value = int(value)
-                elif target in ("float", float):
-                    value = float(value)
-                elif target in ("bool", bool):
-                    value = value.lower() in ("1", "true", "yes", "on")
-            clean[key] = value
+            clean[key] = _parse(_FIELD_TYPES[key], value) if isinstance(value, str) else value
         config = replace(config, **clean)
     return config

@@ -7,7 +7,7 @@ judged against these, never against their own sketches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,7 +99,6 @@ class SparseEstimate:
     indices: np.ndarray
     values: np.ndarray
     sparsity_bound: int
-    diagnostics: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         idx = np.asarray(self.indices, dtype=np.int64)

@@ -104,14 +104,6 @@ class PartitionFamily:
             return self.labels[coords]
         return np.searchsorted(self.starts, coords, side="right") - 1
 
-    def part_bounds(self, part: int) -> tuple[int, int]:
-        """[start, end) of an interval part; only for interval partitions."""
-        if self.starts is None:
-            raise ValueError("part_bounds requires an interval partition")
-        start = int(self.starts[part])
-        end = int(self.starts[part + 1]) if part + 1 < self.size else self.n
-        return start, end
-
 
 @dataclass(frozen=True)
 class SketchConstants:
@@ -157,6 +149,10 @@ class PointQuerySchema:
     def rows(self) -> int:
         # 2 polarities x 3 sub-iterations x buckets x repetitions
         return 2 * 3 * self.buckets * self.reps
+
+    @property
+    def total_rows(self) -> int:  # the name every scheme's schema answers to
+        return self.rows
 
     @property
     def bucket_key(self) -> np.uint64:

@@ -181,24 +181,3 @@ class RandomSource:
         # practice (64-bit values) and harmless if they occur
         u = fold(self.key, np.arange(n))
         return np.sort(np.argsort(u, kind="stable")[:count])
-
-
-@dataclass(frozen=True)
-class HashFamily:
-    """A seeded hash h: [domain] -> [range_size], simulating full independence.
-
-    Realized as a keyed pseudorandom function of (seed, input): full
-    independence is free in simulation, and determinism given the seed is
-    exactly what lets sketches be decoded without shipping hash tables.
-    """
-
-    seed: int
-    domain: int
-    range_size: int
-
-    @property
-    def key(self) -> np.uint64:
-        return derive_key(self.seed)
-
-    def __call__(self, idx) -> np.ndarray:
-        return uniform_index(self.key, idx, self.range_size)

@@ -17,7 +17,7 @@ as extra pre-quantization noise, exactly as the error analysis treats it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -186,14 +186,11 @@ class PipelineDiagnostics:
     support_empty: bool
     point_queries: int
     bit_reads: int
-    support_rows: int
-    gauss_rows: int
-    extras: dict = field(default_factory=dict)
 
 
-def default_gauss_rows(n: int, k: int, delta: float, scale: float = 2.0) -> int:
-    """ceil(scale * k * log2(n/k) / delta^2), the value-estimation row budget."""
-    return max(1, math.ceil(scale * k * math.log2(max(n / k, 2.0)) / delta**2))
+def default_gauss_rows(n: int, k: int, delta: float) -> int:
+    """ceil(2 * k * log2(n/k) / delta^2), the value-estimation row budget."""
+    return max(1, math.ceil(2.0 * k * math.log2(max(n / k, 2.0)) / delta**2))
 
 
 def build_pipeline(
@@ -202,7 +199,6 @@ def build_pipeline(
     delta: float,
     seed: int,
     gauss_rows: int | None = None,
-    gauss_scale: float = 2.0,
     noise_sigma: float = 0.0,
     constants: ps.SketchConstants = ps.SketchConstants(),
     **hh_kwargs,
@@ -211,7 +207,7 @@ def build_pipeline(
         raise ValueError(f"delta must be in (0,1), got {delta}")
     support_schema = hh.build_schema(n, k, seed=int(derive_key(seed, 21)), constants=constants, **hh_kwargs)
     if gauss_rows is None:
-        gauss_rows = default_gauss_rows(n, k, delta, gauss_scale)
+        gauss_rows = default_gauss_rows(n, k, delta)
     gauss_schema = GaussianSchema(
         rows=gauss_rows, n=n, seed=int(derive_key(seed, 22)), noise_sigma=noise_sigma
     )
@@ -235,29 +231,17 @@ def decode(
     support, _, diags = hh.decode(
         schema.support_schema, bits.support_bits, prefilter_reps
     )
-    point_queries = sum(d.extras.get("point_queries", 0) for d in diags)
-    bit_reads = sum(d.extras.get("bit_reads", 0) for d in diags)
-    if support.size == 0:
-        estimate = SparseEstimate(
-            indices=np.empty(0, dtype=np.int64),
-            values=np.empty(0),
-            sparsity_bound=max(1, schema.support_schema.cap),
-        )
-        diag = PipelineDiagnostics(
-            support=support, support_empty=True,
-            point_queries=point_queries, bit_reads=bit_reads,
-            support_rows=schema.support_rows, gauss_rows=schema.gauss_rows,
-        )
-        return estimate, diag
-    c = correlation(schema.gauss_schema, bits.sign_bits, support)
-    values = solve_l1l2(c, math.sqrt(schema.k))
+    diag = PipelineDiagnostics(
+        support=support, support_empty=support.size == 0,
+        point_queries=sum(d.point_queries for d in diags),
+        bit_reads=sum(d.bit_reads for d in diags),
+    )
+    values = np.empty(0)
+    if support.size:
+        c = correlation(schema.gauss_schema, bits.sign_bits, support)
+        values = solve_l1l2(c, math.sqrt(schema.k))
     estimate = SparseEstimate(
         indices=support, values=values,
-        sparsity_bound=max(schema.support_schema.cap, support.size),
-    )
-    diag = PipelineDiagnostics(
-        support=support, support_empty=False,
-        point_queries=point_queries, bit_reads=bit_reads,
-        support_rows=schema.support_rows, gauss_rows=schema.gauss_rows,
+        sparsity_bound=max(1, schema.support_schema.cap, support.size),
     )
     return estimate, diag

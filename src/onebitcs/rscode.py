@@ -45,13 +45,14 @@ class GaloisField:
             if x & self.order:
                 x ^= poly
         exp[self.order - 1 :] = exp[: self.order - 1]
-        self.exp, self.log = exp, log
+        # log(0) is a sentinel past every sum of two true logs, and exp is
+        # 0 from there on, so a product with a zero factor looks up 0
+        log[0] = 2 * (self.order - 1)
+        self.exp = np.concatenate([exp, np.zeros(2 * (self.order - 1) + 1, dtype=np.int64)])
+        self.log = log
 
     def mul(self, a, b):
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        out = self.exp[self.log[a] + self.log[b]]
-        return np.where((a == 0) | (b == 0), 0, out)
+        return self.exp[self.log[a] + self.log[b]]
 
     def inv(self, a):
         a = int(a)

@@ -11,7 +11,8 @@ scheme's loader reads, the file must hold exactly as many blocks as the
 rebuilt schema measures, every block must have exactly the length its bit
 count requires, and nothing may follow the last block.  Header values are
 typed: integer fields must be JSON integers and float fields finite JSON
-numbers (booleans are neither).
+numbers (booleans are neither).  A partition sketch's block may not hold a
+(-1, -1) polarity pair, which no measurement produces.
 
 Bits pack +1 -> 1 and -1 -> 0 in little-endian bit order, following each
 sketch's flattened row order (repetition-major, then sub-iteration, then
@@ -48,8 +49,48 @@ def _unpack_exact(data: bytes, count: int, what: str) -> np.ndarray:
 
 
 def unpack_bits(data: bytes, reps: int, buckets: int) -> ps.SketchBits:
-    bits = _unpack_exact(data, reps * 3 * buckets * 2, "bit block")
+    """A partition sketch's bits; a (-1, -1) polarity pair, which no
+    measurement produces, makes the block malformed."""
+    count = reps * 3 * buckets * 2
+    bits = _unpack_exact(data, count, "bit block")
+    # a pair is two adjacent bits from an even position: both 0 is (-1, -1)
+    cleared = ~np.frombuffer(data, dtype=np.uint8)
+    pairs = cleared & (cleared >> 1) & np.uint8(0x55)
+    if count % 8:
+        pairs[-1] &= np.uint8((1 << count % 8) - 1)  # the zero padding
+    if pairs.any():
+        raise ValueError("bit block holds a (-1, -1) pair, which no measurement produces")
     return ps.SketchBits(bits=bits.reshape(reps, 3, buckets, 2))
+
+
+def _unpack_sketch(data: bytes, schema: ps.PointQuerySchema) -> ps.SketchBits:
+    return unpack_bits(data, schema.reps, schema.buckets)
+
+
+def _pack_layers(layers) -> list[bytes]:
+    """Blocks of a layered sketch's bits: each layer's heavy, then check block."""
+    return [pack_bits(sketch) for bits in layers for sketch in (bits.heavy, bits.check)]
+
+
+def _unpack_layers(schema: expander.ExpanderSchema, blocks) -> tuple:
+    """Inverse of ``_pack_layers``, taking the blocks from an iterator."""
+    return tuple(
+        expander.LayerBits(
+            heavy=_unpack_sketch(next(blocks), layer.heavy_schema),
+            check=_unpack_sketch(next(blocks), layer.check_schema),
+        )
+        for layer in schema.layers
+    )
+
+
+def _pack_buckets(bucket_bits) -> list[bytes]:
+    """Blocks of a bucketed sketch: each bucket's layered-sketch blocks in turn."""
+    return [block for layers in bucket_bits for block in _pack_layers(layers)]
+
+
+def _unpack_buckets(schema: heavy_hitters.HeavyHitterSchema, blocks) -> list:
+    """Inverse of ``_pack_buckets``, taking the blocks from an iterator."""
+    return [_unpack_layers(sub, blocks) for sub in schema.sub_schemas]
 
 
 def pack_sign_vector(y: np.ndarray) -> bytes:
@@ -202,7 +243,7 @@ def load_ppcs(header: dict, blocks: list[bytes]):
     if schema.reps != header["reps"] or schema.buckets != header["buckets"]:
         raise ValueError("rebuilt schema does not match file header")
     _check_block_count(blocks, 1, "ppcs")
-    return schema, unpack_bits(blocks[0], schema.reps, schema.buckets)
+    return schema, _unpack_sketch(blocks[0], schema)
 
 
 def save_btree(path: str, schema: btree.BTreeSchema, level_bits: list[ps.SketchBits]):
@@ -222,11 +263,9 @@ def load_btree(header: dict, blocks: list[bytes]):
     if len(schema.levels) != header["levels"]:
         raise ValueError("rebuilt level count does not match file header")
     _check_block_count(blocks, len(schema.levels), "btree")
-    level_bits = [
-        unpack_bits(block, level.schema.reps, level.schema.buckets)
-        for block, level in zip(blocks, schema.levels)
+    return schema, [
+        _unpack_sketch(block, level.schema) for block, level in zip(blocks, schema.levels)
     ]
-    return schema, level_bits
 
 
 def save_expander(path: str, schema: expander.ExpanderSchema, bits):
@@ -238,11 +277,7 @@ def save_expander(path: str, schema: expander.ExpanderSchema, bits):
         "log_factor": schema.log_factor,
         "constants": _constants_dict(schema.constants),
     }
-    blocks = []
-    for layer_bits in bits:
-        blocks.append(pack_bits(layer_bits.heavy))
-        blocks.append(pack_bits(layer_bits.check))
-    write_blocks(path, "expander", header, blocks)
+    write_blocks(path, "expander", header, _pack_layers(bits))
 
 
 def load_expander(header: dict, blocks: list[bytes]):
@@ -255,12 +290,7 @@ def load_expander(header: dict, blocks: list[bytes]):
     if schema.layers_count != header["layers"]:
         raise ValueError("rebuilt layer count does not match file header")
     _check_block_count(blocks, 2 * schema.layers_count, "expander")
-    bits = []
-    for j, layer in enumerate(schema.layers):
-        heavy = unpack_bits(blocks[2 * j], layer.heavy_schema.reps, layer.heavy_schema.buckets)
-        check = unpack_bits(blocks[2 * j + 1], layer.check_schema.reps, layer.check_schema.buckets)
-        bits.append(expander.LayerBits(heavy=heavy, check=check))
-    return schema, tuple(bits)
+    return schema, _unpack_layers(schema, iter(blocks))
 
 
 def save_heavy_hitters(path: str, schema: heavy_hitters.HeavyHitterSchema, bucket_bits):
@@ -272,30 +302,11 @@ def save_heavy_hitters(path: str, schema: heavy_hitters.HeavyHitterSchema, bucke
         **_sub_schema_params(schema),
         "constants": _constants_dict(schema.constants),
     }
-    blocks = []
-    for layers in bucket_bits:
-        for layer_bits in layers:
-            blocks.append(pack_bits(layer_bits.heavy))
-            blocks.append(pack_bits(layer_bits.check))
-    write_blocks(path, "heavy-hitters", header, blocks)
+    write_blocks(path, "heavy-hitters", header, _pack_buckets(bucket_bits))
 
 
 def _hh_block_count(schema: heavy_hitters.HeavyHitterSchema) -> int:
     return 2 * sum(len(sub.layers) for sub in schema.sub_schemas)
-
-
-def _unpack_hh_blocks(schema: heavy_hitters.HeavyHitterSchema, blocks: list[bytes]):
-    bucket_bits = []
-    cursor = 0
-    for sub in schema.sub_schemas:
-        layers = []
-        for layer in sub.layers:
-            heavy = unpack_bits(blocks[cursor], layer.heavy_schema.reps, layer.heavy_schema.buckets)
-            check = unpack_bits(blocks[cursor + 1], layer.check_schema.reps, layer.check_schema.buckets)
-            layers.append(expander.LayerBits(heavy=heavy, check=check))
-            cursor += 2
-        bucket_bits.append(tuple(layers))
-    return bucket_bits
 
 
 def load_heavy_hitters(header: dict, blocks: list[bytes]):
@@ -309,7 +320,7 @@ def load_heavy_hitters(header: dict, blocks: list[bytes]):
     if schema.buckets != header["buckets"]:
         raise ValueError("rebuilt bucket count does not match file header")
     _check_block_count(blocks, _hh_block_count(schema), "heavy-hitters")
-    return schema, _unpack_hh_blocks(schema, blocks)
+    return schema, _unpack_buckets(schema, iter(blocks))
 
 
 def save_pipeline(path: str, schema: recovery.PipelineSchema, bits: recovery.PipelineBits):
@@ -323,12 +334,7 @@ def save_pipeline(path: str, schema: recovery.PipelineSchema, bits: recovery.Pip
         **_sub_schema_params(schema.support_schema),
         "constants": _constants_dict(schema.support_schema.constants),
     }
-    blocks = []
-    for layers in bits.support_bits:
-        for layer_bits in layers:
-            blocks.append(pack_bits(layer_bits.heavy))
-            blocks.append(pack_bits(layer_bits.check))
-    blocks.append(pack_sign_vector(bits.sign_bits))
+    blocks = _pack_buckets(bits.support_bits) + [pack_sign_vector(bits.sign_bits)]
     write_blocks(path, "pipeline", header, blocks)
 
 
@@ -342,7 +348,7 @@ def load_pipeline(header: dict, blocks: list[bytes]):
     if schema.support_schema.buckets != header["hh_buckets"]:
         raise ValueError("rebuilt bucketing does not match file header")
     _check_block_count(blocks, _hh_block_count(schema.support_schema) + 1, "pipeline")
-    support_bits = _unpack_hh_blocks(schema.support_schema, blocks[:-1])
+    support_bits = _unpack_buckets(schema.support_schema, iter(blocks))
     sign_bits = unpack_sign_vector(blocks[-1], schema.gauss_schema.rows)
     return schema, recovery.PipelineBits(support_bits=support_bits, sign_bits=sign_bits)
 

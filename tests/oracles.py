@@ -196,6 +196,24 @@ def brute_force_bits(schema, x):
     return out
 
 
+# --- finite field oracle ----------------------------------------------------
+
+
+def gf_mul(a, b, t, poly):
+    """a * b in GF(2^t) by shift and xor: a carry-less multiply, reduced by
+    the primitive polynomial ``poly`` whenever a shifted factor reaches
+    degree t."""
+    acc = 0
+    while b:
+        if b & 1:
+            acc ^= a
+        a <<= 1
+        if a >> t:
+            a ^= poly
+        b >>= 1
+    return acc
+
+
 # --- l1/l2 program oracles ---------------------------------------------------
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from onebitcs import cli, expander, harness, serialize
+from onebitcs import partition_sketch as ps
 
 
 def run_cli(*argv):
@@ -114,4 +115,16 @@ class TestBadInput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("onebitcs: error:") and "'degree'" in captured.err
+        assert captured.err.count("\n") == 1
+
+    def test_decode_rejects_an_impossible_sign_pair(self, tmp_path, capsys):
+        schema = ps.build_schema(ps.PartitionFamily.contiguous(256, 32), 2, 0.1, seed=3)
+        bits = tmp_path / "m.bits"
+        serialize.save_ppcs(str(bits), schema, ps.measure(schema, np.zeros(256)))
+        scheme, header, blocks = serialize.read_blocks(str(bits))
+        serialize.write_blocks(str(bits), scheme, header, [bytes(1) + blocks[0][1:]])
+        assert run_cli("decode", "--bits", str(bits)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("onebitcs: error:") and "(-1, -1)" in captured.err
         assert captured.err.count("\n") == 1

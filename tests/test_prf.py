@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onebitcs.prf import (
-    HashFamily,
     RandomSource,
     derive_key,
     fold,
@@ -93,13 +92,6 @@ def test_mix64_known_answers():
     assert int(mix64(np.uint64(words[2]))) == 0xE220A8397B1DCDAF
     grid = z.reshape(5, 41)
     assert np.array_equal(mix64(grid), out.reshape(5, 41))
-
-
-def test_hash_family_contract():
-    h = HashFamily(seed=42, domain=1000, range_size=37)
-    vals = h(np.arange(1000))
-    assert vals.min() >= 0 and vals.max() < 37
-    assert np.array_equal(vals, h(np.arange(1000)))
 
 
 def test_stability_across_processes():

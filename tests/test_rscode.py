@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onebitcs.rscode import ChunkCode, GaloisField
+from onebitcs.rscode import _PRIMITIVE, ChunkCode, GaloisField
+from oracles import gf_mul
 
 
 class TestGaloisField:
@@ -36,6 +37,14 @@ class TestGaloisField:
         for a in range(16):
             for b in range(16):
                 assert int(gf.mul(a, b)) == slow_mul(a, b)
+
+    @pytest.mark.parametrize("t", range(2, 9))
+    def test_mul_matches_shift_and_xor_on_all_pairs(self, t):
+        gf = GaloisField(t)
+        a, b = np.divmod(np.arange(1 << 2 * t), 1 << t)
+        want = [gf_mul(int(x), int(y), t, _PRIMITIVE[t]) for x, y in zip(a, b)]
+        assert gf.mul(a, b).tolist() == want
+        assert [int(gf.mul(int(x), int(y))) for x, y in zip(a[:300], b[:300])] == want[:300]
 
     def test_rejects_unsupported_width(self):
         with pytest.raises(ValueError):

@@ -35,8 +35,10 @@ class TestPacking:
         assert not packed[0] & 0b00000010  # position 1 is -1
 
     def test_round_trip_random(self):
+        # random polarity pairs among the three a measurement can produce
         rng = np.random.default_rng(0)
-        bits = rng.choice(np.array([-1, 1], dtype=np.int8), size=(5, 3, 17, 2))
+        pairs = np.array([[1, -1], [-1, 1], [1, 1]], dtype=np.int8)
+        bits = pairs[rng.integers(0, 3, size=(5, 3, 17))]
         sketch = ps.SketchBits(bits=bits)
         back = serialize.unpack_bits(serialize.pack_bits(sketch), 5, 17)
         assert np.array_equal(back.bits, sketch.bits)
@@ -338,3 +340,40 @@ class TestTypedHeaders:
         rewrite(path, edit_header=lambda header: header.update(log_factor=2))
         _, schema2, _ = serialize.load_measurement(str(path))
         assert layered_params(schema2) == layered_params(schema)
+
+
+def zero_first_byte(blocks):
+    return [bytes(1) + blocks[0][1:]] + blocks[1:]
+
+
+class TestImpossiblePairs:
+    """A (-1, -1) polarity pair is never measured, so a block holding one is
+    malformed; the gaussian sign vector has no pairs and is exempt."""
+
+    def test_ppcs_block_rejected(self, tmp_path):
+        path = ppcs_file(tmp_path)
+        rewrite(path, edit_blocks=zero_first_byte)
+        with pytest.raises(ValueError, match=r"\(-1, -1\) pair"):
+            serialize.load_measurement(str(path))
+
+    def test_pipeline_support_block_rejected_sign_block_exempt(self, tmp_path):
+        schema = recovery.build_pipeline(512, 2, 0.3, seed=29, gauss_rows=400)
+        x, _ = sparse_unit(512, 2, 30)
+        path = tmp_path / "p.bits"
+        serialize.save_pipeline(str(path), schema, recovery.measure(schema, x))
+        rewrite(path, edit_blocks=lambda blocks: blocks[:-1] + [bytes(len(blocks[-1]))])
+        _, _, bits = serialize.load_measurement(str(path))
+        assert (bits.sign_bits == -1).all()
+        rewrite(path, edit_blocks=zero_first_byte)
+        with pytest.raises(ValueError, match=r"\(-1, -1\) pair"):
+            serialize.load_measurement(str(path))
+
+    @pytest.mark.parametrize("buckets", [1, 2, 3, 4])
+    def test_padding_is_not_a_pair(self, buckets):
+        # 6 * buckets bits leave 2, 4, 6 or no padding bits in the last byte
+        bits = np.tile(np.array([1, -1], dtype=np.int8), (1, 3, buckets, 1))
+        packed = serialize.pack_bits(ps.SketchBits(bits=bits))
+        assert np.array_equal(serialize.unpack_bits(packed, 1, buckets).bits, bits)
+        bits[0, 2, buckets - 1] = -1  # the last pair, next to the padding
+        with pytest.raises(ValueError, match=r"\(-1, -1\) pair"):
+            serialize.unpack_bits(serialize.pack_bits(ps.SketchBits(bits=bits)), 1, buckets)
