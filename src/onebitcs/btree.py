@@ -5,6 +5,15 @@ The root level is decoded exhaustively with the count-sketch decoder; each
 finer level is decoded by point-querying only the children of the parts that
 survived the previous level, so decoding touches O(b k) parts per level
 instead of the whole partition.
+
+The levels nest, so they are measured in one pass that shares one gaussian
+weight per (repetition, coordinate) across all of them, drawn with the root
+level's key (``partition_sketch.measure_nested``); each level keeps its own
+bucket hashes and signs.  Every level on its own has exactly the row
+distribution of an independently drawn sketch, and the decoder's guarantee
+is a union bound over the point queries of all levels, which needs no
+independence between levels.  So the shared draw keeps the failure bound
+while the gaussians cost one draw, not one per level.
 """
 
 from __future__ import annotations
@@ -43,15 +52,14 @@ class BTreeSchema:
     def cap(self) -> int:
         return self.constants.cap_factor * self.k
 
-    def children(self, level: int, part: int) -> np.ndarray:
-        """Parts of ``level``+1 contained in the given part of ``level``."""
-        starts = self.levels[level].starts
-        nxt = self.levels[level + 1].starts
-        lo = int(starts[part])
-        hi = int(starts[part + 1]) if part + 1 < starts.size else self.n
-        left = np.searchsorted(nxt, lo, side="left")
-        right = np.searchsorted(nxt, hi, side="left")
-        return np.arange(left, right, dtype=np.int64)
+    def children(self, level: int, parts) -> np.ndarray:
+        """Parts of ``level``+1 contained in the given part(s) of ``level``,
+        parent by parent: one searchsorted over the parents' interval bounds."""
+        parts = np.atleast_1d(np.asarray(parts, dtype=np.int64))
+        bounds = np.append(self.levels[level].starts, self.n)
+        first, last = np.searchsorted(self.levels[level + 1].starts, bounds[[parts, parts + 1]])
+        counts = last - first
+        return np.repeat(first - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
 
 
 @dataclass(frozen=True)
@@ -75,12 +83,14 @@ def _level_starts(n: int, k: int, b: int, depth: int) -> list[np.ndarray]:
     for r in range(1, depth + 1):
         width = max(1, -(-n // (k * b**r)))
         prev = levels[-1]
-        # parent p has ceil(len_p / width) children at prev[p] + j * width
+        # parent p has ceil(len_p / width) children at prev[p] + j * width;
+        # child number c = first[p] + j sits at prev[p] - first[p] * width + c * width
         counts = -(-np.diff(prev, append=n) // width)
         first = np.cumsum(counts) - counts
-        parent = np.repeat(np.arange(prev.size), counts)
-        j = np.arange(int(counts.sum()), dtype=np.int64) - first[parent]
-        levels.append(prev[parent] + j * width)
+        child = np.arange(int(counts.sum()), dtype=np.int64)
+        child *= width
+        child += np.repeat(prev - first * width, counts)
+        levels.append(child)
     return levels
 
 
@@ -126,8 +136,9 @@ def build_schema(
 
 
 def measure(schema: BTreeSchema, x) -> list[ps.SketchBits]:
-    """Sign measurements for every level, root first."""
-    return [ps.measure(level.schema, x) for level in schema.levels]
+    """Sign measurements for every level, root first, from one shared
+    gaussian draw."""
+    return ps.measure_nested([level.schema for level in schema.levels], x)
 
 
 def build_and_measure(
@@ -158,9 +169,8 @@ def decode(schema: BTreeSchema, level_bits: list[ps.SketchBits]) -> BTreeDecodeR
         if survivors.size == 0:
             per_level.append(0)
             continue
-        candidates = np.unique(
-            np.concatenate([schema.children(r - 1, int(p)) for p in survivors])
-        )
+        # survivors are sorted and distinct, so their children are too
+        candidates = schema.children(r - 1, survivors)
         level = schema.levels[r].schema
         stats = ps.query_stats(level, level_bits[r], candidates)
         survivors = ps.select_passing(stats, level.vote_threshold, schema.cap)

@@ -275,50 +275,108 @@ def _bucket_bits(
 
 
 def measure(schema: PointQuerySchema, x) -> SketchBits:
-    """Take all sign measurements of ``x`` under the schema.
+    """Take all sign measurements of ``x`` under the schema: the one-level
+    case of ``measure_nested``."""
+    return measure_nested((schema,), x)[0]
 
-    One pass over the nonzeros of x per repetition; the underlying real
-    measurements exist only transiently.  sign(0) = +1, so empty buckets
-    produce (+1, +1) pairs.  Repetitions are processed in blocks of about
-    ``prf.BLOCK_WORDS`` gaussian entries (at least one repetition each), run
-    through ``prf.map_blocks``; the bits depend on neither the block size nor
-    the thread count.
+
+def _check_nested(schemas) -> None:
+    """Raise ``ValueError`` unless the schemas share n and ``reps`` and their
+    partitions nest coarse to fine: every part of a finer partition lies in
+    one part of the next coarser one."""
+    if not schemas:
+        raise ValueError("measure_nested needs at least one schema")
+    n, reps = schemas[0].n, schemas[0].reps
+    if any(s.n != n for s in schemas) or any(s.reps != reps for s in schemas):
+        raise ValueError("nested schemas must share n and the repetition count")
+    for coarse, fine in zip(schemas, schemas[1:]):
+        coarse, fine = coarse.partition, fine.partition
+        if coarse.starts is not None and fine.starts is not None:
+            # interval partitions nest when every coarse cut is a fine cut
+            nested = np.isin(coarse.starts, fine.starts).all()
+        else:
+            everything = np.arange(n)
+            outer, inner = coarse.parts_of(everything), fine.parts_of(everything)
+            parent = np.zeros(fine.size, dtype=np.int64)
+            parent[inner] = outer
+            nested = np.array_equal(parent[inner], outer)
+        if not nested:
+            raise ValueError("partitions do not nest coarse to fine")
+
+
+def measure_nested(schemas, x) -> list[SketchBits]:
+    """Sign measurements of ``x`` under nested schemas, coarsest first.
+
+    All levels share one gaussian weight per (repetition, coordinate), drawn
+    with the first schema's ``gauss_key``; bucket hashes and signs stay each
+    level's own.  Within a level the repetitions are independent, so every
+    level's rows are distributed exactly as if it were measured alone, and a
+    union bound over levels needs no independence between them.  One pass
+    over the nonzeros of x per repetition forms the finest level's part sums;
+    each coarser level sums the occupied children of its parts.  The
+    underlying real measurements exist only transiently.  sign(0) = +1, so
+    empty buckets produce (+1, +1) pairs.  Repetitions are processed in
+    blocks of about ``prf.BLOCK_WORDS`` gaussian entries (at least one
+    repetition each), run through ``prf.map_blocks``; the bits depend on
+    neither the block size nor the thread count.
     """
+    schemas = tuple(schemas)
+    _check_nested(schemas)
+    n, reps = schemas[0].n, schemas[0].reps
     x = as_signal(x)
-    if x.shape != (schema.n,):
-        raise ValueError(f"signal shape {x.shape} does not match n={schema.n}")
-    reps, buckets = schema.reps, schema.buckets
-    bits = np.ones((reps, 3, buckets, 2), dtype=np.int8)
+    if x.shape != (n,):
+        raise ValueError(f"signal shape {x.shape} does not match n={n}")
+    bits = [np.ones((reps, 3, s.buckets, 2), dtype=np.int8) for s in schemas]
     nz = np.nonzero(x)[0]
     if nz.size == 0:
-        return SketchBits(bits=bits)
+        return [SketchBits(bits=b) for b in bits]
     vals = x[nz]
-    occupied, inverse = np.unique(schema.partition.parts_of(nz), return_inverse=True)
-    n_occ = occupied.size
+    labels = [s.partition.parts_of(nz) for s in schemas]
+    finest, inverse = np.unique(labels[-1], return_inverse=True)
+    n_occ = finest.size
+    rep = np.empty(n_occ, dtype=np.int64)  # a nonzero in each occupied finest part
+    rep[inverse] = np.arange(nz.size)
+    # order the occupied finest parts by their part at every level, coarsest
+    # first, so each coarser part's occupied children form one run
+    order = np.lexsort([lab[rep] for lab in reversed(labels)])
+    rank = np.empty_like(order)
+    rank[order] = np.arange(n_occ)
+    occupied, runs = [], []  # per level: its occupied parts and where they start
+    for lab in labels:
+        seq = lab[rep[order]]
+        run = np.flatnonzero(np.diff(seq, prepend=-1))
+        occupied.append(seq[run])
+        runs.append(run)
+    # each coarser level's run starts, as positions in the next finer level's
+    children = [np.searchsorted(fine, coarse) for coarse, fine in zip(runs, runs[1:])]
     block = max(1, prf.BLOCK_WORDS // nz.size)
     # flat (repetition, part) and (repetition, sub-iteration) offsets of a
     # full block; a shorter last block uses their prefixes
-    flat_part = (np.arange(block)[:, None] * n_occ + inverse[None, :]).ravel()
-    row_offset = (np.arange(block * 3) * buckets).reshape(block, 3, 1)
+    flat_part = (np.arange(block)[:, None] * n_occ + rank[inverse][None, :]).ravel()
+    row_offsets = [(np.arange(block * 3) * s.buckets).reshape(block, 3, 1) for s in schemas]
 
     def measure_block(r0):
         rr = np.arange(r0, min(r0 + block, reps))
         nb = rr.size
-        gauss = standard_normal(fold(schema.gauss_key, rr)[:, None], nz[None, :])
+        gauss = standard_normal(fold(schemas[0].gauss_key, rr)[:, None], nz[None, :])
         gauss *= vals
         part_sums = np.bincount(
             flat_part[: gauss.size], weights=gauss.ravel(), minlength=nb * n_occ
         ).reshape(nb, 1, n_occ)
-        bucket, sign = _row_hashes(schema, rr, occupied)
-        bucket += row_offset[:nb]
-        z = np.bincount(
-            bucket.ravel(), weights=(sign * part_sums).ravel(), minlength=nb * 3 * buckets
-        ).reshape(nb, 3, buckets)
-        bits[r0 : r0 + nb, :, :, 0] = np.where(z >= 0, 1, -1)
-        bits[r0 : r0 + nb, :, :, 1] = np.where(-z >= 0, 1, -1)
+        for level in reversed(range(len(schemas))):
+            if level < len(children):
+                part_sums = np.add.reduceat(part_sums, children[level], axis=2)
+            schema, buckets = schemas[level], schemas[level].buckets
+            bucket, sign = _row_hashes(schema, rr, occupied[level])
+            bucket += row_offsets[level][:nb]
+            z = np.bincount(
+                bucket.ravel(), weights=(sign * part_sums).ravel(), minlength=nb * 3 * buckets
+            ).reshape(nb, 3, buckets)
+            bits[level][r0 : r0 + nb, :, :, 0] = np.where(z >= 0, 1, -1)
+            bits[level][r0 : r0 + nb, :, :, 1] = np.where(-z >= 0, 1, -1)
 
     prf.map_blocks(measure_block, range(0, reps, block))
-    return SketchBits(bits=bits)
+    return [SketchBits(bits=b) for b in bits]
 
 
 def query_stats(

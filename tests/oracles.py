@@ -177,15 +177,17 @@ def layer_name_table(schema, j):
     return labels, fields[first]
 
 
-def brute_force_bits(schema, x):
+def brute_force_bits(schema, x, gauss_key=None):
     """Evaluate the measurement definition directly: per-bucket signed sums
-    of per-part gaussian inner products, via scalar loops over the same PRF."""
+    of per-part gaussian inner products, via scalar loops over the same PRF.
+    The gaussians are drawn with ``gauss_key``, by default the schema's own."""
     part = schema.partition
     labels = part.parts_of(np.arange(part.n))
     reps, buckets = schema.reps, schema.buckets
+    key = schema.gauss_key if gauss_key is None else gauss_key
     out = np.ones((reps, 3, buckets, 2), dtype=np.int8)
     for r in range(reps):
-        g = standard_normal(fold(schema.gauss_key, r), np.arange(part.n))
+        g = standard_normal(fold(key, r), np.arange(part.n))
         z = np.zeros((3, buckets))
         for j in range(part.size):
             inner = float(np.sum(g[labels == j] * x[labels == j]))
@@ -194,6 +196,24 @@ def brute_force_bits(schema, x):
         out[r, :, :, 0] = np.where(z >= 0, 1, -1)
         out[r, :, :, 1] = np.where(-z >= 0, 1, -1)
     return out
+
+
+def btree_measure_per_level(schema, x):
+    """b-tree bits with every level measured on its own, each drawing its
+    gaussians with its own key: the encoder of the b-tree before its levels
+    shared one draw.  Files it wrote are still ``onebitcs-bits v2``."""
+    return [measure(level.schema, x) for level in schema.levels]
+
+
+def children_loop(schema, level, parts):
+    """Children of each of ``parts`` of a b-tree level, part by part: the
+    parts of the next level whose start lies in the parent's interval."""
+    starts = [int(s) for s in schema.levels[level].starts] + [schema.n]
+    nxt = schema.levels[level + 1].starts
+    out = []
+    for p in parts:
+        out.extend(c for c in range(nxt.size) if starts[p] <= nxt[c] < starts[p + 1])
+    return np.array(out, dtype=np.int64)
 
 
 # --- finite field oracle ----------------------------------------------------

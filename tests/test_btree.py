@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import level_starts_loop
+from oracles import brute_force_bits, children_loop, level_starts_loop
 
 from onebitcs import btree
 from onebitcs import partition_sketch as ps
@@ -74,12 +74,37 @@ class TestBuild:
             # every child is enumerated exactly once, by exactly one parent
             assert np.array_equal(seen, np.arange(child_starts.size))
 
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(10, 400), st.integers(1, 6), st.integers(2, 7), st.randoms())
+    def test_children_of_many_parts_match_part_by_part_loop(self, n, k, b, rnd):
+        k = min(k, n)
+        schema = btree.build_schema(n, k, b, 0.2, seed=4)
+        for r in range(len(schema.levels) - 1):
+            size = schema.levels[r].starts.size
+            parts = sorted(rnd.sample(range(size), rnd.randint(0, size)))
+            got = schema.children(r, np.array(parts, dtype=np.int64))
+            assert got.dtype == np.int64
+            assert np.array_equal(got, children_loop(schema, r, parts))
+
     def test_measured_bits_shapes_match_schema(self):
         schema = btree.build_schema(256, 2, 4, 0.1, seed=5)
         bits = btree.measure(schema, np.zeros(256))
         assert len(bits) == len(schema.levels)
         for level, b in zip(schema.levels, bits):
             assert b.bits.shape == (level.schema.reps, 3, level.schema.buckets, 2)
+
+
+class TestMeasure:
+    def test_every_level_matches_brute_force_with_the_root_key(self):
+        n = 64
+        schema = btree.build_schema(n, 2, 4, 0.1, seed=11)
+        src = RandomSource(12)
+        x = src.gaussian(np.arange(n)) * (src.uniform(np.arange(n)) < 0.3)
+        bits = btree.measure(schema, x)
+        root_key = schema.levels[0].schema.gauss_key
+        for level, got in zip(schema.levels, bits):
+            want = brute_force_bits(level.schema, x, gauss_key=root_key)
+            assert np.array_equal(got.bits, want)
 
 
 class TestDecode:

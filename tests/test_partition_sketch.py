@@ -163,6 +163,89 @@ class TestMeasure:
         assert np.array_equal(ps.nonzero_candidates(schema, bits), probe)
 
 
+def nested_label_schemas():
+    """Three nested label partitions of 60 coordinates, coarsest first, whose
+    part ids are not in coordinate order: each label is a function of the
+    next finer one, so a coarse part's children are scattered among the
+    finer ids."""
+    fine = np.argsort(RandomSource(31).uniform(np.arange(60))) % 20
+    middle = (fine * 7) % 10
+    coarse = (middle * 3) % 4
+    return [
+        ps.build_schema(ps.PartitionFamily.from_labels(lab), 2, 0.3, seed=32 + i)
+        for i, lab in enumerate((coarse, middle, fine))
+    ]
+
+
+class TestMeasureNested:
+    def test_every_level_matches_brute_force_with_the_root_key(self):
+        schemas = nested_label_schemas()
+        src = RandomSource(33)
+        x = src.gaussian(np.arange(60)) * (src.uniform(np.arange(60)) < 0.5)
+        bits = ps.measure_nested(schemas, x)
+        assert len(bits) == 3
+        for schema, got in zip(schemas, bits):
+            want = brute_force_bits(schema, x, gauss_key=schemas[0].gauss_key)
+            assert np.array_equal(got.bits, want)
+
+    def test_each_level_hashes_its_occupied_parts_once(self, monkeypatch):
+        # a coarse part's children are scattered among the finer ids, yet
+        # each level hashes every occupied part exactly once
+        schemas = nested_label_schemas()
+        x = np.zeros(60)
+        x[::7] = 1.0
+        hashed = {}
+        row_hashes = ps._row_hashes
+
+        def recording(schema, reps, parts):
+            hashed.setdefault(schema.seed, []).append(np.asarray(parts))
+            return row_hashes(schema, reps, parts)
+
+        monkeypatch.setattr(ps, "_row_hashes", recording)
+        ps.measure_nested(schemas, x)
+        for schema in schemas:
+            want = np.unique(schema.partition.parts_of(np.flatnonzero(x)))
+            for parts in hashed[schema.seed]:
+                assert np.array_equal(np.sort(parts), want)
+
+    @pytest.mark.parametrize(
+        "coarse,fine",
+        [
+            (ps.PartitionFamily.contiguous(64, 8), ps.PartitionFamily.contiguous(64, 6)),
+            (ps.PartitionFamily.contiguous(64, 16), ps.PartitionFamily.contiguous(64, 4)),
+            (ps.PartitionFamily.from_labels(np.arange(60) % 3),
+             ps.PartitionFamily.from_labels(np.arange(60) % 4)),
+            (ps.PartitionFamily.contiguous(60, 4),
+             ps.PartitionFamily.from_labels(np.arange(60) % 15)),
+        ],
+    )
+    def test_rejects_partitions_that_do_not_nest(self, coarse, fine):
+        schemas = [ps.build_schema(p, 2, 0.3, seed=35) for p in (coarse, fine)]
+        with pytest.raises(ValueError, match="nest"):
+            ps.measure_nested(schemas, np.ones(coarse.n))
+
+    def test_accepts_intervals_nested_in_labels(self):
+        coarse = ps.PartitionFamily.from_labels(np.arange(60) // 20)
+        fine = ps.PartitionFamily.contiguous(60, 6)
+        schemas = [ps.build_schema(p, 2, 0.3, seed=36) for p in (coarse, fine)]
+        x = RandomSource(37).gaussian(np.arange(60))
+        bits = ps.measure_nested(schemas, x)
+        for schema, got in zip(schemas, bits):
+            want = brute_force_bits(schema, x, gauss_key=schemas[0].gauss_key)
+            assert np.array_equal(got.bits, want)
+
+    def test_rejects_unequal_repetitions(self):
+        coarse, fine = nested_label_schemas()[1:]
+        other = ps.build_schema(fine.partition, 2, 0.1, seed=38)
+        assert other.reps != coarse.reps
+        with pytest.raises(ValueError, match="repetition"):
+            ps.measure_nested([coarse, other], np.ones(60))
+
+    def test_rejects_no_schemas(self):
+        with pytest.raises(ValueError):
+            ps.measure_nested([], np.ones(60))
+
+
 class TestRowHashes:
     def test_uniform_over_many_parts(self):
         parts = 2**16

@@ -2,7 +2,9 @@
 
 The digests were recorded before the schemes were put behind one table, so
 they check that the table reproduces the earlier per-scheme code byte for
-byte: the harness CSV rows, the bits files and the decoded outputs.
+byte: the harness CSV rows, the bits files and the decoded outputs.  The
+b-tree's sparse-plus-tail report and its file digests were re-recorded when
+its levels began to share one gaussian draw, which changes its bits.
 """
 
 import argparse
@@ -30,7 +32,7 @@ REPORT_DIGESTS = {
     ('ppcs', 'exact-sparse'): 'a900b6d8f2fa26cbd728b5cf16ba3f01ebceb01509603624779d65d926cf4777',
     ('ppcs', 'sparse-plus-tail'): 'dc5281dba85cf6795108393142a94466affcf99ef1828b5859f9ce1b895082c5',
     ('btree', 'exact-sparse'): 'c58cf53bbca9d2eee79b60e9032685d2ba1d29ec1d85eaf225c6956453eb744e',
-    ('btree', 'sparse-plus-tail'): '635f4060e5046bfd1134d3ff608ecd37736073fabab8855c1b22b8d4f83e3b1e',
+    ('btree', 'sparse-plus-tail'): 'dc176937c852651573c8523c6b332751cd8dcc6ce792f67d46c025002fa6f0a3',
     ('expander', 'exact-sparse'): 'f7a6f313df3fd0f53ceb8a7f83510b1b4677889a606a4d7d9c3406dc63107557',
     ('expander', 'sparse-plus-tail'): '8a57a6d5f08e8a0e8aeb7ca485bd0cdc24a8980e8f9f3a6f370396f9e276f361',
     ('heavy-hitters', 'exact-sparse'): 'cdde39f56865a73b77e1419ddd8ede67142e98dfc3e022eaa332289167471f34',
@@ -46,8 +48,8 @@ FILE_DIGESTS = {
         '90833e86c904454d76d91502c5cd200029e41e1e3c2230251e67f81789d74e5b',
     ),
     'btree': (
-        '8eb5650b2abfe7631266ab6a8318bc45d2b70ed6cb64245ee5da5851492eb569',
-        '45a2be9c167fc3878d64cc64206183e7af93e2e8c502d61700fec6127a2c329b',
+        '76b17d981423fc767e81fa9cc849b0a2f776ea61d55d0a23953309ba7a520986',
+        '32e665153c9deca2905f821bf186c7ccbc7d9256cf98930bbc2d2633e972dd8b',
     ),
     'expander': (
         '5db5331c217525f5cbd483c35faee086e77bc422e6350c0657ba5ac1cbd97bd9',

@@ -4,8 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from onebitcs import btree, expander, heavy_hitters, recovery, serialize
+from oracles import btree_measure_per_level
+
+from onebitcs import btree, expander, heavy_hitters, recovery, serialize, signals
 from onebitcs import partition_sketch as ps
+from onebitcs.model import tail_stats
 from onebitcs.prf import RandomSource
 
 
@@ -101,6 +104,26 @@ class TestFiles:
         a = btree.decode(schema, bits)
         c = btree.decode(schema2, bits2)
         assert np.array_equal(a.indices, c.indices)
+
+    @pytest.mark.parametrize("seed", [27, 28, 29])
+    def test_btree_file_from_per_level_draws_still_decodes(self, tmp_path, seed):
+        # bits whose levels each drew their own gaussians (as files written
+        # before the levels shared one draw) are the same v2 format: the
+        # decoder reads only bucket hashes, signs and bits
+        n, k, b = 1 << 12, 4, 8
+        x = signals.gen_signal(signals.SPARSE_PLUS_TAIL, n, k, RandomSource(seed))
+        schema = btree.build_schema(n, k, b, 0.05, seed=seed + 100)
+        bits = btree_measure_per_level(schema, x)
+        shared = btree.measure(schema, x)
+        assert not all(np.array_equal(a.bits, c.bits) for a, c in zip(bits, shared))
+        path = tmp_path / "old.bits"
+        serialize.save_btree(str(path), schema, bits)
+        assert path.read_bytes().startswith(f"{serialize.MAGIC} btree\n".encode())
+        _, schema2, bits2 = serialize.load_measurement(str(path))
+        in_memory = btree.decode(schema, bits)
+        from_file = btree.decode(schema2, bits2)
+        assert np.array_equal(from_file.indices, in_memory.indices)
+        assert np.isin(tail_stats(x, k).heavy, from_file.indices).all()
 
     def test_expander_file_round_trip(self, tmp_path):
         n, k = 1 << 10, 2

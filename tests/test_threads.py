@@ -16,7 +16,7 @@ import pytest
 from oracles import probe_all_reps, sparse_probe_case
 
 from onebitcs import partition_sketch as ps
-from onebitcs import prf, recovery
+from onebitcs import btree, prf, recovery
 from onebitcs.prf import RandomSource
 
 
@@ -121,6 +121,21 @@ class TestIdenticalOnAnyThreadCount:
         for a, b in zip(serial, threaded):
             assert a.dtype == b.dtype
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("block_words", [1, 7, 200])
+    def test_btree_levels(self, cpus, monkeypatch, block_words):
+        # 5 nested levels, one shared gaussian draw; about 150 nonzeros, so
+        # one repetition per block below 150 words and one or two at 200
+        schema = btree.build_schema(300, 2, 4, 0.2, seed=47)
+        src = RandomSource(48)
+        x = src.gaussian(np.arange(300)) * (src.uniform(np.arange(300)) < 0.5)
+        cpus(1)
+        serial = [b.bits for b in btree.measure(schema, x)]
+        monkeypatch.setattr(prf, "BLOCK_WORDS", block_words)
+        for count in (1, 4):
+            cpus(count)
+            for a, b in zip(serial, btree.measure(schema, x)):
+                assert np.array_equal(a, b.bits)
 
     @pytest.mark.parametrize("block_words", [1, 450, 2000])
     def test_gaussian_block(self, cpus, monkeypatch, block_words):
