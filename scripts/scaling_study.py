@@ -1,18 +1,24 @@
 #!/usr/bin/env python3
-"""Two scaling studies on one page.
+"""Three scaling studies on one page.
 
 1. Decode work of the b-tree against the ambient dimension: the query count
    grows with log(n) while n grows geometrically, so decode_ops / n falls.
 2. Recovery error of the gaussian sign block against its row budget, at a
    fixed exactly-sparse signal.
+3. Layered-sketch build time against the ambient dimension, and the time to
+   find the parts of 32 coordinates in one layer.  From n = 2^17 the names
+   exceed 64 bits and take two words.  The first build at each n also
+   computes the codeword table that later builds share, so with one trial
+   the build time includes it.
 """
 
 import argparse
 import math
+import time
 
 import numpy as np
 
-from onebitcs import btree, recovery
+from onebitcs import btree, expander, recovery
 from onebitcs.prf import RandomSource
 
 
@@ -63,6 +69,28 @@ def main():
             xh[sup] = z
             errs.append(float(np.sum((x - xh) ** 2)))
         print(f"{rows:>8} {np.median(errs):>14.5f}")
+
+    print()
+    print("layered-sketch build and part lookup vs dimension (k=2)")
+    print(f"{'n':>8} {'name bits':>10} {'build ms':>10} {'parts_of(32) us':>16}")
+    for exp in range(12, 18):
+        n = 1 << exp
+        builds = []
+        for t in range(args.trials):
+            start = time.perf_counter()
+            schema = expander.build_schema(n, 2, seed=args.seed + 300 + t)
+            builds.append(time.perf_counter() - start)
+        partition = schema.layers[0].partition
+        coords = RandomSource(args.seed + exp).choice_without_replacement(n, 32)
+        lookups = []
+        for _ in range(50):
+            start = time.perf_counter()
+            partition.parts_of(coords)
+            lookups.append(time.perf_counter() - start)
+        print(
+            f"{n:>8} {schema.name_bits:>10} {np.median(builds) * 1e3:>10.2f}"
+            f" {np.median(lookups) * 1e6:>16.1f}"
+        )
 
 
 if __name__ == "__main__":

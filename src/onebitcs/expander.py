@@ -7,6 +7,14 @@ expander graph.  Heavy names are recovered per layer with the count-sketch
 decoder, re-checked with a point-query sketch, and then stitched back into
 coordinates by linking mutually consistent names across layers and decoding
 each connected component's chunks.
+
+A layer keeps every coordinate's name packed into uint64 words (one word up
+to 64 name bits, two from n = 2^17) and the sorted distinct names as its
+keys.  A part is a distinct name, numbered by its rank among the keys, so a
+build is the names plus one sort, and finding a coordinate's part is a
+search of its name in the keys.  Decoding unpacks the name fields of the
+parts it finds only.  The codeword table the names draw their chunks from
+depends on n alone and is shared by every build at that n.
 """
 
 from __future__ import annotations
@@ -45,16 +53,16 @@ def circulant_neighbors(s: int, degree: int) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class LayerSchema:
+    # one part per distinct packed name; its sorted keys are the name table
     partition: ps.PartitionFamily
-    # one packed name per part, sorted, so a part's label is its key's rank
-    keys: np.ndarray
     widths: tuple[int, ...]  # bit width of each name field, own hash first
     heavy_schema: ps.PointQuerySchema  # count-sketch mode
     check_schema: ps.PointQuerySchema  # point-query mode
 
     def names_of(self, parts) -> np.ndarray:
         """(len(parts), 2 + degree) name fields of the given parts."""
-        return _unpack_keys(self.keys[np.asarray(parts, dtype=np.int64)], self.widths)
+        keys = self.partition.keys.take(np.asarray(parts, dtype=np.int64), axis=1)
+        return _unpack_keys(keys, self.widths)
 
     @property
     def names(self) -> np.ndarray:
@@ -150,66 +158,23 @@ def _word_fields(widths) -> list[range]:
 
 
 def _pack_rows(columns, widths) -> np.ndarray:
-    """Pack columns of small nonnegative integers into one comparable key per row.
-
-    Keys sort in the lexicographic order of the columns.  When the packed
-    width exceeds 64 bits the key is a record of uint64 words instead, each
-    holding a run of fields (see ``_word_fields``).
-    """
-    words = []
-    for fields in _word_fields(widths):
-        out = np.zeros(len(columns[0]), dtype=np.uint64)
-        for i in fields:
-            out <<= np.uint64(widths[i])
-            out |= np.asarray(columns[i], dtype=np.int64).view(np.uint64)
-        words.append(out)
-    if len(words) == 1:
-        return words[0]
-    rec = np.empty(words[0].size, dtype=[(f"w{i}", np.uint64) for i in range(len(words))])
-    for name, word in zip(rec.dtype.names, words):
-        rec[name] = word
-    return rec
-
-
-def _rank_keys(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(sorted distinct keys, rank of each row's key among them).
-
-    Record keys are ordered by an ``np.argsort`` of their first word, and
-    only the rows whose first word is tied are ordered by all words with
-    ``np.lexsort``; both sort uint64 arrays, where ``np.unique`` would
-    compare the records generically.
-    """
-    if not packed.dtype.names:
-        return np.unique(packed, return_inverse=True)
-    words = [packed[name] for name in packed.dtype.names]
-    order = np.argsort(words[0])
-    first = words[0].take(order)
-    same = first[1:] == first[:-1]  # sorted neighbours tied in every word so far
-    ranks = np.empty(order.size, dtype=np.intp)
-    if not same.any():
-        # distinct first words: each key is distinct, ranked by its position
-        ranks[order] = np.arange(order.size)
-        return packed.take(order), ranks
-    tied = np.zeros(order.size, dtype=bool)
-    tied[1:] |= same
-    tied[:-1] |= same
-    # tied rows form runs in first-word order; sorting them by all words
-    # keeps the runs in place and orders each run by the later words
-    sub = order[tied]
-    order[tied] = sub[np.lexsort([word[sub] for word in words[::-1]])]
-    for word in words[1:]:
-        ordered = word.take(order)
-        same &= ordered[1:] == ordered[:-1]
-    new = np.concatenate(([True], ~same))
-    ranks[order] = np.cumsum(new) - 1
-    return packed.take(order[new]), ranks
+    """Pack columns of small nonnegative integers into one comparable name per
+    row: a (words, rows) uint64 array, each word holding a run of fields
+    (see ``_word_fields``), so names compare word by word in the
+    lexicographic order of the columns."""
+    fields = _word_fields(widths)
+    out = np.zeros((len(fields), len(columns[0])), dtype=np.uint64)
+    for word, cols in zip(out, fields):
+        for i in cols:
+            word <<= np.uint64(widths[i])
+            word |= np.asarray(columns[i], dtype=np.int64).view(np.uint64)
+    return out
 
 
 def _unpack_keys(keys: np.ndarray, widths) -> np.ndarray:
-    """Inverse of ``_pack_rows``: one int64 row of fields per key."""
-    words = [keys[name] for name in keys.dtype.names] if keys.dtype.names else [keys]
-    fields = np.empty((keys.size, len(widths)), dtype=np.int64)
-    for word, cols in zip(words, _word_fields(widths)):
+    """Inverse of ``_pack_rows``: one int64 row of fields per name column."""
+    fields = np.empty((keys.shape[1], len(widths)), dtype=np.int64)
+    for word, cols in zip(keys, _word_fields(widths)):
         shift = 0
         for col in reversed(cols):
             fields[:, col] = (word >> np.uint64(shift)) & np.uint64((1 << widths[col]) - 1)
@@ -250,7 +215,7 @@ def build_schema(
     h_range = max(16, math.ceil(math.log2(n)) ** 3)
 
     own_hash = _hash_fields(seed, n, s, h_range)
-    codewords = code.encode_many(np.arange(n))  # (n, s)
+    codewords = code.codeword_table(n)  # (n, s), shared by every build at this n
 
     heavy_delta = float((1 << code.t)) ** -2
     check_delta = min(0.5, float(math.ceil(math.log2(n))) ** -2)
@@ -260,8 +225,7 @@ def build_schema(
     layers = []
     for j in range(s):
         columns = [own_hash[j], codewords[:, j]] + [own_hash[nb] for nb in neighbors[j]]
-        keys, labels = _rank_keys(_pack_rows(columns, widths))
-        partition = ps.PartitionFamily(n=n, size=int(keys.size), labels=labels)
+        partition = ps.PartitionFamily.from_names(_pack_rows(columns, widths))
         heavy_schema = ps.build_schema(
             partition, k, heavy_delta,
             seed=int(derive_key(seed, 400 + j)), constants=constants,
@@ -273,7 +237,6 @@ def build_schema(
         layers.append(
             LayerSchema(
                 partition=partition,
-                keys=keys,
                 widths=widths,
                 heavy_schema=heavy_schema,
                 check_schema=check_schema,

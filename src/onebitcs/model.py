@@ -105,6 +105,8 @@ class SparseEstimate:
         val = np.asarray(self.values, dtype=np.float64)
         if idx.shape != val.shape or idx.ndim != 1:
             raise ValueError("indices and values must be matching 1-D arrays")
+        if idx.size and idx.min() < 0:
+            raise ValueError("estimate indices must be nonnegative")
         if idx.size != np.unique(idx).size:
             raise ValueError("estimate indices must be distinct")
         if idx.size > self.sparsity_bound:

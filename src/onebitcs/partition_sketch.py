@@ -54,22 +54,30 @@ class AnalysisMarginWarning(RuntimeWarning):
 
 @dataclass(frozen=True)
 class PartitionFamily:
-    """A partition of [n] into ``size`` parts.
+    """A partition of [n] into ``size`` parts, stored in one of three ways:
 
-    Stored either as an explicit per-coordinate label array or, for interval
-    partitions, as the sorted array of interval start positions.
+    - ``labels``: an explicit per-coordinate part index;
+    - ``starts``: for interval partitions, the sorted interval start positions;
+    - ``names`` with ``keys``: each coordinate's packed name, a (words, n)
+      uint64 array whose columns compare word by word, and the (words, size)
+      sorted distinct names.  A coordinate's part is its name's rank among
+      the keys; ``from_names`` sorts the keys.
     """
 
     n: int
     size: int
     labels: np.ndarray | None = None
     starts: np.ndarray | None = None
+    names: np.ndarray | None = None
+    keys: np.ndarray | None = None
 
     def __post_init__(self):
         if self.n < 1 or self.size < 1:
             raise ValueError("partition needs n >= 1 and at least one part")
-        if (self.labels is None) == (self.starts is None):
-            raise ValueError("exactly one of labels/starts must be given")
+        if sum(a is not None for a in (self.labels, self.starts, self.names)) != 1:
+            raise ValueError("exactly one of labels/starts/names must be given")
+        if (self.names is None) != (self.keys is None):
+            raise ValueError("names and keys must be given together")
         if self.labels is not None:
             lab = np.asarray(self.labels, dtype=np.int64)
             if lab.shape != (self.n,):
@@ -77,13 +85,21 @@ class PartitionFamily:
             if lab.min() < 0 or lab.max() >= self.size:
                 raise ValueError("part label out of range")
             object.__setattr__(self, "labels", lab)
-        else:
+        elif self.starts is not None:
             st = np.asarray(self.starts, dtype=np.int64)
             if st.size != self.size or st[0] != 0 or np.any(np.diff(st) <= 0):
                 raise ValueError("starts must begin at 0 and strictly increase")
             if st[-1] >= self.n:
                 raise ValueError("interval start beyond signal length")
             object.__setattr__(self, "starts", st)
+        else:
+            names, keys = self.names, self.keys
+            words = names.shape[0] if names.ndim == 2 else 0
+            if (
+                names.dtype != np.uint64 or keys.dtype != np.uint64
+                or names.shape != (words, self.n) or keys.shape != (words, self.size)
+            ):
+                raise ValueError("names must be a (words, n) and keys a (words, size) uint64 array")
 
     @classmethod
     def contiguous(cls, n: int, parts: int) -> "PartitionFamily":
@@ -97,12 +113,85 @@ class PartitionFamily:
         lab = np.asarray(labels, dtype=np.int64)
         return cls(n=lab.size, size=int(lab.max()) + 1 if lab.size else 1, labels=lab)
 
+    @classmethod
+    def from_names(cls, names: np.ndarray) -> "PartitionFamily":
+        """One part per distinct name of a (words, n) uint64 array."""
+        keys = _sorted_distinct(names)
+        return cls(n=names.shape[1], size=keys.shape[1], names=names, keys=keys)
+
     def parts_of(self, coords) -> np.ndarray:
-        """Part index of each coordinate (vectorized)."""
+        """Part index of each coordinate (vectorized); a coordinate outside
+        [0, n) raises ``ValueError``."""
         coords = np.asarray(coords, dtype=np.int64)
+        if coords.size and (coords.min() < 0 or coords.max() >= self.n):
+            raise ValueError(f"coordinate out of range [0, {self.n})")
         if self.labels is not None:
             return self.labels[coords]
+        if self.names is not None:
+            flat = coords.ravel()
+            return _key_ranks(self.keys, self.names.take(flat, axis=1)).reshape(coords.shape)
         return np.searchsorted(self.starts, coords, side="right") - 1
+
+
+def _sorted_distinct(words: np.ndarray) -> np.ndarray:
+    """The distinct columns of a (words, m) uint64 array, in word-by-word order.
+
+    One word is sorted with ``np.sort``.  Wider columns are ordered by an
+    argsort of their first word, and only the columns whose first word is
+    tied are ordered by all words with ``np.lexsort``: every sort runs on
+    uint64 arrays, never on records, whose generic compares are slow.
+    """
+    if words.shape[0] == 1:
+        ordered = np.sort(words[0])
+        return ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))][None, :]
+    order = np.argsort(words[0])
+    first = words[0].take(order)
+    same = first[1:] == first[:-1]  # sorted neighbours tied in every word so far
+    if same.any():
+        tied = np.zeros(order.size, dtype=bool)
+        tied[1:] |= same
+        tied[:-1] |= same
+        # tied columns form runs in first-word order; sorting them by all
+        # words keeps the runs in place and orders each run by the later words
+        sub = order[tied]
+        order[tied] = sub[np.lexsort(words[::-1, sub])]
+        for word in words[1:]:
+            ordered = word.take(order)
+            same &= ordered[1:] == ordered[:-1]
+    return words.take(order[np.concatenate(([True], ~same))], axis=1)
+
+
+def _key_ranks(keys: np.ndarray, needles: np.ndarray) -> np.ndarray:
+    """Rank of each needle column among the sorted distinct key columns;
+    every needle must equal a key.
+
+    The needles' first words are sorted for one ``searchsorted`` over the
+    keys' first word, and the ranks scattered back.  A needle whose first
+    word several keys share is then placed by all words: it and the keys of
+    the tied runs are lexsorted together, each key before the needles equal
+    to it, and the needle takes the rank of the last key at or before it.
+    """
+    first = keys[0]
+    order = np.argsort(needles[0])
+    ranks = np.empty(order.size, dtype=np.intp)
+    ranks[order] = np.searchsorted(first, needles[0].take(order))
+    if keys.shape[0] == 1:
+        return ranks
+    # searchsorted found the first key of the needle's first-word run; the
+    # run is tied when the next key shares that word
+    after = np.minimum(ranks + 1, first.size - 1)
+    pending = np.flatnonzero((ranks + 1 < first.size) & (first[after] == needles[0]))
+    if pending.size == 0:
+        return ranks
+    run = first[1:] == first[:-1]
+    pool = np.flatnonzero(np.concatenate(([False], run)) | np.concatenate((run, [False])))
+    both = np.concatenate([keys.take(pool, axis=1), needles.take(pending, axis=1)], axis=1)
+    is_needle = np.arange(both.shape[1]) >= pool.size
+    merged = np.lexsort([is_needle, *both[::-1]])
+    last_key = np.cumsum(~is_needle[merged]) - 1  # index into pool
+    hit = is_needle[merged]
+    ranks[pending[merged[hit] - pool.size]] = pool[last_key[hit]]
+    return ranks
 
 
 @dataclass(frozen=True)

@@ -223,6 +223,11 @@ class ChunkCode:
             parity ^= gf.mul(data[:, m : m + 1], basis[m][None, :])
         return np.concatenate([data, parity], axis=1)
 
+    def codeword_table(self, n: int) -> np.ndarray:
+        """Read-only (n, length) uint16 codewords of identifiers 0..n-1,
+        computed once per (code, n) and shared by every caller."""
+        return _codeword_table(self, n)
+
     def decode(self, symbols, erasures=()) -> int | None:
         """Recover the identifier, or None when beyond the correction budget.
 
@@ -301,6 +306,13 @@ class ChunkCode:
         if any(self._syndromes(out)):
             return None
         return out
+
+
+@lru_cache(maxsize=4)
+def _codeword_table(code: ChunkCode, n: int) -> np.ndarray:
+    table = code.encode_many(np.arange(n)).astype(np.uint16)  # t <= 16
+    table.flags.writeable = False
+    return table
 
 
 @lru_cache(maxsize=None)

@@ -98,8 +98,9 @@ class TestNames:
     def test_pack_rows_wide_fallback(self):
         fields = np.array([[1, 2, 3], [1, 2, 3], [4, 5, 6]])
         packed = expander._pack_rows(fields.T, [40, 40, 40])
-        uniq, inv = np.unique(packed, return_inverse=True)
-        assert inv[0] == inv[1] != inv[2]
+        assert packed.shape == (3, 3) and packed.dtype == np.uint64
+        assert np.array_equal(packed[:, 0], packed[:, 1])
+        assert not np.array_equal(packed[:, 0], packed[:, 2])
 
 
 @pytest.fixture(scope="module")
@@ -114,11 +115,23 @@ class TestNameKeys:
     @pytest.mark.parametrize("n", [1 << 10, 1 << 16, 1 << 17])
     def test_keys_match_name_table_oracle(self, n, wide_schema):
         schema = wide_schema if n == wide_schema.n else expander.build_schema(n, 2, seed=12)
+        rng = np.random.default_rng(n)
+        subset = rng.integers(0, n, size=400)
+        subset = rng.permutation(np.concatenate([subset, subset[:100]]))  # unsorted, repeats
         for j, layer in enumerate(schema.layers):
             labels, names = layer_name_table(schema, j)
-            assert np.array_equal(layer.partition.labels, labels)
+            assert np.array_equal(layer.partition.parts_of(np.arange(n)), labels)
+            assert np.array_equal(layer.partition.parts_of(subset), labels[subset])
+            assert layer.partition.parts_of(np.empty(0, dtype=np.int64)).size == 0
             assert np.array_equal(layer.names, names)
             assert layer.names.dtype == names.dtype
+
+    def test_layer_parts_of_rejects_out_of_range(self):
+        schema = expander.build_schema(1 << 10, 2, seed=12)
+        partition = schema.layers[0].partition
+        for bad in ([-1], [schema.n], [0, schema.n + 5]):
+            with pytest.raises(ValueError, match="out of range"):
+                partition.parts_of(bad)
 
     def test_make_name_matches_wide_keys(self, wide_schema):
         probe = RandomSource(13).choice_without_replacement(wide_schema.n, 200)
@@ -137,17 +150,21 @@ class TestNameKeys:
             ((13, 8, 13, 13, 13, 13), 1 << 8),  # two words, keys distinct
         ],
     )
-    def test_rank_keys_matches_unique_on_records(self, widths, high):
+    def test_name_partition_matches_unique_on_records(self, widths, high):
         rng = np.random.default_rng(len(widths) + high)
         fields = rng.integers(0, high, size=(3000, len(widths)))
         if high == 1 << 8:
             fields[:, 0] = rng.permutation(3000)
         records = np.ascontiguousarray(fields).view([("", np.int64)] * len(widths)).reshape(-1)
         want_keys, want_ranks = np.unique(records, return_inverse=True)
-        keys, ranks = expander._rank_keys(expander._pack_rows(fields.T, widths))
-        assert np.array_equal(ranks, want_ranks)
+        partition = ps.PartitionFamily.from_names(expander._pack_rows(fields.T, widths))
+        assert partition.size == want_keys.size
+        assert np.array_equal(partition.parts_of(np.arange(3000)), want_ranks)
+        subset = rng.integers(0, 3000, size=400)
+        assert np.array_equal(partition.parts_of(subset), want_ranks[subset])
         assert np.array_equal(
-            expander._unpack_keys(keys, widths), want_keys.view(np.int64).reshape(-1, len(widths))
+            expander._unpack_keys(partition.keys, widths),
+            want_keys.view(np.int64).reshape(-1, len(widths)),
         )
 
 

@@ -133,6 +133,10 @@ class TestSparseEstimate:
         with pytest.raises(ValueError):
             SparseEstimate(np.array([1, 1]), np.array([0.5, 0.25]), 4)
 
+    def test_rejects_negative_index(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            SparseEstimate(np.array([-1, 2]), np.array([0.5, 0.25]), 4)
+
     def test_rejects_overfull(self):
         with pytest.raises(ValueError):
             SparseEstimate(np.array([0, 1, 2]), np.zeros(3), 2)

@@ -92,6 +92,30 @@ class TestPartitionFamily:
         with pytest.raises(ValueError):
             ps.PartitionFamily(n=4, size=2, starts=np.array([1, 2]))
 
+    def test_interval_parts_of_rejects_out_of_range(self):
+        part = ps.PartitionFamily.contiguous(10, 4)
+        with pytest.raises(ValueError, match="out of range"):
+            part.parts_of([-1, 99])
+
+    def test_label_parts_of_rejects_out_of_range(self):
+        part = ps.PartitionFamily.from_labels([0, 2, 1, 2])
+        with pytest.raises(ValueError, match="out of range"):
+            part.parts_of([4])
+
+    def test_names_rank_among_keys(self):
+        names = np.array([[9, 3, 9, 7, 3]], dtype=np.uint64)
+        part = ps.PartitionFamily.from_names(names)
+        assert part.size == 3 and part.keys.tolist() == [[3, 7, 9]]
+        assert part.parts_of(np.arange(5)).tolist() == [2, 0, 2, 1, 0]
+        assert part.parts_of([[4, 0], [3, 3]]).tolist() == [[0, 2], [1, 1]]
+
+    def test_rejects_names_without_keys(self):
+        names = np.zeros((1, 4), dtype=np.uint64)
+        with pytest.raises(ValueError, match="together"):
+            ps.PartitionFamily(n=4, size=1, names=names)
+        with pytest.raises(ValueError, match="uint64"):
+            ps.PartitionFamily(n=4, size=1, names=names, keys=np.zeros((2, 1), dtype=np.uint64))
+
 
 class TestMeasure:
     def test_zero_signal_all_plus_one(self):

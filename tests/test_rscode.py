@@ -63,6 +63,19 @@ class TestChunkCode:
         for i in range(1 << 12):
             assert code.decode(words[i]) == i
 
+    def test_codeword_table_is_shared_and_read_only(self):
+        code = ChunkCode.for_error_fraction(message_bits=12, length=4, e0=0.25)
+        table = code.codeword_table(3000)
+        assert table.dtype == np.uint16 and not table.flags.writeable
+        assert np.array_equal(table, code.encode_many(np.arange(3000)))
+        assert code.codeword_table(3000) is table
+        # an equal code shares the table; another n gets its own
+        twin = ChunkCode.for_error_fraction(message_bits=12, length=4, e0=0.25)
+        assert twin.codeword_table(3000) is table
+        assert code.codeword_table(2000).shape == (2000, 4)
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+
     def test_encode_many_matches_encode(self):
         code = ChunkCode.for_error_fraction(message_bits=16, length=4, e0=0.25)
         vals = np.array([0, 1, 77, 65535])
