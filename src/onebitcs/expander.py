@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import partition_sketch as ps
+from .model import signal_nonzeros
 from .prf import derive_key, uniform_index
 from .rscode import ChunkCode
 
@@ -264,13 +265,19 @@ def make_name(schema: ExpanderSchema, i, layer: int) -> np.ndarray:
 
 
 def measure(schema: ExpanderSchema, x) -> tuple[LayerBits, ...]:
-    return tuple(
-        LayerBits(
-            heavy=ps.measure(layer.heavy_schema, x),
-            check=ps.measure(layer.check_schema, x),
-        )
-        for layer in schema.layers
-    )
+    return _measure(schema, *signal_nonzeros(x, schema.n))
+
+
+def _measure(schema: ExpanderSchema, nz, vals) -> tuple[LayerBits, ...]:
+    """``measure`` of the signal whose nonzeros ``vals`` sit at ``nz``: each
+    layer finds the parts of the nonzeros once, for both of its sketches."""
+    out = []
+    for layer in schema.layers:
+        parts = [layer.partition.parts_of(nz)]
+        heavy, check = (ps._measure((s,), nz, vals, parts)[0]
+                        for s in (layer.heavy_schema, layer.check_schema))
+        out.append(LayerBits(heavy=heavy, check=check))
+    return tuple(out)
 
 
 def layer_decode(

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import expander
 from . import partition_sketch as ps
+from .model import signal_nonzeros
 from .prf import derive_key, uniform_index
 
 
@@ -86,26 +87,17 @@ def build_schema(
     )
 
 
-def bucket_split(schema: HeavyHitterSchema, x) -> list[np.ndarray]:
-    """Per-bucket sub-signals in original coordinates; they sum to x."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (schema.n,):
-        raise ValueError(f"signal shape {x.shape} does not match n={schema.n}")
-    if schema.buckets == 1:
-        return [x.copy()]
-    out = []
-    for j in range(schema.buckets):
-        sub = np.zeros_like(x)
-        mask = schema.bucket_of == j
-        sub[mask] = x[mask]
-        out.append(sub)
-    return out
-
-
 def measure(schema: HeavyHitterSchema, x) -> list[tuple[expander.LayerBits, ...]]:
+    return _measure(schema, *signal_nonzeros(x, schema.n))
+
+
+def _measure(schema: HeavyHitterSchema, nz, vals) -> list[tuple[expander.LayerBits, ...]]:
+    """``measure`` of the signal whose nonzeros ``vals`` sit at ``nz``: each
+    bucket's sketch measures the nonzeros hashed to that bucket."""
+    bucket = np.zeros_like(nz) if schema.bucket_of is None else schema.bucket_of[nz]
     return [
-        expander.measure(sub_schema, sub_signal)
-        for sub_schema, sub_signal in zip(schema.sub_schemas, bucket_split(schema, x))
+        expander._measure(sub_schema, nz[bucket == j], vals[bucket == j])
+        for j, sub_schema in enumerate(schema.sub_schemas)
     ]
 
 

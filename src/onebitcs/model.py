@@ -37,6 +37,16 @@ def as_signal(x) -> np.ndarray:
     return arr
 
 
+def signal_nonzeros(x, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a signal of length n; its nonzero coordinates, ascending, and
+    their values: the one scan of x each measure takes and hands down."""
+    x = as_signal(x)
+    if x.shape != (n,):
+        raise ValueError(f"signal shape {x.shape} does not match n={n}")
+    nz = np.flatnonzero(x)
+    return nz, x[nz]
+
+
 @dataclass(frozen=True)
 class TailStats:
     """Energy outside the k largest entries, and the heavy-hitter set."""

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.stats import norm
 
 from . import prf
-from .model import as_signal
+from .model import signal_nonzeros
 from .prf import U64, derive_key, fold, standard_normal
 
 # probability mass pinned by the two-sided gaussian clipping constants:
@@ -41,7 +41,10 @@ SLICE_BITS = 20
 MAX_BUCKETS = 1 << SLICE_BITS
 _BUCKET_SHIFTS = np.array([0, SLICE_BITS, 2 * SLICE_BITS], dtype=np.uint64)[:, None]
 _SIGN_SHIFTS = np.arange(3, dtype=np.int8)[:, None]  # sign s is bit 60 + s
-_ZERO_PAIR = np.ones(2, dtype=np.int8).view(np.int16)[0]  # bits (+1, +1): z == 0
+# one int16 per (sign(z), sign(-z)) bit pair; an overflowed z (NaN) reads (-1, -1)
+_ZERO_PAIR, _PLUS_PAIR, _MINUS_PAIR, _NAN_PAIR = np.array(
+    [1, 1, 1, -1, -1, 1, -1, -1], dtype=np.int8
+).view(np.int16)
 
 
 class AnalysisMarginWarning(RuntimeWarning):
@@ -340,12 +343,18 @@ def _row_hashes(schema: PointQuerySchema, reps, parts) -> tuple[np.ndarray, np.n
 
 
 def _check_bits(schema: PointQuerySchema, sketch: SketchBits):
-    """Decoders read bits by the schema's layout; any other shape is malformed."""
+    """Decoders read bits by the schema's layout; any other shape is malformed,
+    and so is a bit other than +-1 or a (-1, -1) pair.  Reductions only, no
+    temporaries: with every bit +-1, a pair read as uint16 is 0xFFFF exactly
+    when it is (-1, -1)."""
+    bits = sketch.bits
     expected = (schema.reps, 3, schema.buckets, 2)
-    if sketch.bits.shape != expected:
-        raise ValueError(
-            f"bit tensor shape {sketch.bits.shape} does not match the schema's {expected}"
-        )
+    if bits.shape != expected:
+        raise ValueError(f"bit tensor shape {bits.shape} does not match the schema's {expected}")
+    if bits.min() < -1 or bits.max() > 1 or np.count_nonzero(bits) != bits.size:
+        raise ValueError("bit tensor holds a value other than +1 or -1")
+    if np.ascontiguousarray(bits).view(np.uint16).max() == 0xFFFF:
+        raise ValueError("bit tensor holds a (-1, -1) pair, which no measurement produces")
 
 
 def _bucket_bits(
@@ -404,23 +413,27 @@ def measure_nested(schemas, x) -> list[SketchBits]:
     over the nonzeros of x per repetition forms the finest level's part sums;
     each coarser level sums the occupied children of its parts.  The
     underlying real measurements exist only transiently.  sign(0) = +1, so
-    empty buckets produce (+1, +1) pairs.  Repetitions are processed in
-    blocks of about ``prf.BLOCK_WORDS`` gaussian entries (at least one
-    repetition each), run through ``prf.map_blocks``; the bits depend on
-    neither the block size nor the thread count.
+    rows start as (+1, +1) pairs and only rows with z != 0 are written.
+    Repetitions are processed in blocks of about ``prf.BLOCK_WORDS`` gaussian
+    entries (at least one repetition each), run through ``prf.map_blocks``;
+    the bits depend on neither the block size nor the thread count.
     """
     schemas = tuple(schemas)
     _check_nested(schemas)
-    n, reps = schemas[0].n, schemas[0].reps
-    x = as_signal(x)
-    if x.shape != (n,):
-        raise ValueError(f"signal shape {x.shape} does not match n={n}")
+    nz, vals = signal_nonzeros(x, schemas[0].n)
+    return _measure(schemas, nz, vals, [s.partition.parts_of(nz) for s in schemas])
+
+
+def _measure(schemas, nz, vals, labels) -> list[SketchBits]:
+    """``measure_nested`` of the nonzeros ``vals`` at ascending ``nz``, in parts
+    ``labels[level]``.  A block with fewer (repetition, sub-iteration, part)
+    entries than rows sums z over the rows it touches only, a denser one over
+    every row; each row adds its entries in the same order either way."""
+    reps = schemas[0].reps
     bits = [np.ones((reps, 3, s.buckets, 2), dtype=np.int8) for s in schemas]
-    nz = np.nonzero(x)[0]
     if nz.size == 0:
         return [SketchBits(bits=b) for b in bits]
-    vals = x[nz]
-    labels = [s.partition.parts_of(nz) for s in schemas]
+    pairs = [b.view(np.int16).reshape(-1) for b in bits]
     finest, inverse = np.unique(labels[-1], return_inverse=True)
     n_occ = finest.size
     rep = np.empty(n_occ, dtype=np.int64)  # a nonzero in each occupied finest part
@@ -438,7 +451,7 @@ def measure_nested(schemas, x) -> list[SketchBits]:
         runs.append(run)
     # each coarser level's run starts, as positions in the next finer level's
     children = [np.searchsorted(fine, coarse) for coarse, fine in zip(runs, runs[1:])]
-    block = max(1, prf.BLOCK_WORDS // nz.size)
+    block = min(reps, max(1, prf.BLOCK_WORDS // nz.size))
     # flat (repetition, part) and (repetition, sub-iteration) offsets of a
     # full block; a shorter last block uses their prefixes
     flat_part = (np.arange(block)[:, None] * n_occ + rank[inverse][None, :]).ravel()
@@ -455,14 +468,20 @@ def measure_nested(schemas, x) -> list[SketchBits]:
         for level in reversed(range(len(schemas))):
             if level < len(children):
                 part_sums = np.add.reduceat(part_sums, children[level], axis=2)
-            schema, buckets = schemas[level], schemas[level].buckets
+            schema, rows = schemas[level], nb * 3 * schemas[level].buckets
             bucket, sign = _row_hashes(schema, rr, occupied[level])
             bucket += row_offsets[level][:nb]
-            z = np.bincount(
-                bucket.ravel(), weights=(sign * part_sums).ravel(), minlength=nb * 3 * buckets
-            ).reshape(nb, 3, buckets)
-            bits[level][r0 : r0 + nb, :, :, 0] = np.where(z >= 0, 1, -1)
-            bits[level][r0 : r0 + nb, :, :, 1] = np.where(-z >= 0, 1, -1)
+            touched = bucket.ravel()
+            if touched.size < rows:
+                touched, row_of = np.unique(touched, return_inverse=True)
+            else:
+                touched, row_of = np.arange(rows), touched
+            z = np.bincount(row_of, weights=(sign * part_sums).ravel(), minlength=touched.size)
+            hit = np.flatnonzero(z)
+            z = z[hit]
+            pairs[level][r0 * 3 * schema.buckets + touched[hit]] = np.where(
+                z > 0, _PLUS_PAIR, np.where(z < 0, _MINUS_PAIR, _NAN_PAIR)
+            )
 
     prf.map_blocks(measure_block, range(0, reps, block))
     return [SketchBits(bits=b) for b in bits]

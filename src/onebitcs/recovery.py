@@ -24,7 +24,7 @@ import numpy as np
 from . import heavy_hitters as hh
 from . import partition_sketch as ps
 from . import prf
-from .model import SparseEstimate, as_signal
+from .model import SparseEstimate, signal_nonzeros
 from .prf import derive_key, fold, standard_normal
 
 
@@ -68,11 +68,11 @@ def sign_measure(schema: GaussianSchema, x) -> np.ndarray:
     The row dots use ``np.einsum``, not BLAS: a BLAS call inside a block
     would wake BLAS's own threads, which then compete with the block threads.
     """
-    x = as_signal(x)
-    if x.shape != (schema.n,):
-        raise ValueError(f"signal shape {x.shape} does not match n={schema.n}")
-    nz = np.nonzero(x)[0]
-    vals = x[nz]
+    return _sign_measure(schema, *signal_nonzeros(x, schema.n))
+
+
+def _sign_measure(schema: GaussianSchema, nz, vals) -> np.ndarray:
+    """``sign_measure`` of the signal whose nonzeros ``vals`` sit at ``nz``."""
     y = np.empty(schema.rows, dtype=np.int8)
     step = max(1, prf.BLOCK_WORDS // max(nz.size, 1))
 
@@ -94,6 +94,8 @@ def correlation(schema: GaussianSchema, y, support) -> np.ndarray:
     if y.shape != (schema.rows,):
         raise ValueError("measurement length mismatch")
     support = np.asarray(support, dtype=np.int64)
+    if support.size and (support.min() < 0 or support.max() >= schema.n):
+        raise ValueError(f"support column out of range [0, {schema.n})")
     rows = np.arange(schema.rows)
     step = max(1, prf.BLOCK_WORDS // schema.rows)
     c = np.empty(support.size)
@@ -116,6 +118,8 @@ def solve_l1l2(c, l1_bound: float) -> np.ndarray:
     c = np.asarray(c, dtype=np.float64)
     if c.ndim != 1 or c.size == 0:
         raise ValueError("correlation vector must be 1-D and nonempty")
+    if not np.all(np.isfinite(c)):
+        raise ValueError("correlation vector has non-finite entries")
     if l1_bound <= 0:
         raise ValueError("l1 bound must be positive")
     norm2 = float(np.linalg.norm(c))
@@ -218,9 +222,10 @@ def build_pipeline(
 
 
 def measure(schema: PipelineSchema, x) -> PipelineBits:
+    nz, vals = signal_nonzeros(x, schema.n)
     return PipelineBits(
-        support_bits=hh.measure(schema.support_schema, x),
-        sign_bits=sign_measure(schema.gauss_schema, x),
+        support_bits=hh._measure(schema.support_schema, nz, vals),
+        sign_bits=_sign_measure(schema.gauss_schema, nz, vals),
     )
 
 
@@ -228,6 +233,10 @@ def decode(
     schema: PipelineSchema, bits: PipelineBits, prefilter_reps: int = 8
 ) -> tuple[SparseEstimate, PipelineDiagnostics]:
     """Support from the sketch block, values from the gaussian block."""
+    y = bits.sign_bits
+    if not (isinstance(y, np.ndarray) and y.dtype == np.int8
+            and y.shape == (schema.gauss_rows,) and np.all(np.abs(y) == 1)):
+        raise ValueError(f"sign bits must be {schema.gauss_rows} int8 values of +1 or -1")
     support, _, diags = hh.decode(
         schema.support_schema, bits.support_bits, prefilter_reps
     )

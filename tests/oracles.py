@@ -6,11 +6,19 @@ reproduced by projected ascent and by Lagrangian duality, and instances are
 constructed directly from their defining property.
 """
 
+import functools
 import math
+import warnings
 
 import numpy as np
 
-from onebitcs.partition_sketch import PartitionFamily, SketchConstants, build_schema, measure
+from onebitcs.partition_sketch import (
+    AnalysisMarginWarning,
+    PartitionFamily,
+    SketchConstants,
+    build_schema,
+    measure,
+)
 from onebitcs.prf import RandomSource, derive_key, fold, standard_normal, uniform_index
 
 
@@ -203,6 +211,84 @@ def btree_measure_per_level(schema, x):
     gaussians with its own key: the encoder of the b-tree before its levels
     shared one draw.  Files it wrote are still ``onebitcs-bits v2``."""
     return [measure(level.schema, x) for level in schema.levels]
+
+
+def bucket_split(schema, x):
+    """Per-bucket dense sub-signals of a heavy-hitter schema, in original
+    coordinates; they sum to x."""
+    x = np.asarray(x, dtype=np.float64)
+    if schema.buckets == 1:
+        return [x.copy()]
+    out = []
+    for j in range(schema.buckets):
+        sub = np.zeros_like(x)
+        mask = schema.bucket_of == j
+        sub[mask] = x[mask]
+        out.append(sub)
+    return out
+
+
+def expander_measure_per_sketch(schema, x):
+    """Layered-sketch bits with every sketch measuring the dense signal on
+    its own through ``partition_sketch.measure``."""
+    from onebitcs.expander import LayerBits
+
+    return tuple(
+        LayerBits(heavy=measure(layer.heavy_schema, x), check=measure(layer.check_schema, x))
+        for layer in schema.layers
+    )
+
+
+def heavy_hitters_measure_per_bucket(schema, x):
+    """Heavy-hitter bits from each bucket's dense sub-signal, measured
+    sketch by sketch."""
+    return [
+        expander_measure_per_sketch(sub_schema, sub_signal)
+        for sub_schema, sub_signal in zip(schema.sub_schemas, bucket_split(schema, x))
+    ]
+
+
+@functools.lru_cache(maxsize=None)
+def two_bucket_pipeline(n=1 << 10, k=20, seed=5):
+    """A pipeline whose support block hashes into two buckets (k >= log2(n))."""
+    from onebitcs import recovery
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AnalysisMarginWarning)
+        return recovery.build_pipeline(n, k, 0.25, seed=seed, gauss_rows=200)
+
+
+def spikes(n, coords, seed=1):
+    """Gaussian values at ``coords``, zero elsewhere."""
+    x = np.zeros(n)
+    x[coords] = RandomSource(seed).gaussian(np.arange(len(coords)))
+    return x
+
+
+MEASURE_CASES = ("zero", "one-nonzero", "one-bucket", "negative-zero", "dense-tail")
+
+
+def measure_signal(case, schema):
+    """One of ``MEASURE_CASES`` for a two-bucket pipeline schema of n >= 2^10."""
+    n = schema.n
+    if case == "zero":
+        return np.zeros(n)
+    if case == "one-nonzero":
+        return spikes(n, [n // 3])
+    if case == "one-bucket":
+        # every nonzero in bucket 0, so bucket 1 measures nothing
+        return spikes(n, np.flatnonzero(schema.support_schema.bucket_of == 0)[:12])
+    if case == "negative-zero":
+        x = spikes(n, [5, 700, 901])
+        x[[6, 44, 1000]] = -0.0
+        return x
+    if case == "dense-tail":
+        src = RandomSource(9)
+        x = src.gaussian(np.arange(n))
+        x *= 0.3 / np.linalg.norm(x)
+        x[src.indices(np.arange(8), n)] += 1.0
+        return x
+    raise KeyError(case)
 
 
 def children_loop(schema, level, parts):

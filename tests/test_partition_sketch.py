@@ -124,11 +124,18 @@ class TestMeasure:
         bits = ps.measure(schema, np.zeros(64))
         assert np.all(bits.bits == 1)
 
-    def test_matches_brute_force_definition(self):
-        part = ps.PartitionFamily.contiguous(48, 12)
+    @pytest.mark.parametrize(
+        "n,parts,density",
+        # at most 12 occupied parts, fewer than the 64 buckets: z is summed
+        # over the touched rows only; about 125 occupied parts: over all rows
+        [(48, 12, 0.4), (300, 150, 0.6)],
+        ids=["entries-below-rows", "entries-above-rows"],
+    )
+    def test_matches_brute_force_definition(self, n, parts, density):
+        part = ps.PartitionFamily.contiguous(n, parts)
         schema = ps.build_schema(part, 2, 0.4, seed=11)
         src = RandomSource(5)
-        x = src.gaussian(np.arange(48)) * (src.uniform(np.arange(48)) < 0.4)
+        x = src.gaussian(np.arange(n)) * (src.uniform(np.arange(n)) < density)
         assert np.array_equal(ps.measure(schema, x).bits, brute_force_bits(schema, x))
 
     def test_single_coordinate_bits(self):
@@ -148,6 +155,19 @@ class TestMeasure:
                 mask = np.ones(schema.buckets, dtype=bool)
                 mask[b] = False
                 assert np.all(bits.bits[r, sub, mask] == 1)
+
+    def test_overflowed_rows_read_as_minus_pairs(self):
+        # sums past the float range give z = NaN, written (-1, -1) as
+        # sign(z) >= 0 and sign(-z) >= 0 both fail; decoders then refuse them
+        part = ps.PartitionFamily.contiguous(64, 8)
+        schema = ps.build_schema(part, 2, 0.25, seed=9)
+        x = np.zeros(64)
+        x[[1, 2, 9, 10]] = [1.7e308, 1.7e308, -1.7e308, 1.7e308]
+        with np.errstate(over="ignore", invalid="ignore"):
+            bits = ps.measure(schema, x)
+        assert (bits.bits.view(np.int16) == -1).any()
+        with pytest.raises(ValueError, match="pair"):
+            ps.count_sketch_decode(schema, bits)
 
     def test_deterministic(self):
         part = ps.PartitionFamily.contiguous(128, 16)
@@ -361,6 +381,33 @@ class TestQuery:
             ps.nonzero_candidates(schema, bad)
         with pytest.raises(ValueError, match="does not match the schema"):
             ps.count_sketch_decode(schema, bad)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda b: b.fill(7),
+            lambda b: b.__setitem__((0, 1, 2, 0), 0),
+            lambda b: b.__setitem__((1, 2, 3, 1), -128),
+            lambda b: b.__setitem__((2, 0, 5, 0), 127),
+            lambda b: b.__setitem__((3, 1, 4), -1),  # a (-1, -1) pair
+        ],
+        ids=["all-7", "a-zero", "minus-128", "plus-127", "minus-pair"],
+    )
+    def test_bits_other_than_signs_rejected(self, corrupt):
+        part = ps.PartitionFamily.contiguous(64, 8)
+        schema = ps.build_schema(part, 2, 0.25, seed=31)
+        x = np.zeros(64)
+        x[5] = 1.0
+        bits = ps.measure(schema, x)
+        corrupt(bits.bits)
+        with pytest.raises(ValueError, match="bit tensor holds"):
+            ps.query_stats(schema, bits, np.arange(8))
+        with pytest.raises(ValueError, match="bit tensor holds"):
+            ps.nonzero_candidates(schema, bits)
+        with pytest.raises(ValueError, match="bit tensor holds"):
+            ps.count_sketch_decode(schema, bits)
+        with pytest.raises(ValueError, match="bit tensor holds"):
+            ps.point_query(schema, bits, 0)
 
     def test_planted_detection_rate(self):
         n, parts, k, delta, trials = 1024, 128, 4, 0.1, 120

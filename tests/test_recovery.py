@@ -57,6 +57,11 @@ class TestSolve:
     def test_zero_vector(self):
         assert np.array_equal(recovery.solve_l1l2(np.zeros(4), 2.0), np.zeros(4))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            recovery.solve_l1l2(np.array([1.0, bad, 0.5]), 1.0)
+
     def test_rejects_empty_support(self):
         with pytest.raises(ValueError):
             recovery.solve_l1l2(np.empty(0), 1.0)
@@ -152,6 +157,13 @@ class TestGaussianMeasurements:
         with pytest.raises(ValueError):
             recovery.sign_measure(schema, x)
 
+    @pytest.mark.parametrize("column", [16 + 5, -1])
+    def test_correlation_rejects_columns_outside_n(self, column):
+        schema = recovery.GaussianSchema(rows=64, n=16, seed=5)
+        y = recovery.sign_measure(schema, np.ones(16))
+        with pytest.raises(ValueError, match="out of range"):
+            recovery.correlation(schema, y, [0, column])
+
     def test_noise_changes_bits(self):
         x = RandomSource(10).gaussian(np.arange(32)) * 0.01
         quiet = recovery.GaussianSchema(rows=2048, n=32, seed=11, noise_sigma=0.0)
@@ -196,6 +208,27 @@ class TestPipeline:
         estimate, diag = recovery.decode(schema, recovery.measure(schema, np.zeros(n)))
         assert diag.support_empty
         assert estimate.indices.size == 0
+
+    @pytest.mark.parametrize(
+        "signal,corrupt",
+        [
+            ("spike", lambda y: y * 3),
+            ("spike", lambda y: np.full(y.shape, 0.5)),
+            ("spike", lambda y: y.astype(np.int16)),
+            ("zero", lambda y: y[:-1]),  # the support comes back empty
+        ],
+        ids=["tripled", "float-halves", "int16", "short-zero-signal"],
+    )
+    def test_decode_rejects_malformed_sign_bits(self, signal, corrupt):
+        n, k = 256, 2
+        schema = recovery.build_pipeline(n, k, 0.5, seed=12, gauss_rows=64)
+        x = np.zeros(n)
+        if signal == "spike":
+            x[17] = 1.0
+        bits = recovery.measure(schema, x)
+        bad = recovery.PipelineBits(bits.support_bits, corrupt(bits.sign_bits))
+        with pytest.raises(ValueError, match="sign bits"):
+            recovery.decode(schema, bad)
 
     def test_error_decomposition_identity(self):
         n, k = 1 << 10, 2

@@ -6,6 +6,7 @@ patching the CPU count, cut the blocks small so each call has many of them,
 and shorten the interpreter's switch interval so threads interleave often.
 """
 
+import functools
 import sys
 import threading
 import time
@@ -13,7 +14,13 @@ import time
 import numpy as np
 import pytest
 
-from oracles import probe_all_reps, sparse_probe_case
+from oracles import (
+    heavy_hitters_measure_per_bucket,
+    measure_signal,
+    probe_all_reps,
+    sparse_probe_case,
+    two_bucket_pipeline,
+)
 
 from onebitcs import partition_sketch as ps
 from onebitcs import btree, prf, recovery
@@ -48,6 +55,21 @@ def sketch_outputs(schema, x):
     sparse[[7, 150]] = x[[7, 150]] + 1.0
     probe = ps.nonzero_candidates(schema, ps.measure(schema, sparse))
     return bits.bits, stats.good_counts, stats.zero_declared, probe
+
+
+@functools.lru_cache(maxsize=None)
+def pipeline_oracle(case):
+    """Every sketch's bits, then the sign bits, of a two-bucket pipeline
+    measuring ``case`` by the dense route, serially at the default block
+    size."""
+    schema = two_bucket_pipeline()
+    x = measure_signal(case, schema)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(prf, "available_cpus", lambda: 1)
+        support = heavy_hitters_measure_per_bucket(schema.support_schema, x)
+        sign = recovery.sign_measure(schema.gauss_schema, x)
+    return [b.bits.tobytes() for bucket in support for layer in bucket
+            for b in (layer.heavy, layer.check)] + [sign.tobytes()]
 
 
 def gauss_outputs():
@@ -146,6 +168,24 @@ class TestIdenticalOnAnyThreadCount:
         threaded = gauss_outputs()
         for a, b in zip(serial, threaded):
             assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("block_words", [1, 29])
+    @pytest.mark.parametrize("count", [1, 4])
+    @pytest.mark.parametrize("case", ["one-bucket", "dense-tail"])
+    def test_pipeline_measure_matches_per_sketch_oracle(
+        self, cpus, monkeypatch, block_words, count, case
+    ):
+        # the sparse-block kernel (one-bucket) and the dense-block one
+        # (dense-tail), in blocks of one or a few repetitions, against the
+        # dense route at the default block size on one CPU
+        want = pipeline_oracle(case)
+        monkeypatch.setattr(prf, "BLOCK_WORDS", block_words)
+        cpus(count)
+        bits = recovery.measure(two_bucket_pipeline(), measure_signal(case, two_bucket_pipeline()))
+        assert bits.sign_bits.tobytes() == want[-1]
+        got = [b.bits.tobytes() for bucket in bits.support_bits for layer in bucket
+               for b in (layer.heavy, layer.check)]
+        assert got == want[:-1]
 
     @pytest.mark.parametrize("count", [1, 4])
     def test_probe_matches_oracle(self, cpus, monkeypatch, count):
