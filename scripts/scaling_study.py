@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Three scaling studies on one page.
+"""Four scaling studies on one page.
 
 1. Decode work of the b-tree against the ambient dimension: the query count
    grows with log(n) while n grows geometrically, so decode_ops / n falls.
@@ -10,16 +10,48 @@
    exceed 64 bits and take two words.  The first build at each n also
    computes the codeword table that later builds share, so with one trial
    the build time includes it.
+4. Cost of one measure in a fresh process: wall time, CPU time and minor
+   page faults (``getrusage`` of that process around the call), with the
+   parameters of the benchmark's btree-tail (n = 2^16) and pipeline-tail
+   (n = 2^14) workloads, k = 8, on a sparse signal plus a dense tail.  A
+   fresh process has no freed memory to reuse, so the faults count every
+   page the measure touches for the first time.
 """
 
 import argparse
+import json
 import math
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
+import onebitcs
 from onebitcs import btree, expander, recovery
 from onebitcs.prf import RandomSource
+
+# run as ``python -c FRESH_MEASURE src scheme n k seed``: one measure, and
+# the process's own wall time, CPU time and minor faults around it
+FRESH_MEASURE = """
+import json, resource, sys, time, warnings
+sys.path.insert(0, sys.argv[1])
+warnings.simplefilter("ignore")
+from onebitcs import btree, recovery, signals
+from onebitcs.prf import RandomSource
+scheme, n, k, seed = sys.argv[2], int(sys.argv[3]), int(sys.argv[4]), int(sys.argv[5])
+if scheme == "btree":
+    schema, measure = btree.build_schema(n, k, 16, 0.05, seed=seed), btree.measure
+else:
+    schema, measure = recovery.build_pipeline(n, k, 0.25, seed=seed), recovery.measure
+x = signals.gen_signal(signals.SPARSE_PLUS_TAIL, n, k, RandomSource(seed), 0.3)
+before, start = resource.getrusage(resource.RUSAGE_SELF), time.perf_counter()
+measure(schema, x)
+wall, after = time.perf_counter() - start, resource.getrusage(resource.RUSAGE_SELF)
+cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+print(json.dumps([wall, cpu, after.ru_minflt - before.ru_minflt]))
+"""
 
 
 def sparse_unit(n, k, seed):
@@ -91,6 +123,23 @@ def main():
             f"{n:>8} {schema.name_bits:>10} {np.median(builds) * 1e3:>10.2f}"
             f" {np.median(lookups) * 1e6:>16.1f}"
         )
+
+    print()
+    print("one measure in a fresh process (sparse plus 0.3 tail, k=8; medians)")
+    print(f"{'scheme':>8} {'n':>8} {'wall s':>8} {'cpu s':>8} {'minor faults':>13}")
+    src = str(Path(onebitcs.__file__).resolve().parents[1])
+    for scheme, n in (("btree", 1 << 16), ("pipeline", 1 << 14)):
+        # each sample is a new interpreter, so take at most five
+        runs = [
+            json.loads(subprocess.run(
+                [sys.executable, "-c", FRESH_MEASURE, src, scheme, str(n), "8",
+                 str(args.seed + 400 + t)],
+                capture_output=True, text=True, check=True,
+            ).stdout)
+            for t in range(min(args.trials, 5))
+        ]
+        wall, cpu, faults = np.median(runs, axis=0)
+        print(f"{scheme:>8} {n:>8} {wall:>8.3f} {cpu:>8.3f} {int(faults):>13}")
 
 
 if __name__ == "__main__":

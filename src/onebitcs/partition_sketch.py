@@ -23,13 +23,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.stats import norm
 
 from . import prf
 from .model import signal_nonzeros
-from .prf import U64, derive_key, fold, standard_normal
+from .prf import U64, derive_key, fold
 
 # probability mass pinned by the two-sided gaussian clipping constants:
 # P[|N(0,1)| < quantile_hi] = 19/20 and P[|N(0,1)| > quantile_lo] = 19/20
@@ -41,10 +42,8 @@ SLICE_BITS = 20
 MAX_BUCKETS = 1 << SLICE_BITS
 _BUCKET_SHIFTS = np.array([0, SLICE_BITS, 2 * SLICE_BITS], dtype=np.uint64)[:, None]
 _SIGN_SHIFTS = np.arange(3, dtype=np.int8)[:, None]  # sign s is bit 60 + s
-# one int16 per (sign(z), sign(-z)) bit pair; an overflowed z (NaN) reads (-1, -1)
-_ZERO_PAIR, _PLUS_PAIR, _MINUS_PAIR, _NAN_PAIR = np.array(
-    [1, 1, 1, -1, -1, 1, -1, -1], dtype=np.int8
-).view(np.int16)
+# one int16 per (sign(z), sign(-z)) bit pair
+_ZERO_PAIR, _PLUS_PAIR, _MINUS_PAIR = np.array([1, 1, 1, -1, -1, 1], dtype=np.int8).view(np.int16)
 
 
 class AnalysisMarginWarning(RuntimeWarning):
@@ -246,11 +245,11 @@ class PointQuerySchema:
     def total_rows(self) -> int:  # the name every scheme's schema answers to
         return self.rows
 
-    @property
+    @cached_property
     def bucket_key(self) -> np.uint64:
         return derive_key(self.seed, 1)
 
-    @property
+    @cached_property
     def gauss_key(self) -> np.uint64:
         return derive_key(self.seed, 3)
 
@@ -328,18 +327,30 @@ def _row_hashes(schema: PointQuerySchema, reps, parts) -> tuple[np.ndarray, np.n
 
     Both have shape (len(reps), 3, len(parts)); axis 1 is the sub-iteration.
     All three sub-iterations of a (repetition, part) come from one PRF word.
+    Both live in this thread's scratch (see ``prf``) until its next call.
     """
-    words = fold(fold(schema.bucket_key, reps)[:, None], np.asarray(parts)[None, :])
-    words = words[:, None, :]
-    bucket = words >> _BUCKET_SHIFTS
+    keys = fold(schema.bucket_key, reps)[:, None]
+    words = prf.block_words(keys, prf.col_words(parts)[None, :])[:, None, :]
+    shape = (words.shape[0], 3, words.shape[2])
+    bucket = prf.scratch("bucket", shape, np.uint64)
+    np.right_shift(words, _BUCKET_SHIFTS, out=bucket)
     bucket &= U64(MAX_BUCKETS - 1)
     bucket *= U64(schema.buckets)
     bucket >>= U64(SLICE_BITS)
-    sign = (words >> U64(60)).astype(np.int8) >> _SIGN_SHIFTS
+    top = prf.scratch("sign_bits", words.shape, np.int8)
+    np.right_shift(words, U64(60), out=top, casting="unsafe")
+    sign = prf.scratch("sign", shape, np.int8)
+    np.right_shift(top, _SIGN_SHIFTS, out=sign)
     sign &= 1
-    sign <<= 1
+    sign += sign  # doubles: numpy's int8 left shift is many times slower
     sign -= 1
     return bucket.view(np.int64), sign
+
+
+def _require_finite(sums: np.ndarray) -> None:
+    """Raise ``ValueError`` when weighted sums of a finite signal overflowed."""
+    if not np.isfinite(sums).all():
+        raise ValueError("weighted sums overflow float64; scale the signal down")
 
 
 def _check_bits(schema: PointQuerySchema, sketch: SketchBits):
@@ -413,10 +424,11 @@ def measure_nested(schemas, x) -> list[SketchBits]:
     over the nonzeros of x per repetition forms the finest level's part sums;
     each coarser level sums the occupied children of its parts.  The
     underlying real measurements exist only transiently.  sign(0) = +1, so
-    rows start as (+1, +1) pairs and only rows with z != 0 are written.
-    Repetitions are processed in blocks of about ``prf.BLOCK_WORDS`` gaussian
-    entries (at least one repetition each), run through ``prf.map_blocks``;
-    the bits depend on neither the block size nor the thread count.
+    rows start as (+1, +1) pairs and only rows with z != 0 are written; a z
+    that overflowed raises ``ValueError``.  Repetitions are processed in
+    blocks of about ``prf.BLOCK_WORDS`` gaussian entries (at least one
+    repetition each), run through ``prf.map_blocks``; the bits depend on
+    neither the block size nor the thread count.
     """
     schemas = tuple(schemas)
     _check_nested(schemas)
@@ -434,53 +446,45 @@ def _measure(schemas, nz, vals, labels) -> list[SketchBits]:
     if nz.size == 0:
         return [SketchBits(bits=b) for b in bits]
     pairs = [b.view(np.int16).reshape(-1) for b in bits]
-    finest, inverse = np.unique(labels[-1], return_inverse=True)
-    n_occ = finest.size
-    rep = np.empty(n_occ, dtype=np.int64)  # a nonzero in each occupied finest part
-    rep[inverse] = np.arange(nz.size)
-    # order the occupied finest parts by their part at every level, coarsest
-    # first, so each coarser part's occupied children form one run
-    order = np.lexsort([lab[rep] for lab in reversed(labels)])
-    rank = np.empty_like(order)
-    rank[order] = np.arange(n_occ)
-    occupied, runs = [], []  # per level: its occupied parts and where they start
-    for lab in labels:
-        seq = lab[rep[order]]
-        run = np.flatnonzero(np.diff(seq, prepend=-1))
-        occupied.append(seq[run])
-        runs.append(run)
-    # each coarser level's run starts, as positions in the next finer level's
-    children = [np.searchsorted(fine, coarse) for coarse, fine in zip(runs, runs[1:])]
+    # each level's occupied parts, ascending, and each nonzero's index among them
+    occupied, inverse = zip(*(np.unique(lab, return_inverse=True) for lab in labels))
     block = min(reps, max(1, prf.BLOCK_WORDS // nz.size))
-    # flat (repetition, part) and (repetition, sub-iteration) offsets of a
-    # full block; a shorter last block uses their prefixes
-    flat_part = (np.arange(block)[:, None] * n_occ + rank[inverse][None, :]).ravel()
+    block_reps = np.arange(block)[:, None]
+    # where a full block's sums add up, as flat (repetition, part) offsets,
+    # finest level first: each nonzero's part, then each occupied part's
+    # parent among the next coarser level's; a shorter block uses a prefix
+    sum_into = [(block_reps * occupied[-1].size + inverse[-1]).ravel()]
+    for level in reversed(range(len(schemas) - 1)):
+        parent = np.empty(occupied[level + 1].size, dtype=np.intp)
+        parent[inverse[level + 1]] = inverse[level]
+        sum_into.append((block_reps * occupied[level].size + parent).ravel())
     row_offsets = [(np.arange(block * 3) * s.buckets).reshape(block, 3, 1) for s in schemas]
+    gauss_cols = prf.col_words(nz)[None, :]
 
     def measure_block(r0):
         rr = np.arange(r0, min(r0 + block, reps))
         nb = rr.size
-        gauss = standard_normal(fold(schemas[0].gauss_key, rr)[:, None], nz[None, :])
-        gauss *= vals
-        part_sums = np.bincount(
-            flat_part[: gauss.size], weights=gauss.ravel(), minlength=nb * n_occ
-        ).reshape(nb, 1, n_occ)
-        for level in reversed(range(len(schemas))):
-            if level < len(children):
-                part_sums = np.add.reduceat(part_sums, children[level], axis=2)
-            schema, rows = schemas[level], nb * 3 * schemas[level].buckets
-            bucket, sign = _row_hashes(schema, rr, occupied[level])
+        sums = prf.block_normals(fold(schemas[0].gauss_key, rr)[:, None], gauss_cols)
+        sums *= vals
+        for level, into in zip(reversed(range(len(schemas))), sum_into):
+            schema, parts = schemas[level], occupied[level]
+            sums = np.bincount(into[: sums.size], weights=sums.ravel(), minlength=nb * parts.size)
+            bucket, sign = _row_hashes(schema, rr, parts)
             bucket += row_offsets[level][:nb]
-            touched = bucket.ravel()
+            weights = prf.scratch("weights", sign.shape, np.float64)
+            np.copyto(weights, sign)  # then a float multiply, faster than int8 x float
+            weights *= sums.reshape(nb, 1, parts.size)
+            touched, rows = bucket.ravel(), nb * 3 * schema.buckets
             if touched.size < rows:
                 touched, row_of = np.unique(touched, return_inverse=True)
             else:
                 touched, row_of = np.arange(rows), touched
-            z = np.bincount(row_of, weights=(sign * part_sums).ravel(), minlength=touched.size)
+            z = np.bincount(row_of, weights=weights.ravel(), minlength=touched.size)
             hit = np.flatnonzero(z)
             z = z[hit]
+            _require_finite(z)
             pairs[level][r0 * 3 * schema.buckets + touched[hit]] = np.where(
-                z > 0, _PLUS_PAIR, np.where(z < 0, _MINUS_PAIR, _NAN_PAIR)
+                z > 0, _PLUS_PAIR, _MINUS_PAIR
             )
 
     prf.map_blocks(measure_block, range(0, reps, block))

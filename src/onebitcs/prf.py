@@ -6,10 +6,17 @@ built on the splitmix64 finalizer.  This lets the decoding side regenerate
 the exact random values used at measurement time from the master seed alone,
 without storing them, and makes every experiment bit-reproducible across
 processes.
+
+Measure kernels draw blocks through ``block_words`` and ``block_normals``
+into ``scratch`` arrays that each thread reuses from block to block.  A
+block result is valid until the thread's next call for that buffer, and no
+public function returns one.  The scratch is a ``threading.local``, so a
+``map_blocks`` helper's buffers die with it.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -76,6 +83,20 @@ def map_blocks(fn, starts) -> list:
     return results
 
 
+_scratch = threading.local()
+
+
+def scratch(name: str, shape, dtype) -> np.ndarray:
+    """This thread's buffer ``name`` as an uninitialised ``shape`` array,
+    valid until the thread's next call for ``name``; it grows as needed."""
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    buf = getattr(_scratch, name, None)
+    if buf is None or buf.size < nbytes:
+        buf = np.empty(nbytes, dtype=np.uint8)
+        setattr(_scratch, name, buf)
+    return buf[:nbytes].view(dtype).reshape(shape)
+
+
 def mix64(z) -> np.ndarray:
     """splitmix64 finalizer; wraps mod 2**64 by construction.
 
@@ -93,16 +114,57 @@ def mix64(z) -> np.ndarray:
     return out
 
 
+def _mix64_inplace(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """``mix64`` of an array over its own buffer, with ``tmp`` of its shape."""
+    for shift, mul in ((30, _MUL1), (27, _MUL2)):
+        np.right_shift(z, U64(shift), out=tmp)
+        z ^= tmp
+        z *= mul
+    np.right_shift(z, U64(31), out=tmp)
+    z ^= tmp
+    return z
+
+
+def col_words(idx) -> np.ndarray:
+    """``idx * GAMMA + PHI``: the index half of ``fold``, computed once."""
+    # one array, written in place: array ufuncs wrap uint64 without a warning
+    idx = np.asarray(idx)
+    z = np.multiply(idx, _GAMMA, out=np.empty(idx.shape, np.uint64), dtype=np.uint64,
+                    casting="unsafe")
+    return np.add(z, _PHI, out=z)
+
+
 def fold(key, word) -> np.ndarray:
     """Absorb an integer (or integer array) into a key, yielding new key(s).
 
     Broadcasts over both arguments, so a column of keys folded with a row of
     indices yields the full key matrix in one call.
     """
-    with np.errstate(over="ignore"):
-        z = np.asarray(word, dtype=np.uint64) * _GAMMA
-        z += _PHI
-        return mix64(np.asarray(key, dtype=np.uint64) ^ z)
+    return mix64(np.asarray(key, dtype=np.uint64) ^ col_words(word))
+
+
+def block_words(keys, cols) -> np.ndarray:
+    """``fold(keys, idx)`` for ``cols = col_words(idx)``, in the "words" scratch."""
+    shape = np.broadcast_shapes(np.shape(keys), np.shape(cols))
+    out = scratch("words", shape, np.uint64)
+    np.bitwise_xor(keys, cols, out=out)
+    return _mix64_inplace(out, scratch("mix", shape, np.uint64))
+
+
+def _to_uniform(words: np.ndarray) -> np.ndarray:
+    """Uniform floats in (0, 1) from PRF words, in place over their buffer."""
+    words >>= U64(11)
+    # the top 53 bits convert exactly (faster from int64 than uint64)
+    f = words.view(np.float64)
+    np.multiply(words.view(np.int64), 2.0**-53, out=f)
+    f += 2.0**-54
+    return f
+
+
+def block_normals(keys, cols) -> np.ndarray:
+    """``standard_normal(keys, idx)``, in the "words" scratch of ``block_words``."""
+    u = _to_uniform(block_words(keys, cols))
+    return ndtri(u, out=u)
 
 
 def derive_key(seed: int, *words: int) -> np.uint64:
@@ -115,13 +177,7 @@ def derive_key(seed: int, *words: int) -> np.uint64:
 
 def uniform01(key, idx) -> np.ndarray:
     """Uniform floats in (0, 1), one per index; never exactly 0 or 1."""
-    u = np.asarray(fold(key, idx))
-    u >>= U64(11)
-    # the top 53 bits convert exactly; the float result reuses the word buffer
-    f = u.view(np.float64)
-    np.multiply(u, 2.0**-53, out=f)
-    f += 2.0**-54
-    return f[()]
+    return _to_uniform(np.asarray(fold(key, idx)))[()]
 
 
 def standard_normal(key, idx) -> np.ndarray:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,7 +44,7 @@ class GaussianSchema:
         if self.noise_sigma < 0:
             raise ValueError("noise level must be nonnegative")
 
-    @property
+    @cached_property
     def matrix_key(self) -> np.uint64:
         return derive_key(self.seed, 11)
 
@@ -63,7 +64,8 @@ class GaussianSchema:
 
 def sign_measure(schema: GaussianSchema, x) -> np.ndarray:
     """y = sign(Gx + v) as int8, regenerating G in blocks of rows holding
-    about ``prf.BLOCK_WORDS`` entries, run through ``prf.map_blocks``.
+    about ``prf.BLOCK_WORDS`` entries, run through ``prf.map_blocks``; a row
+    dot that overflowed raises ``ValueError``.
 
     The row dots use ``np.einsum``, not BLAS: a BLAS call inside a block
     would wake BLAS's own threads, which then compete with the block threads.
@@ -72,15 +74,19 @@ def sign_measure(schema: GaussianSchema, x) -> np.ndarray:
 
 
 def _sign_measure(schema: GaussianSchema, nz, vals) -> np.ndarray:
-    """``sign_measure`` of the signal whose nonzeros ``vals`` sit at ``nz``."""
+    """``sign_measure`` of the signal whose nonzeros ``vals`` sit at ``nz``;
+    each block's entries live in its thread's scratch."""
     y = np.empty(schema.rows, dtype=np.int8)
     step = max(1, prf.BLOCK_WORDS // max(nz.size, 1))
+    cols = prf.col_words(nz)[None, :]
 
     def measure_block(lo):
         rows = np.arange(lo, min(lo + step, schema.rows))
-        dot = np.einsum("ij,j->i", schema.entries(rows, nz), vals)
+        entries = prf.block_normals(fold(schema.matrix_key, rows)[:, None], cols)
+        dot = np.einsum("ij,j->i", entries, vals)
         if schema.noise_sigma > 0:
             dot += schema.noise(rows)
+        ps._require_finite(dot)
         y[lo : lo + rows.size] = np.where(dot >= 0, 1, -1)
 
     prf.map_blocks(measure_block, range(0, schema.rows, step))
@@ -96,12 +102,13 @@ def correlation(schema: GaussianSchema, y, support) -> np.ndarray:
     support = np.asarray(support, dtype=np.int64)
     if support.size and (support.min() < 0 or support.max() >= schema.n):
         raise ValueError(f"support column out of range [0, {schema.n})")
-    rows = np.arange(schema.rows)
+    keys = fold(schema.matrix_key, np.arange(schema.rows))[:, None]
+    cols = prf.col_words(support)[None, :]
     step = max(1, prf.BLOCK_WORDS // schema.rows)
     c = np.empty(support.size)
 
     def correlate_block(lo):
-        c[lo : lo + step] = schema.entries(rows, support[lo : lo + step]).T @ y
+        c[lo : lo + step] = prf.block_normals(keys, cols[:, lo : lo + step]).T @ y
 
     prf.map_blocks(correlate_block, range(0, support.size, step))
     return c

@@ -15,7 +15,7 @@ from oracles import (
 )
 
 from onebitcs import partition_sketch as ps
-from onebitcs import prf
+from onebitcs import btree, prf, recovery
 from onebitcs.prf import RandomSource, fold, standard_normal
 
 
@@ -156,18 +156,23 @@ class TestMeasure:
                 mask[b] = False
                 assert np.all(bits.bits[r, sub, mask] == 1)
 
-    def test_overflowed_rows_read_as_minus_pairs(self):
-        # sums past the float range give z = NaN, written (-1, -1) as
-        # sign(z) >= 0 and sign(-z) >= 0 both fail; decoders then refuse them
-        part = ps.PartitionFamily.contiguous(64, 8)
-        schema = ps.build_schema(part, 2, 0.25, seed=9)
+    def test_overflowed_sums_raise(self):
+        # finite entries whose weighted sums pass the float range: every
+        # measure refuses the signal instead of writing rows as NaN
         x = np.zeros(64)
         x[[1, 2, 9, 10]] = [1.7e308, 1.7e308, -1.7e308, 1.7e308]
-        with np.errstate(over="ignore", invalid="ignore"):
-            bits = ps.measure(schema, x)
-        assert (bits.bits.view(np.int16) == -1).any()
-        with pytest.raises(ValueError, match="pair"):
-            ps.count_sketch_decode(schema, bits)
+        schema = ps.build_schema(ps.PartitionFamily.contiguous(64, 8), 2, 0.25, seed=9)
+        tree = btree.build_schema(64, 2, 4, 0.25, seed=9)
+        pipeline = recovery.build_pipeline(64, 2, 0.25, seed=9)
+        for measure in (
+            lambda: ps.measure(schema, x),
+            lambda: btree.measure(tree, x),
+            lambda: recovery.measure(pipeline, x),
+            lambda: recovery.sign_measure(pipeline.gauss_schema, x),
+        ):
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(ValueError, match="overflow"):
+                    measure()
 
     def test_deterministic(self):
         part = ps.PartitionFamily.contiguous(128, 16)
@@ -221,7 +226,58 @@ def nested_label_schemas():
     ]
 
 
+def irregular_label_schemas():
+    """Three nested label partitions of 120 coordinates, coarsest first, with
+    scattered part ids and irregular child runs.  The 40 fine parts (3
+    scattered coordinates each) group into 7 middle parts of 1, 1, 2, 3, 5,
+    12 and 16 children, and those into 3 coarse parts of 1, 2 and 4 middle
+    parts; every id is assigned through a random permutation."""
+    src = RandomSource(51)
+    fine = np.argsort(src.derive(1).uniform(np.arange(120))) % 40
+
+    def group(sizes, count, key):
+        # child id -> parent id: children taken in a shuffled order, run by run
+        order = np.argsort(src.derive(key).uniform(np.arange(count)))
+        names = np.argsort(src.derive(key + 1).uniform(np.arange(len(sizes))))
+        parent = np.empty(count, dtype=np.int64)
+        parent[order] = names[np.repeat(np.arange(len(sizes)), sizes)]
+        return parent
+
+    middle = group([1, 1, 2, 3, 5, 12, 16], 40, 2)[fine]
+    coarse = group([1, 2, 4], 7, 4)[middle]
+    return [
+        ps.build_schema(ps.PartitionFamily.from_labels(lab), 2, 0.3, seed=52 + i)
+        for i, lab in enumerate((coarse, middle, fine))
+    ]
+
+
+def irregular_signals(schemas):
+    """Signals over ``irregular_label_schemas``: dense; about half the
+    coordinates; and one coordinate in each coarse part, so every coarse
+    part has exactly one occupied child."""
+    coarse = schemas[0].partition.labels
+    src = RandomSource(53)
+    dense = src.gaussian(np.arange(120))
+    half = dense * (src.uniform(np.arange(120)) < 0.5)
+    single = np.zeros(120)
+    firsts = [np.flatnonzero(coarse == part)[0] for part in range(schemas[0].partition.size)]
+    single[firsts] = dense[firsts]
+    return {"dense": dense, "half": half, "one-per-coarse-part": single}
+
+
 class TestMeasureNested:
+    @pytest.mark.parametrize("count", [1, 4])
+    @pytest.mark.parametrize("block_words", [1, 7, 200, prf.BLOCK_WORDS])
+    def test_irregular_runs_match_brute_force(self, monkeypatch, block_words, count):
+        schemas = irregular_label_schemas()
+        monkeypatch.setattr(prf, "BLOCK_WORDS", block_words)
+        monkeypatch.setattr(prf, "available_cpus", lambda: count)
+        for name, x in irregular_signals(schemas).items():
+            bits = ps.measure_nested(schemas, x)
+            for schema, got in zip(schemas, bits):
+                want = brute_force_bits(schema, x, gauss_key=schemas[0].gauss_key)
+                assert np.array_equal(got.bits, want), name
+
     def test_every_level_matches_brute_force_with_the_root_key(self):
         schemas = nested_label_schemas()
         src = RandomSource(33)

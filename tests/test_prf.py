@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from onebitcs import prf
 from onebitcs.prf import (
     RandomSource,
     derive_key,
@@ -68,6 +69,36 @@ def test_fold_broadcasts():
     for i in range(3):
         row = fold(fold(derive_key(1), i), np.arange(5))
         assert np.array_equal(out[i], row)
+
+
+@pytest.mark.parametrize(
+    "rows,cols",
+    [(0, 5), (3, 0), (1, 1), (4, 6), (1, 9), (5, 1)],
+    ids=["no-rows", "no-cols", "1x1", "4x6", "one-row", "one-col"],
+)
+def test_block_primitives_match_fold_and_standard_normal(rows, cols):
+    # a column of row keys against a row of indices, broadcast to a block
+    keys = fold(derive_key(5), np.arange(rows))[:, None]
+    idx = np.arange(100, 100 + cols)[None, :]
+    words = prf.block_words(keys, prf.col_words(idx))
+    assert words.shape == (rows, cols)
+    assert np.array_equal(words, fold(keys, idx))
+    normals = prf.block_normals(keys, prf.col_words(idx))
+    want = standard_normal(keys, idx)
+    assert normals.shape == want.shape == (rows, cols)
+    assert normals.tobytes() == want.tobytes()
+
+
+def test_block_primitives_reuse_one_buffer_per_thread():
+    keys = fold(derive_key(6), np.arange(3))[:, None]
+    cols = prf.col_words(np.arange(4))[None, :]
+    words = prf.block_words(keys, cols)
+    normals = prf.block_normals(keys, cols)
+    assert np.shares_memory(words, normals)
+    # a smaller block reuses the buffer; a larger one grows it
+    assert np.shares_memory(prf.block_words(keys[:1], cols), words)
+    big = prf.block_words(fold(derive_key(6), np.arange(50))[:, None], cols)
+    assert np.array_equal(big[:3], fold(keys, np.arange(4)[None, :]))
 
 
 def _splitmix64_finalizer(z: int) -> int:
