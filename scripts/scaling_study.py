@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Four scaling studies on one page.
+"""Five scaling studies on one page.
 
 1. Decode work of the b-tree against the ambient dimension: the query count
    grows with log(n) while n grows geometrically, so decode_ops / n falls.
@@ -16,6 +16,12 @@
    (n = 2^14) workloads, k = 8, on a sparse signal plus a dense tail.  A
    fresh process has no freed memory to reuse, so the faults count every
    page the measure touches for the first time.
+5. Reads of the count-sketch vote against the dimension, per layer of the
+   pipeline's support sketch (k = 8, one bucket) on a sparse signal plus a
+   dense tail: the (repetition, part) pairs the vote reads, against the
+   candidates times the repetitions an exhaustive vote reads.  The vote
+   stops reading a part once it cannot pass, and its rounds are sized by
+   the CPU count, so the count is deterministic for a given CPU count.
 """
 
 import argparse
@@ -29,7 +35,8 @@ from pathlib import Path
 import numpy as np
 
 import onebitcs
-from onebitcs import btree, expander, recovery
+from onebitcs import btree, expander, heavy_hitters, prf, recovery, signals
+from onebitcs import partition_sketch as ps
 from onebitcs.prf import RandomSource
 
 # run as ``python -c FRESH_MEASURE src scheme n k seed``: one measure, and
@@ -60,6 +67,24 @@ def sparse_unit(n, k, seed):
     x = np.zeros(n)
     x[sup] = src.derive(2).signs(np.arange(k)) / math.sqrt(k)
     return x, sup
+
+
+def vote_reads(schema, bits, candidates) -> int:
+    """(repetition, part) pairs ``count_sketch_decode`` reads, counted at
+    its row-reading kernel."""
+    reads = []
+    kernel = ps._good_reps
+
+    def counted(schema, pairs, reps, parts):
+        reads.append(len(reps) * len(parts))
+        return kernel(schema, pairs, reps, parts)
+
+    ps._good_reps = counted
+    try:
+        ps.count_sketch_decode(schema, bits, candidates)
+    finally:
+        ps._good_reps = kernel
+    return sum(reads)
 
 
 def main():
@@ -140,6 +165,23 @@ def main():
         ]
         wall, cpu, faults = np.median(runs, axis=0)
         print(f"{scheme:>8} {n:>8} {wall:>8.3f} {cpu:>8.3f} {int(faults):>13}")
+
+    print()
+    print(f"count-sketch vote reads vs dimension (sparse plus 0.3 tail, k=8, "
+          f"{prf.available_cpus()} CPUs)")
+    print(f"{'n':>8} {'layer':>6} {'candidates':>11} {'reads':>10} {'exhaustive':>11} {'ratio':>6}")
+    for exp in range(12, 17):
+        n = 1 << exp
+        schema = heavy_hitters.build_schema(n, 8, seed=args.seed + 500)
+        x = signals.gen_signal(signals.SPARSE_PLUS_TAIL, n, 8, RandomSource(args.seed + 500), 0.3)
+        layer_bits = heavy_hitters.measure(schema, x)[0]
+        for j, layer in enumerate(schema.sub_schemas[0].layers):
+            heavy, bits = layer.heavy_schema, layer_bits[j].heavy
+            candidates = ps.nonzero_candidates(heavy, bits)
+            reads = vote_reads(heavy, bits, candidates)
+            exhaustive = candidates.size * heavy.reps
+            print(f"{n:>8} {j:>6} {candidates.size:>11} {reads:>10} {exhaustive:>11}"
+                  f" {reads / exhaustive:>6.3f}")
 
 
 if __name__ == "__main__":

@@ -152,16 +152,18 @@ def build_and_measure(
 def decode(schema: BTreeSchema, level_bits: list[ps.SketchBits]) -> BTreeDecodeResult:
     """Descend the tree and return the surviving leaf coordinates.
 
-    Each level keeps at most cap_factor * k parts (ties broken toward lower
-    part index), so the output size and the per-level candidate count are
-    hard-capped regardless of the signal.
+    Each level's ``count_sketch_decode`` keeps at most cap_factor * k parts
+    (ties broken toward lower part index), so the output size and the
+    per-level candidate count are hard-capped regardless of the signal.
+    ``bit_reads`` counts all rows of every candidate, an upper bound: the
+    vote stops reading a part once it cannot pass.
     """
     if len(level_bits) != len(schema.levels):
         raise ValueError(
             f"got bits for {len(level_bits)} levels, schema has {len(schema.levels)}"
         )
     root = schema.levels[0].schema
-    survivors = ps.count_sketch_decode(root, level_bits[0], candidates=None)
+    survivors = ps.count_sketch_decode(root, level_bits[0])
     point_queries = schema.levels[0].starts.size
     bit_reads = point_queries * 3 * root.reps * 2
     per_level = [int(survivors.size)]
@@ -172,8 +174,7 @@ def decode(schema: BTreeSchema, level_bits: list[ps.SketchBits]) -> BTreeDecodeR
         # survivors are sorted and distinct, so their children are too
         candidates = schema.children(r - 1, survivors)
         level = schema.levels[r].schema
-        stats = ps.query_stats(level, level_bits[r], candidates)
-        survivors = ps.select_passing(stats, level.vote_threshold, schema.cap)
+        survivors = ps.count_sketch_decode(level, level_bits[r], candidates)
         point_queries += candidates.size
         bit_reads += candidates.size * 3 * level.reps * 2
         per_level.append(int(survivors.size))

@@ -291,10 +291,9 @@ def layer_decode(
     Count-sketch decode over the realized names (pruned by the nonzero
     probe), then drop candidates whose own-hash collides within the list,
     then keep those passing the point-query check, capped by good count.
-    ``bit_reads`` counts the probe as reading every part's rows in all
-    ``prefilter_reps`` repetitions; the probe reads the later repetitions'
-    rows only for the parts that pass repetition 0, so the count is an upper
-    bound.
+    ``bit_reads`` counts the probe as reading all parts' rows in all
+    ``prefilter_reps`` repetitions and the vote all candidates' in all; both
+    stop reading parts that fail, so the count is an upper bound.
     """
     ls = schema.layers[layer]
     n_parts = ls.partition.size

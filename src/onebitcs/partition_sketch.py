@@ -14,8 +14,8 @@ bits [20s, 20s + 20) of that word, and gives it the sign of bit 60 + s.  The
 reduction maps 2**20 equally likely values onto ``buckets`` buckets, so each
 bucket's probability is within 2**-20 of 1/buckets: a relative bias of at
 most buckets / 2**20, which is why a sketch may have at most 2**20 buckets.
-Measure, point queries and the nonzero probe all derive rows through
-``_row_hashes``.
+Measure and decode find rows through ``_row_hashes``, and decoders read a
+row's bit pair through ``_row_pairs``.
 """
 
 from __future__ import annotations
@@ -40,10 +40,14 @@ QUANTILE_LO = float(norm.ppf(0.525))
 # a bucket index is a multiply-shift reduction of a 20-bit slice of a row word
 SLICE_BITS = 20
 MAX_BUCKETS = 1 << SLICE_BITS
-_BUCKET_SHIFTS = np.array([0, SLICE_BITS, 2 * SLICE_BITS], dtype=np.uint64)[:, None]
-_SIGN_SHIFTS = np.arange(3, dtype=np.int8)[:, None]  # sign s is bit 60 + s
-# one int16 per (sign(z), sign(-z)) bit pair
-_ZERO_PAIR, _PLUS_PAIR, _MINUS_PAIR = np.array([1, 1, 1, -1, -1, 1], dtype=np.int8).view(np.int16)
+# per sub-iteration s: its index, and the shift 3 - s that moves its sign,
+# bit 60 + s of a word, to bit 63, or bit 12 + s of the word's top 16 to 15
+_SUBS = np.arange(3, dtype=np.uint64)[:, None, None]
+_SIGN_SHIFTS = (3 - _SUBS).astype(np.uint16)
+# one int16 per (sign(z), sign(-z)) bit pair, read little-endian: its sign
+# bit is sign(-z)'s, so it is set exactly when z > 0
+_PAIR = np.dtype("<i2")
+_ZERO_PAIR, _PLUS_PAIR, _MINUS_PAIR = np.array([1, 1, 1, -1, -1, 1], dtype=np.int8).view(_PAIR)
 
 
 class AnalysisMarginWarning(RuntimeWarning):
@@ -323,28 +327,50 @@ def build_schema(
 
 
 def _row_hashes(schema: PointQuerySchema, reps, parts) -> tuple[np.ndarray, np.ndarray]:
-    """Buckets (int64) and signs (int8, +-1) of ``parts`` in repetitions ``reps``.
-
-    Both have shape (len(reps), 3, len(parts)); axis 1 is the sub-iteration.
-    All three sub-iterations of a (repetition, part) come from one PRF word.
+    """PRF words (shape (len(reps), len(parts))) and rows (int64, shape
+    (3, len(reps), len(parts))) of ``parts`` in consecutive repetitions
+    ``reps``: sub-iteration s of repetition reps[i] is row
+    (3 i + s) * buckets + bucket, counted from repetition reps[0]'s first.
     Both live in this thread's scratch (see ``prf``) until its next call.
     """
     keys = fold(schema.bucket_key, reps)[:, None]
-    words = prf.block_words(keys, prf.col_words(parts)[None, :])[:, None, :]
-    shape = (words.shape[0], 3, words.shape[2])
-    bucket = prf.scratch("bucket", shape, np.uint64)
-    np.right_shift(words, _BUCKET_SHIFTS, out=bucket)
-    bucket &= U64(MAX_BUCKETS - 1)
-    bucket *= U64(schema.buckets)
-    bucket >>= U64(SLICE_BITS)
-    top = prf.scratch("sign_bits", words.shape, np.int8)
-    np.right_shift(words, U64(60), out=top, casting="unsafe")
-    sign = prf.scratch("sign", shape, np.int8)
-    np.right_shift(top, _SIGN_SHIFTS, out=sign)
-    sign &= 1
-    sign += sign  # doubles: numpy's int8 left shift is many times slower
-    sign -= 1
-    return bucket.view(np.int64), sign
+    words = prf.block_words(keys, prf.col_words(parts)[None, :])
+    rows = prf.scratch("rows", (3, *words.shape), np.uint64)
+    np.right_shift(words, _SUBS * U64(SLICE_BITS), out=rows)
+    rows &= U64(MAX_BUCKETS - 1)
+    rows *= U64(schema.buckets)
+    # a row's offset, added above the slice bits, comes out of the shift whole
+    first = np.arange(0, 3 * words.shape[0], 3, dtype=np.uint64)[:, None] + _SUBS
+    rows += (first << U64(SLICE_BITS)) * U64(schema.buckets)
+    rows >>= U64(SLICE_BITS)
+    return words, rows.view(np.int64)
+
+
+def _row_pairs(schema: PointQuerySchema, pairs: np.ndarray, reps, parts):
+    """``_row_hashes``' words, and the rows' pairs gathered from the sketch's
+    flat ``pairs``, in this thread's scratch until its next call."""
+    words, rows = _row_hashes(schema, reps, parts)
+    got = prf.scratch("pairs", rows.shape, _PAIR)
+    np.take(pairs[3 * schema.buckets * reps[0] :], rows, out=got, mode="clip")
+    return words, got
+
+
+def _good_reps(schema: PointQuerySchema, pairs: np.ndarray, reps, parts):
+    """Whether each repetition is good for each part, and whether each row
+    is zero (z == 0 exactly), in this thread's scratch: good when no row is
+    zero and the rows' sign bits all equal the part's or all differ."""
+    words, got = _row_pairs(schema, pairs, reps, parts)
+    shape = words.shape
+    zero = np.equal(got, _ZERO_PAIR, out=prf.scratch("zero", got.shape, bool))
+    # the XOR sets a row's sign bit where y disagrees with the part's sign
+    top = np.right_shift(words, U64(48), out=prf.scratch("top", shape, np.uint16), casting="unsafe")
+    sign = np.left_shift(top, _SIGN_SHIFTS, out=prf.scratch("sign", got.shape, np.uint16))
+    got ^= sign.view(_PAIR)
+    differ = np.bitwise_xor(got[1:], got[0], out=prf.scratch("differ", (2, *shape), _PAIR))
+    differ[0] |= differ[1]
+    good = np.greater_equal(differ[0], 0, out=prf.scratch("good", shape, bool))
+    some_zero = zero.any(axis=0, out=prf.scratch("some_zero", shape, bool))
+    return np.greater(good, some_zero, out=good), zero  # good and no zero row
 
 
 def _require_finite(sums: np.ndarray) -> None:
@@ -353,34 +379,21 @@ def _require_finite(sums: np.ndarray) -> None:
         raise ValueError("weighted sums overflow float64; scale the signal down")
 
 
-def _check_bits(schema: PointQuerySchema, sketch: SketchBits):
-    """Decoders read bits by the schema's layout; any other shape is malformed,
-    and so is a bit other than +-1 or a (-1, -1) pair.  Reductions only, no
-    temporaries: with every bit +-1, a pair read as uint16 is 0xFFFF exactly
-    when it is (-1, -1)."""
+def _check_bits(schema: PointQuerySchema, sketch: SketchBits) -> np.ndarray:
+    """The sketch's bits as flat ``_PAIR``s.  Decoders read bits by the
+    schema's layout; any other shape is malformed, and so is a bit other than
+    +-1 or a (-1, -1) pair.  Reductions only, no temporaries: with every bit
+    +-1, a pair read as uint16 is 0xFFFF exactly when it is (-1, -1)."""
     bits = sketch.bits
     expected = (schema.reps, 3, schema.buckets, 2)
     if bits.shape != expected:
         raise ValueError(f"bit tensor shape {bits.shape} does not match the schema's {expected}")
     if bits.min() < -1 or bits.max() > 1 or np.count_nonzero(bits) != bits.size:
         raise ValueError("bit tensor holds a value other than +1 or -1")
-    if np.ascontiguousarray(bits).view(np.uint16).max() == 0xFFFF:
+    pairs = np.ascontiguousarray(bits).view(_PAIR).reshape(-1)
+    if pairs.view(np.uint16).max() == 0xFFFF:
         raise ValueError("bit tensor holds a (-1, -1) pair, which no measurement produces")
-
-
-def _bucket_bits(
-    sketch: SketchBits, bucket: np.ndarray, first_rep: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """The sign(z) bit of each row ``bucket`` addresses, and whether that row
-    measured z == 0 exactly; ``bucket`` is ``_row_hashes`` over repetitions
-    first_rep, first_rep + 1, ..., and is overwritten with flat row indices
-    rather than copied."""
-    buckets = sketch.bits.shape[2]
-    rows = np.arange(3 * first_rep, 3 * (first_rep + bucket.shape[0]))
-    bucket += (rows * buckets).reshape(-1, 3, 1)
-    # one int16 per (sign(z), sign(-z)) pair, gathered in a single take
-    pairs = np.ascontiguousarray(sketch.bits).view(np.int16).reshape(-1).take(bucket)
-    return pairs.view(np.int8)[..., ::2], pairs == _ZERO_PAIR
+    return pairs
 
 
 def measure(schema: PointQuerySchema, x) -> SketchBits:
@@ -445,7 +458,7 @@ def _measure(schemas, nz, vals, labels) -> list[SketchBits]:
     bits = [np.ones((reps, 3, s.buckets, 2), dtype=np.int8) for s in schemas]
     if nz.size == 0:
         return [SketchBits(bits=b) for b in bits]
-    pairs = [b.view(np.int16).reshape(-1) for b in bits]
+    pairs = [b.view(_PAIR).reshape(-1) for b in bits]
     # each level's occupied parts, ascending, and each nonzero's index among them
     occupied, inverse = zip(*(np.unique(lab, return_inverse=True) for lab in labels))
     block = min(reps, max(1, prf.BLOCK_WORDS // nz.size))
@@ -458,7 +471,6 @@ def _measure(schemas, nz, vals, labels) -> list[SketchBits]:
         parent = np.empty(occupied[level + 1].size, dtype=np.intp)
         parent[inverse[level + 1]] = inverse[level]
         sum_into.append((block_reps * occupied[level].size + parent).ravel())
-    row_offsets = [(np.arange(block * 3) * s.buckets).reshape(block, 3, 1) for s in schemas]
     gauss_cols = prf.col_words(nz)[None, :]
 
     def measure_block(r0):
@@ -469,17 +481,19 @@ def _measure(schemas, nz, vals, labels) -> list[SketchBits]:
         for level, into in zip(reversed(range(len(schemas))), sum_into):
             schema, parts = schemas[level], occupied[level]
             sums = np.bincount(into[: sums.size], weights=sums.ravel(), minlength=nb * parts.size)
-            bucket, sign = _row_hashes(schema, rr, parts)
-            bucket += row_offsets[level][:nb]
-            weights = prf.scratch("weights", sign.shape, np.float64)
-            np.copyto(weights, sign)  # then a float multiply, faster than int8 x float
-            weights *= sums.reshape(nb, 1, parts.size)
-            touched, rows = bucket.ravel(), nb * 3 * schema.buckets
-            if touched.size < rows:
+            words, rows = _row_hashes(schema, rr, parts)
+            # each weight is its part's sum, sign bit flipped where the part's is 0
+            weights = prf.scratch("weights", rows.shape, np.uint64)
+            np.left_shift(np.invert(words, out=words), _SIGN_SHIFTS, out=weights)
+            weights &= U64(1 << 63)
+            weights ^= sums.view(np.uint64).reshape(nb, parts.size)
+            touched, count = rows.ravel(), nb * 3 * schema.buckets
+            if touched.size < count:
                 touched, row_of = np.unique(touched, return_inverse=True)
             else:
-                touched, row_of = np.arange(rows), touched
-            z = np.bincount(row_of, weights=weights.ravel(), minlength=touched.size)
+                touched, row_of = np.arange(count), touched
+            weights = weights.view(np.float64).ravel()
+            z = np.bincount(row_of, weights=weights, minlength=touched.size)
             hit = np.flatnonzero(z)
             z = z[hit]
             _require_finite(z)
@@ -489,6 +503,14 @@ def _measure(schemas, nz, vals, labels) -> list[SketchBits]:
 
     prf.map_blocks(measure_block, range(0, reps, block))
     return [SketchBits(bits=b) for b in bits]
+
+
+def _check_parts(schema: PointQuerySchema, parts) -> np.ndarray:
+    """``parts`` as int64; a part outside [0, size) raises ``ValueError``."""
+    parts = np.atleast_1d(np.asarray(parts, dtype=np.int64))
+    if parts.size and (parts.min() < 0 or parts.max() >= schema.partition.size):
+        raise ValueError("queried part index out of range")
+    return parts
 
 
 def query_stats(
@@ -503,10 +525,8 @@ def query_stats(
     rows is an exact zero.  A part whose three rows are all zero in a strict
     majority of repetitions is declared exactly zero.
     """
-    _check_bits(schema, sketch)
-    parts = np.atleast_1d(np.asarray(parts, dtype=np.int64))
-    if parts.size and (parts.min() < 0 or parts.max() >= schema.partition.size):
-        raise ValueError("queried part index out of range")
+    pairs = _check_bits(schema, sketch)
+    parts = _check_parts(schema, parts)
     reps = schema.reps
     rr = np.arange(reps)
     step = max(1, prf.BLOCK_WORDS // reps)
@@ -514,13 +534,10 @@ def query_stats(
     zero_declared = np.empty(parts.size, dtype=bool)
 
     def query_block(lo):
-        bucket, sign = _row_hashes(schema, rr, parts[lo : lo + step])
-        y, is_zero = _bucket_bits(sketch, bucket)
-        matches = y == sign
-        clean = ~is_zero.any(axis=1)
-        good_rep = clean & (matches.all(axis=1) | (~matches).all(axis=1))
+        good_rep, zero = _good_reps(schema, pairs, rr, parts[lo : lo + step])
         good[lo : lo + step] = good_rep.sum(axis=0)
-        zero_declared[lo : lo + step] = 2 * is_zero.all(axis=1).sum(axis=0) > reps
+        all_zero = zero.all(axis=0, out=prf.scratch("some_zero", good_rep.shape, bool))
+        zero_declared[lo : lo + step] = 2 * all_zero.sum(axis=0) > reps
 
     prf.map_blocks(query_block, range(0, parts.size, step))
     return QueryStats(parts=parts, good_counts=good, zero_declared=zero_declared)
@@ -532,16 +549,6 @@ def point_query(schema: PointQuerySchema, sketch: SketchBits, part: int) -> int:
     if stats.zero_declared[0]:
         return 0
     return int(stats.good_counts[0] >= schema.vote_threshold)
-
-
-def select_passing(stats: QueryStats, vote_threshold: int, cap: int) -> np.ndarray:
-    """Parts passing the vote, capped at ``cap`` by good count (ties: lower index)."""
-    passing = (~stats.zero_declared) & (stats.good_counts >= vote_threshold)
-    idx = np.nonzero(passing)[0]
-    if idx.size > cap:
-        order = np.lexsort((stats.parts[idx], -stats.good_counts[idx]))
-        idx = idx[order[:cap]]
-    return np.sort(stats.parts[idx])
 
 
 def nonzero_candidates(
@@ -564,7 +571,7 @@ def nonzero_candidates(
     probing all repetitions at once.  Each sweep runs through
     ``prf.map_blocks`` in blocks of about ``prf.BLOCK_WORDS`` PRF words.
     """
-    _check_bits(schema, sketch)
+    pairs = _check_bits(schema, sketch)
     reps = min(probe_reps, schema.reps)
 
     def sweep(parts, first, last):
@@ -574,9 +581,9 @@ def nonzero_candidates(
 
         def probe_block(lo):
             block = parts[lo : lo + step]
-            bucket, _ = _row_hashes(schema, rr, block)
-            _, is_zero = _bucket_bits(sketch, bucket, first_rep=first)
-            return block[~is_zero.any(axis=1).any(axis=0)]
+            _, got = _row_pairs(schema, pairs, rr, block)
+            zero = np.equal(got, _ZERO_PAIR, out=prf.scratch("zero", got.shape, bool))
+            return block[~zero.any(axis=(0, 1))]
 
         keep = prf.map_blocks(probe_block, range(0, parts.size, step))
         return np.concatenate(keep) if keep else parts[:0]
@@ -594,17 +601,38 @@ def count_sketch_decode(
     sketch: SketchBits,
     candidates=None,
 ) -> np.ndarray:
-    """All queried parts that pass the point query, capped at cap_factor * k.
+    """The queried parts (sorted) that pass the point query, capped at
+    cap_factor * k by good count, ties toward the lower part index.
 
     With ``candidates=None`` every part of the partition is queried, which
     costs time linear in the partition size; callers that can enumerate a
     small candidate set should pass it.
+
+    The vote reads repetitions in rounds and stops reading a part once its
+    good count plus the repetitions left is below ``vote_threshold``, so the
+    result is exact.  No part can fail in the first reps - vote_threshold
+    repetitions, and each round but the last reads ``prf.BLOCK_WORDS`` words
+    per CPU or more, as each ``map_blocks`` call starts a pool.  A passing
+    part is good, so not all-zero, in most repetitions: never declared zero.
     """
-    if candidates is None:
-        candidates = np.arange(schema.partition.size)
-    else:
-        candidates = np.asarray(candidates, dtype=np.int64)
-    if candidates.size == 0:
-        return np.empty(0, dtype=np.int64)
-    stats = query_stats(schema, sketch, candidates)
-    return select_passing(stats, schema.vote_threshold, schema.cap)
+    pairs = _check_bits(schema, sketch)
+    size = schema.partition.size
+    parts = np.arange(size) if candidates is None else _check_parts(schema, candidates)
+    reps, need = schema.reps, schema.vote_threshold
+    good = np.zeros(parts.size, dtype=np.int64)
+    first, least = 0, reps - need + 1
+
+    def vote_block(lo):  # a block of the current round's rr, parts and step
+        good[lo : lo + step] += _good_reps(schema, pairs, rr, parts[lo : lo + step])[0].sum(axis=0)
+
+    while parts.size and first < reps:
+        per_cpu = -(-prf.available_cpus() * prf.BLOCK_WORDS // parts.size)
+        rr = np.arange(first, min(reps, first + max(least, per_cpu)))
+        step = max(1, prf.BLOCK_WORDS // rr.size)
+        prf.map_blocks(vote_block, range(0, parts.size, step))
+        first, least = rr[-1] + 1, 1
+        alive = good + (reps - first) >= need
+        parts, good = parts[alive], good[alive]
+    if parts.size > schema.cap:
+        parts = parts[np.lexsort((parts, -good))[: schema.cap]]
+    return np.sort(parts)

@@ -31,6 +31,7 @@ _MUL1 = U64(0xBF58476D1CE4E5B9)
 _MUL2 = U64(0x94D049BB133111EB)
 _GAMMA = U64(0x9E3779B97F4A7C15)
 _PHI = U64(0x165667B19E3779F9)
+_BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
 # Kernels that sweep a large batch of PRF words (partition-sketch measure,
@@ -158,7 +159,8 @@ def _to_uniform(words: np.ndarray) -> np.ndarray:
     f = words.view(np.float64)
     np.multiply(words.view(np.int64), 2.0**-53, out=f)
     f += 2.0**-54
-    return f
+    # 2**53 - 1 top bits round up to 1.0, where ndtri is infinite
+    return np.minimum(f, _BELOW_ONE, out=f)
 
 
 def block_normals(keys, cols) -> np.ndarray:

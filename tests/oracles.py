@@ -70,6 +70,83 @@ def row_hash(schema, rep, part):
     ]
 
 
+def exhaustive_reps(schema, sketch, parts):
+    """Whether each repetition is good for each of ``parts``, and whether
+    all three of its rows are zero: two (reps, len(parts)) bool arrays, with
+    buckets and signs by the layout's definition (see ``row_hash``) and each
+    row's pair read from the (reps, 3, buckets, 2) bit tensor."""
+    parts = np.asarray(parts, dtype=np.int64)
+    reps = np.arange(schema.reps)
+    words = fold(fold(schema.bucket_key, reps)[:, None], parts[None, :])[:, None, :]
+    subs = np.arange(3, dtype=np.uint64)[None, :, None]
+    twenty = np.uint64(20)
+    bucket = ((words >> (twenty * subs)) & np.uint64(0xFFFFF)) * np.uint64(schema.buckets) >> twenty
+    sign = np.where((words >> (np.uint64(60) + subs)) & np.uint64(1), 1, -1)
+    pair = sketch.bits[reps[:, None, None], np.arange(3)[None, :, None], bucket.astype(np.int64)]
+    y, zero = pair[..., 0], (pair[..., 0] == 1) & (pair[..., 1] == 1)
+    matches = y == sign
+    good_rep = ~zero.any(axis=1) & (matches.all(axis=1) | (~matches).all(axis=1))
+    return good_rep, zero.all(axis=1)
+
+
+def exhaustive_stats(schema, sketch, parts):
+    """(good counts, zero declared) of ``parts``, tallied over every
+    repetition whether or not a part can still pass."""
+    good_rep, all_zero = exhaustive_reps(schema, sketch, parts)
+    return good_rep.sum(axis=0), 2 * all_zero.sum(axis=0) > schema.reps
+
+
+def exhaustive_vote(schema, sketch, candidates):
+    """The count-sketch vote over every repetition of every candidate: the
+    parts with at least ``vote_threshold`` good repetitions that are not
+    declared zero, capped at ``schema.cap`` by good count (ties: lower part
+    index), sorted."""
+    parts = np.asarray(candidates, dtype=np.int64)
+    good, zero_declared = exhaustive_stats(schema, sketch, parts)
+    idx = np.flatnonzero(~zero_declared & (good >= schema.vote_threshold))
+    if idx.size > schema.cap:
+        idx = idx[np.lexsort((parts[idx], -good[idx]))[: schema.cap]]
+    return np.sort(parts[idx])
+
+
+VOTE_CASES = ("dense-tail", "exact-sparse", "zero", "cap-ties", "one-rep", "two-reps", "three-reps")
+
+
+def vote_case(case):
+    """(schema, bits) of a partition sketch for checking the vote: 128
+    parts of width 4 and 64 buckets per sub-iteration.
+
+    dense-tail      a gaussian tail of norm 0.3 plus two unit spikes, over
+                    35 repetitions: parts pass, fail early and fail late
+    exact-sparse    three nonzeros
+    zero            the zero signal
+    cap-ties        ten equal spikes in ten parts with a cap of 2 parts:
+                    more parts pass than the cap, with tied good counts
+    one-rep, two-reps, three-reps
+                    the dense tail over 1, 2 or 3 repetitions, where
+                    ``vote_threshold`` equals the repetition count
+    """
+    n = 512
+    part = PartitionFamily.contiguous(n, 128)
+    reps = {"one-rep": 1, "two-reps": 2, "three-reps": 3}.get(case)
+    if reps is not None:
+        constants, delta = SketchConstants(rep_factor=1), 2.0**-reps
+    else:
+        constants, delta = SketchConstants(cap_factor=1 if case == "cap-ties" else 16), 0.05
+    schema = build_schema(part, 2, delta, seed=81, constants=constants)
+    src = RandomSource(82)
+    x = np.zeros(n)
+    if case == "exact-sparse":
+        x[[5, 200, 411]] = [1.0, -0.4, 0.7]
+    elif case == "cap-ties":
+        x[np.arange(10) * 48] = 1.0
+    elif case != "zero":
+        x = src.gaussian(np.arange(n))
+        x *= 0.3 / np.linalg.norm(x)
+        x[[37, 300]] += [1.0, -1.0]
+    return schema, measure(schema, x)
+
+
 def sparse_probe_case():
     """(schema, bits): 8 buckets per sub-iteration over 40 parts, 3 of them
     occupied.  An unoccupied part often has three nonzero rows in one

@@ -6,12 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    VOTE_CASES,
     brute_force_bits,
     crowded_signal,
+    exhaustive_reps,
+    exhaustive_stats,
+    exhaustive_vote,
     planted_signal,
     probe_all_reps,
     row_hash,
     sparse_probe_case,
+    vote_case,
 )
 
 from onebitcs import partition_sketch as ps
@@ -352,21 +357,34 @@ class TestRowHashes:
         part = ps.PartitionFamily.contiguous(parts, parts)
         schema = ps.build_schema(part, 7, 0.25, seed=31)  # 224 buckets, 16 reps
         buckets = schema.buckets
-        bucket, sign = ps._row_hashes(schema, np.arange(schema.reps), np.arange(parts))
-        assert bucket.shape == sign.shape == (schema.reps, 3, parts)
+        words, rows = ps._row_hashes(schema, np.arange(schema.reps), np.arange(parts))
+        assert words.shape == (schema.reps, parts) and rows.shape == (3, schema.reps, parts)
+        # row (3 i + s) * buckets + bucket of sub-iteration s in repetition i
+        first = (3 * np.arange(schema.reps) + np.arange(3)[:, None]) * buckets
+        bucket = rows - first[:, :, None]
+        sign_bit = np.uint64(60) + np.arange(3, dtype=np.uint64)[:, None, None]
+        sign = np.where((words >> sign_bit) & np.uint64(1), 1, -1)
         assert bucket.min() >= 0 and bucket.max() < buckets
-        assert set(np.unique(sign)) == {-1, 1}
         samples = schema.reps * parts
         dof = buckets - 1
         for sub in range(3):
-            counts = np.bincount(bucket[:, sub].ravel(), minlength=buckets)
+            counts = np.bincount(bucket[sub].ravel(), minlength=buckets)
             expected = samples / buckets
             chi2 = float(np.sum((counts - expected) ** 2) / expected)
             assert chi2 < dof + 6 * math.sqrt(2 * dof)
-            assert abs(float(sign[:, sub].mean())) < 4 / math.sqrt(samples)
+            assert abs(float(sign[sub].mean())) < 4 / math.sqrt(samples)
         for a, b in ((0, 1), (0, 2), (1, 2)):
-            rate = float(np.mean(bucket[:, a] == bucket[:, b]))
+            rate = float(np.mean(bucket[a] == bucket[b]))
             assert abs(rate * buckets - 1) < 0.1
+
+    def test_rows_follow_the_layout(self):
+        # rows of repetitions 5, 6, 7 against the layout's definition, part by part
+        schema = ps.build_schema(ps.PartitionFamily.contiguous(64, 40), 3, 0.1, seed=33)
+        _, rows = ps._row_hashes(schema, np.arange(5, 8), np.arange(40))
+        for i, rep in enumerate(range(5, 8)):
+            for part in range(40):
+                for sub, (bucket, _) in enumerate(row_hash(schema, rep, part)):
+                    assert rows[sub, i, part] == (3 * i + sub) * schema.buckets + bucket
 
 
 class TestBitProperties:
@@ -409,12 +427,17 @@ class TestQuery:
         for j in range(8):
             assert ps.point_query(schema, bits, j) == 0
 
-    def test_out_of_range_part(self):
+    @pytest.mark.parametrize("bad", [-1, 8])
+    def test_out_of_range_part(self, bad):
         part = ps.PartitionFamily.contiguous(64, 8)
         schema = ps.build_schema(part, 2, 0.25, seed=31)
         bits = ps.measure(schema, np.zeros(64))
-        with pytest.raises(ValueError):
-            ps.point_query(schema, bits, 8)
+        with pytest.raises(ValueError, match="out of range"):
+            ps.point_query(schema, bits, bad)
+        with pytest.raises(ValueError, match="out of range"):
+            ps.query_stats(schema, bits, [0, bad])
+        with pytest.raises(ValueError, match="out of range"):
+            ps.count_sketch_decode(schema, bits, [0, bad])
 
     @pytest.mark.parametrize(
         "reshape",
@@ -588,3 +611,67 @@ class TestCountSketchDecode:
         schema, bits = sparse_probe_case()
         one, eight = (probe_all_reps(schema, bits, r).size for r in (1, 8))
         assert one > eight == 3
+
+
+class TestVote:
+    """The vote, the query tallies and the probe against the exhaustive
+    oracle, at block sizes that make the vote read in one round (the
+    default) or in many, where parts stop being read part-way."""
+
+    @pytest.mark.parametrize("block_words", [1, 7, 64, prf.BLOCK_WORDS])
+    @pytest.mark.parametrize("case", VOTE_CASES)
+    def test_matches_exhaustive_oracle(self, monkeypatch, case, block_words):
+        schema, bits = vote_case(case)
+        everything = np.arange(schema.partition.size)
+        subset = RandomSource(83).choice_without_replacement(everything.size, 40)[::-1]
+        monkeypatch.setattr(prf, "BLOCK_WORDS", block_words)
+        assert np.array_equal(
+            ps.count_sketch_decode(schema, bits), exhaustive_vote(schema, bits, everything)
+        )
+        assert np.array_equal(
+            ps.count_sketch_decode(schema, bits, subset), exhaustive_vote(schema, bits, subset)
+        )
+        stats = ps.query_stats(schema, bits, subset)
+        good, zero_declared = exhaustive_stats(schema, bits, subset)
+        assert np.array_equal(stats.parts, subset)
+        assert np.array_equal(stats.good_counts, good)
+        assert np.array_equal(stats.zero_declared, zero_declared)
+        assert np.array_equal(ps.nonzero_candidates(schema, bits), probe_all_reps(schema, bits, 8))
+
+    def test_cap_cuts_through_tied_counts(self):
+        # the case the cap's tie-break decides: the last part kept and the
+        # first part cut have equal good counts
+        schema, bits = vote_case("cap-ties")
+        good, zero_declared = exhaustive_stats(schema, bits, np.arange(schema.partition.size))
+        ranked = np.sort(good[~zero_declared & (good >= schema.vote_threshold)])[::-1]
+        assert ranked.size > schema.cap and ranked[schema.cap - 1] == ranked[schema.cap]
+
+    @pytest.mark.parametrize("block_words", [64, 1 << 16])
+    def test_stops_reading_parts_that_cannot_pass(self, monkeypatch, block_words):
+        schema, bits = vote_case("dense-tail")
+        reps, need, size = schema.reps, schema.vote_threshold, schema.partition.size
+        blocks = {}  # first repetition of a round -> (its repetitions, parts read)
+        good_reps = ps._good_reps
+
+        def recording(schema, pairs, rr, parts):
+            blocks.setdefault(int(rr[0]), (rr, []))[1].append(parts.copy())
+            return good_reps(schema, pairs, rr, parts)
+
+        monkeypatch.setattr(ps, "_good_reps", recording)
+        monkeypatch.setattr(prf, "BLOCK_WORDS", block_words)
+        monkeypatch.setattr(prf, "available_cpus", lambda: 2)
+        ps.count_sketch_decode(schema, bits)
+        rounds = [(rr, np.sort(np.concatenate(parts))) for _, (rr, parts) in sorted(blocks.items())]
+        if 2 * block_words >= reps * size:  # the candidates fit one round
+            assert len(rounds) == 1 and np.array_equal(rounds[0][0], np.arange(reps))
+            return
+        # no part can fail within the first reps - need + 1 repetitions
+        assert np.array_equal(rounds[0][0], np.arange(reps - need + 1))
+        assert np.array_equal(rounds[0][1], np.arange(size))
+        assert np.array_equal(np.concatenate([rr for rr, _ in rounds]), np.arange(reps))
+        # a later round reads exactly the parts that can still pass
+        good_rep, _ = exhaustive_reps(schema, bits, np.arange(size))
+        for rr, parts in rounds[1:]:
+            so_far = good_rep[: rr[0]].sum(axis=0)
+            assert np.array_equal(parts, np.flatnonzero(so_far + reps - rr[0] >= need))
+        assert sum(rr.size * parts.size for rr, parts in rounds) < reps * size

@@ -51,6 +51,38 @@ def test_uniform_range_and_sign_balance():
     assert abs(s.mean()) < 0.02
 
 
+def unmix64(z: int) -> int:
+    """The word ``mix64`` maps to ``z``: each xor-shift and multiply of the
+    splitmix64 finalizer undone in reverse order, in Python integers."""
+    mask = 2**64 - 1
+
+    def unshift(y, s):
+        x = y
+        for _ in range(64 // s):
+            x = y ^ (x >> s)
+        return x
+
+    z = unshift(z, 31)
+    z = z * pow(0x94D049BB133111EB, -1, 2**64) & mask
+    z = unshift(z, 27)
+    z = z * pow(0xBF58476D1CE4E5B9, -1, 2**64) & mask
+    return unshift(z, 30)
+
+
+@pytest.mark.parametrize("word", [0, 1 << 11, 2**64 - 2**11, 2**64 - 1])
+def test_extreme_words_stay_inside_the_unit_interval(word):
+    # the top 53 bits all ones would round to 1.0, whose normal is infinite
+    u = prf._to_uniform(np.array([word], dtype=np.uint64))
+    want = (word >> 11) * 2.0**-53 + 2.0**-54  # every other word keeps its value
+    assert u[0] == (want if want < 1.0 else np.nextafter(1.0, 0.0))
+    # the key whose fold with index 0 gives ``word``
+    key = np.uint64(unmix64(word) ^ int(prf.col_words(0)))
+    assert int(fold(key, 0)) == word
+    assert 0.0 < uniform01(key, 0) < 1.0
+    assert np.isfinite(standard_normal(key, np.arange(1)))
+    assert np.isfinite(prf.block_normals(np.array([[key]]), prf.col_words(np.zeros((1, 1), int))))
+
+
 @given(st.integers(1, 1000))
 def test_uniform_index_in_range(size):
     vals = uniform_index(derive_key(11), np.arange(500), size)

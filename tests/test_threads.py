@@ -15,11 +15,14 @@ import numpy as np
 import pytest
 
 from oracles import (
+    exhaustive_stats,
+    exhaustive_vote,
     heavy_hitters_measure_per_bucket,
     measure_signal,
     probe_all_reps,
     sparse_probe_case,
     two_bucket_pipeline,
+    vote_case,
 )
 
 from onebitcs import partition_sketch as ps
@@ -195,6 +198,23 @@ class TestIdenticalOnAnyThreadCount:
         assert np.array_equal(
             ps.nonzero_candidates(schema, bits), probe_all_reps(schema, bits, 8)
         )
+
+    @pytest.mark.parametrize("count", [1, 4])
+    @pytest.mark.parametrize("case", ["dense-tail", "cap-ties"])
+    def test_vote_matches_oracle(self, cpus, monkeypatch, count, case):
+        # one PRF word per block: every round of the vote after the first
+        # reads one repetition, in as many blocks as parts left
+        schema, bits = vote_case(case)
+        everything = np.arange(schema.partition.size)
+        monkeypatch.setattr(prf, "BLOCK_WORDS", 1)
+        cpus(count)
+        assert np.array_equal(
+            ps.count_sketch_decode(schema, bits), exhaustive_vote(schema, bits, everything)
+        )
+        stats = ps.query_stats(schema, bits, everything)
+        good, zero_declared = exhaustive_stats(schema, bits, everything)
+        assert np.array_equal(stats.good_counts, good)
+        assert np.array_equal(stats.zero_declared, zero_declared)
 
     def test_measure_repeats_under_contention(self, cpus, monkeypatch):
         # 35 one-repetition blocks of 2,048 buckets, 10,000 nonzeros each:
