@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Five scaling studies on one page.
+"""Six scaling studies on one page.
 
 1. Decode work of the b-tree against the ambient dimension: the query count
    grows with log(n) while n grows geometrically, so decode_ops / n falls.
@@ -22,6 +22,12 @@
    candidates times the repetitions an exhaustive vote reads.  The vote
    stops reading a part once it cannot pass, and its rounds are sized by
    the CPU count, so the count is deterministic for a given CPU count.
+6. The gaussian sign block's filter against the dimension, per signal model
+   (256 rows, k = 8): the rows whose sign the cell bound cannot settle and
+   the filter recomputes with exact normals (deterministic), and the
+   in-process time of the sign block on the filtered route
+   (``recovery.sign_measure``) and on the exact route, which draws every
+   normal through ``ndtri`` (``exact_sign_measure`` of ``tests/oracles.py``).
 """
 
 import argparse
@@ -38,6 +44,9 @@ import onebitcs
 from onebitcs import btree, expander, heavy_hitters, prf, recovery, signals
 from onebitcs import partition_sketch as ps
 from onebitcs.prf import RandomSource
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from oracles import exact_sign_measure  # noqa: E402
 
 # run as ``python -c FRESH_MEASURE src scheme n k seed``: one measure, and
 # the process's own wall time, CPU time and minor faults around it
@@ -85,6 +94,33 @@ def vote_reads(schema, bits, candidates) -> int:
     finally:
         ps._good_reps = kernel
     return sum(reads)
+
+
+def recomputed_rows(schema, x) -> int:
+    """Gaussian rows ``recovery.sign_measure`` recomputes with exact normals,
+    counted at ``prf.block_normals``."""
+    rows = []
+    block_normals = prf.block_normals
+
+    def counted(keys, cols):
+        rows.append(np.shape(keys)[0])
+        return block_normals(keys, cols)
+
+    prf.block_normals = counted
+    try:
+        recovery.sign_measure(schema, x)
+    finally:
+        prf.block_normals = block_normals
+    return sum(rows)
+
+
+def median_seconds(fn, repeats) -> float:
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return float(np.median(times))
 
 
 def main():
@@ -182,6 +218,22 @@ def main():
             exhaustive = candidates.size * heavy.reps
             print(f"{n:>8} {j:>6} {candidates.size:>11} {reads:>10} {exhaustive:>11}"
                   f" {reads / exhaustive:>6.3f}")
+
+    print()
+    print(f"sign-block filter vs dimension (256 rows, k=8, {prf.available_cpus()} CPUs;"
+          f" median of {min(args.trials, 3)})")
+    print(f"{'model':>17} {'n':>8} {'recomputed':>11} {'filtered ms':>12} {'exact ms':>9}")
+    for model in signals.MODELS:
+        for exp in range(10, 17, 2):
+            n = 1 << exp
+            schema = recovery.GaussianSchema(rows=256, n=n, seed=args.seed + 600)
+            x = signals.gen_signal(model, n, 8, RandomSource(args.seed + 600 + exp))
+            redo = recomputed_rows(schema, x)
+            filtered, exact = (
+                median_seconds(lambda: measure(schema, x), min(args.trials, 3))
+                for measure in (recovery.sign_measure, exact_sign_measure)
+            )
+            print(f"{model:>17} {n:>8} {redo:>11} {filtered * 1e3:>12.1f} {exact * 1e3:>9.1f}")
 
 
 if __name__ == "__main__":

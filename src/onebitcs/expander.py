@@ -296,16 +296,17 @@ def layer_decode(
     stop reading parts that fail, so the count is an upper bound.
     """
     ls = schema.layers[layer]
+    heavy = ps._check_bits(ls.heavy_schema, bits.heavy)
     n_parts = ls.partition.size
     reads = 0
     if prefilter_reps > 0:
-        candidates = ps.nonzero_candidates(ls.heavy_schema, bits.heavy, prefilter_reps)
+        candidates = ps._nonzero_candidates(ls.heavy_schema, heavy, prefilter_reps)
         reads += n_parts * 3 * min(prefilter_reps, ls.heavy_schema.reps) * 2
     else:
         candidates = np.arange(n_parts)
     queries = int(candidates.size)
     reads += int(candidates.size) * 3 * ls.heavy_schema.reps * 2
-    found = ps.count_sketch_decode(ls.heavy_schema, bits.heavy, candidates)
+    found = ps._count_sketch_decode(ls.heavy_schema, heavy, candidates)
     empty = LayerList(
         layer=layer,
         parts=np.empty(0, dtype=np.int64),

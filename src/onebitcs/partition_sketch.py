@@ -571,7 +571,10 @@ def nonzero_candidates(
     probing all repetitions at once.  Each sweep runs through
     ``prf.map_blocks`` in blocks of about ``prf.BLOCK_WORDS`` PRF words.
     """
-    pairs = _check_bits(schema, sketch)
+    return _nonzero_candidates(schema, _check_bits(schema, sketch), probe_reps)
+
+
+def _nonzero_candidates(schema: PointQuerySchema, pairs: np.ndarray, probe_reps: int) -> np.ndarray:
     reps = min(probe_reps, schema.reps)
 
     def sweep(parts, first, last):
@@ -615,7 +618,10 @@ def count_sketch_decode(
     per CPU or more, as each ``map_blocks`` call starts a pool.  A passing
     part is good, so not all-zero, in most repetitions: never declared zero.
     """
-    pairs = _check_bits(schema, sketch)
+    return _count_sketch_decode(schema, _check_bits(schema, sketch), candidates)
+
+
+def _count_sketch_decode(schema: PointQuerySchema, pairs: np.ndarray, candidates) -> np.ndarray:
     size = schema.partition.size
     parts = np.arange(size) if candidates is None else _check_parts(schema, candidates)
     reps, need = schema.reps, schema.vote_threshold

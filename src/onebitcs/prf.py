@@ -12,6 +12,11 @@ into ``scratch`` arrays that each thread reuses from block to block.  A
 block result is valid until the thread's next call for that buffer, and no
 public function returns one.  The scratch is a ``threading.local``, so a
 ``map_blocks`` helper's buffers die with it.
+
+``block_cells`` bounds normals without ``ndtri``: a word's top ``CELL_BITS``
+bits name the cell [i, i + 1) / 4096 holding its uniform, so its normal lies
+between the monotone ``ndtri`` at the cell's edges, widened by 2**-44 for its
+error (under 1e-15); the two unbounded end cells, 1 word in 2,048, are exact.
 """
 
 from __future__ import annotations
@@ -167,6 +172,22 @@ def block_normals(keys, cols) -> np.ndarray:
     """``standard_normal(keys, idx)``, in the "words" scratch of ``block_words``."""
     u = _to_uniform(block_words(keys, cols))
     return ndtri(u, out=u)
+
+
+CELL_BITS = 12
+_EDGES = ndtri(np.arange((1 << CELL_BITS) + 1) / (1 << CELL_BITS))
+_CELL_MID, _CELL_HALF = (_EDGES[1:] + _EDGES[:-1]) / 2, (_EDGES[1:] - _EDGES[:-1]) / 2 + 2.0**-44
+_CELL_MID[[0, -1]], _CELL_HALF[[0, -1]] = np.nan, 0.0  # end cells: exact per word
+
+
+def block_cells(keys, cols) -> tuple[np.ndarray, np.ndarray]:
+    """New arrays of midpoints and half-widths bounding ``block_normals(keys, cols)``."""
+    words = block_words(keys, cols)
+    cell = np.right_shift(words, U64(64 - CELL_BITS), out=scratch("cells", words.shape, np.uint64))
+    mid, half = _CELL_MID[cell.view(np.int64)], _CELL_HALF[cell.view(np.int64)]
+    ends = np.flatnonzero(np.isnan(mid))
+    mid.ravel()[ends] = ndtri(_to_uniform(words.ravel()[ends]))
+    return mid, half
 
 
 def derive_key(seed: int, *words: int) -> np.uint64:

@@ -12,6 +12,14 @@ The full pipeline stacks a heavy-hitter sketch (support identification)
 above the gaussian block (value estimation on the support); the gaussian
 block always measures all of x, so mass outside the identified support acts
 as extra pre-quantization noise, exactly as the error analysis treats it.
+
+Sign rows are settled without ``ndtri``: ``prf.block_cells`` puts each exact
+normal g of a row within mid +- half, so g.x is within B = sum(half |x|) of
+mid.x.  With m < 2**26 nonzeros and |g|, |mid| < 8.5, rounding moves each
+float sum (the exact route's dot in any order, mid.x, B and ||x||_1) by under
+(m + 1) 2**-53 8.5 ||x||_1.  So if t = mid.x + noise has |t| > (B + (m + 2)
+2**-51 8.5 ||x||_1)(1 + 2**-50), the exact route's dot plus noise is nonzero
+with t's sign (finite while |t| < 2**1022); other rows are recomputed.
 """
 
 from __future__ import annotations
@@ -48,10 +56,6 @@ class GaussianSchema:
     def matrix_key(self) -> np.uint64:
         return derive_key(self.seed, 11)
 
-    @property
-    def noise_key(self) -> np.uint64:
-        return derive_key(self.seed, 12)
-
     def entries(self, rows, cols) -> np.ndarray:
         """Regenerate G[rows, cols] as an outer block (len(rows), len(cols))."""
         rows = np.asarray(rows, dtype=np.int64)
@@ -59,7 +63,7 @@ class GaussianSchema:
         return standard_normal(fold(self.matrix_key, rows)[:, None], cols[None, :])
 
     def noise(self, rows) -> np.ndarray:
-        return self.noise_sigma * standard_normal(self.noise_key, np.asarray(rows))
+        return self.noise_sigma * standard_normal(derive_key(self.seed, 12), np.asarray(rows))
 
 
 def sign_measure(schema: GaussianSchema, x) -> np.ndarray:
@@ -74,23 +78,36 @@ def sign_measure(schema: GaussianSchema, x) -> np.ndarray:
 
 
 def _sign_measure(schema: GaussianSchema, nz, vals) -> np.ndarray:
-    """``sign_measure`` of the signal whose nonzeros ``vals`` sit at ``nz``;
-    each block's entries live in its thread's scratch."""
+    """``sign_measure`` of the signal whose nonzeros ``vals`` sit at ``nz``:
+    rows the cell bound (see the module docstring) cannot settle are
+    recomputed from ``prf.block_normals``, so the bits are the exact route's."""
     y = np.empty(schema.rows, dtype=np.int8)
     step = max(1, prf.BLOCK_WORDS // max(nz.size, 1))
     cols = prf.col_words(nz)[None, :]
+    size = np.abs(vals)
 
     def measure_block(lo):
         rows = np.arange(lo, min(lo + step, schema.rows))
-        entries = prf.block_normals(fold(schema.matrix_key, rows)[:, None], cols)
-        dot = np.einsum("ij,j->i", entries, vals)
-        if schema.noise_sigma > 0:
-            dot += schema.noise(rows)
-        ps._require_finite(dot)
+        keys = fold(schema.matrix_key, rows)[:, None]
+        noise = schema.noise(rows) if schema.noise_sigma > 0 else np.zeros(rows.size)
+        mid, half = prf.block_cells(keys, cols)
+        dot = np.einsum("ij,j->i", mid, vals) + noise
+        redo = _unsettled(dot, np.einsum("ij,j->i", half, size), size)
+        if redo.size:
+            exact = np.einsum("ij,j->i", prf.block_normals(keys[redo], cols), vals) + noise[redo]
+            ps._require_finite(exact)
+            dot[redo] = exact
         y[lo : lo + rows.size] = np.where(dot >= 0, 1, -1)
 
     prf.map_blocks(measure_block, range(0, schema.rows, step))
     return y
+
+
+def _unsettled(dot, radius, size) -> np.ndarray:
+    """Rows ``dot`` leaves unsettled, for |x| ``size``; all if 8.5 ||x||_1 overflows."""
+    radius += 8.5 * float(np.einsum("i->", size)) * ((size.size + 2) * 2.0**-51)
+    t = np.abs(dot)
+    return np.flatnonzero(~((radius * (1 + 2.0**-50) < t) & (t < 2.0**1022)))
 
 
 def correlation(schema: GaussianSchema, y, support) -> np.ndarray:

@@ -335,6 +335,77 @@ def two_bucket_pipeline(n=1 << 10, k=20, seed=5):
         return recovery.build_pipeline(n, k, 0.25, seed=seed, gauss_rows=200)
 
 
+def exact_sign_measure(schema, x):
+    """``recovery.sign_measure`` by the exact route: every row's normals from
+    ``prf.block_normals`` (``ndtri`` on each entry), in blocks of about
+    ``prf.BLOCK_WORDS`` entries."""
+    from onebitcs import partition_sketch as ps
+    from onebitcs import prf
+    from onebitcs.model import signal_nonzeros
+
+    nz, vals = signal_nonzeros(x, schema.n)
+    y = np.empty(schema.rows, dtype=np.int8)
+    step = max(1, prf.BLOCK_WORDS // max(nz.size, 1))
+    cols = prf.col_words(nz)[None, :]
+
+    def measure_block(lo):
+        rows = np.arange(lo, min(lo + step, schema.rows))
+        entries = prf.block_normals(fold(schema.matrix_key, rows)[:, None], cols)
+        dot = np.einsum("ij,j->i", entries, vals)
+        if schema.noise_sigma > 0:
+            dot += schema.noise(rows)
+        ps._require_finite(dot)
+        y[lo : lo + rows.size] = np.where(dot >= 0, 1, -1)
+
+    prf.map_blocks(measure_block, range(0, schema.rows, step))
+    return y
+
+
+SIGN_CASES = ("tail-1", "tail-2", "tail-3", "negated-tail", "exact-sparse", "zero",
+              "one-nonzero", "noisy-tail", "below-fallback", "above-fallback")
+
+
+def sign_case(case):
+    """(schema, x) for ``SIGN_CASES``: 160 gaussian rows over n = 2^14.  The
+    tails are sparse plus a 0.3 dense tail on seeds 1-3, noisy-tail adds
+    noise of sigma 0.5, and the fallback cases spread an l1 norm just below
+    and just above float max / 8.5 over four nonzeros."""
+    from onebitcs import recovery, signals
+
+    n = 1 << 14
+    schema = recovery.GaussianSchema(rows=160, n=n, seed=31,
+                                     noise_sigma=0.5 if case == "noisy-tail" else 0.0)
+    tail_seeds = {"tail-1": 1, "tail-2": 2, "tail-3": 3, "negated-tail": 1, "noisy-tail": 2}
+    x = np.zeros(n)
+    if case in tail_seeds:
+        x = signals.gen_signal(signals.SPARSE_PLUS_TAIL, n, 8, RandomSource(tail_seeds[case]), 0.3)
+        if case == "negated-tail":
+            x = -x
+    elif case == "exact-sparse":
+        x = signals.gen_signal(signals.EXACT_SPARSE, n, 8, RandomSource(4))
+    elif case == "one-nonzero":
+        x[n // 3] = -2.5
+    elif case.endswith("fallback"):
+        scale = 1 - 2.0**-20 if case == "below-fallback" else 1 + 2.0**-20
+        x[[5, 77, 4000, 9000]] = np.array([1, -1, 1, 1]) * (np.finfo(float).max / 8.5 / 4 * scale)
+    elif case != "zero":
+        raise KeyError(case)
+    return schema, x
+
+
+def unmix64(z):
+    """The inverse of ``prf.mix64``: the words w with ``mix64(w) == z``.  Each
+    xor-shift by s >= 27 is undone by xoring the shifts by s and 2s, and each
+    multiply by its inverse mod 2**64, in reverse order."""
+    z = np.array(z, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        for shift, mul in ((31, 0x94D049BB133111EB), (27, 0xBF58476D1CE4E5B9), (30, None)):
+            z ^= (z >> np.uint64(shift)) ^ (z >> np.uint64(2 * shift))
+            if mul is not None:
+                z *= np.uint64(pow(mul, -1, 1 << 64))
+    return z
+
+
 def spikes(n, coords, seed=1):
     """Gaussian values at ``coords``, zero elsewhere."""
     x = np.zeros(n)

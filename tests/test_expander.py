@@ -240,6 +240,45 @@ class TestLayerDecode:
             full = expander.layer_decode(schema, j, bits[j], prefilter_reps=0)
             assert np.array_equal(fast.parts, full.parts)
 
+    def test_each_sketch_checked_once(self, monkeypatch):
+        n, k = 1 << 10, 2
+        schema = expander.build_schema(n, k, seed=8)
+        x, _ = sparse_unit(n, k, 9)
+        bits = expander.measure(schema, x)
+        checked = []
+        check_bits = ps._check_bits
+
+        def counted(sketch_schema, sketch):
+            checked.append(id(sketch))
+            return check_bits(sketch_schema, sketch)
+
+        monkeypatch.setattr(ps, "_check_bits", counted)
+        for j in range(schema.layers_count):
+            checked.clear()
+            ll = expander.layer_decode(schema, j, bits[j])
+            assert ll.parts.size  # the check sketch is read too
+            assert sorted(checked) == sorted([id(bits[j].heavy), id(bits[j].check)])
+
+    @pytest.mark.parametrize("corrupt", ["pair", "value", "shape"])
+    def test_malformed_heavy_bits_raise(self, corrupt):
+        n, k = 1 << 10, 2
+        schema = expander.build_schema(n, k, seed=8)
+        x, _ = sparse_unit(n, k, 9)
+        bits = list(expander.measure(schema, x))
+        heavy = bits[0].heavy.bits.copy()
+        if corrupt == "pair":
+            heavy[0, 0, 0] = -1
+        elif corrupt == "value":
+            heavy[1, 2, 3, 0] = 3
+        else:
+            heavy = heavy[:-1]
+        bits[0] = expander.LayerBits(heavy=ps.SketchBits(bits=heavy), check=bits[0].check)
+        for prefilter_reps in (8, 0):
+            with pytest.raises(ValueError, match="bit tensor"):
+                expander.layer_decode(schema, 0, bits[0], prefilter_reps=prefilter_reps)
+        with pytest.raises(ValueError, match="bit tensor"):
+            expander.recover(schema, tuple(bits))
+
 
 class TestLinkCluster:
     def test_single_heavy_full_component(self):

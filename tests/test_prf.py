@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import unmix64
+
 from onebitcs import prf
 from onebitcs.prf import (
     RandomSource,
@@ -182,3 +184,25 @@ def test_choice_without_replacement_distinct(seed, count):
     assert picks.size == count
     assert np.unique(picks).size == count
     assert picks.min() >= 0 and picks.max() < 256
+
+
+def test_every_cell_holds_its_words_normals():
+    # the first and last word of each of the 4,096 cells, and 64 random words
+    # per cell: block_cells over keys 0 and columns unmix64(words) reads the
+    # words themselves, and every exact normal lies within mid +- half
+    cells = np.arange(1 << prf.CELL_BITS, dtype=np.uint64)
+    low = prf.U64(64 - prf.CELL_BITS)
+    span = (prf.U64(1) << low) - prf.U64(1)
+    rand = fold(derive_key(3, 1), np.arange(cells.size * 64)).reshape(cells.size, 64) & span
+    words = np.concatenate([(cells << low)[:, None], ((cells << low) | span)[:, None],
+                            (cells << low)[:, None] | rand], axis=1)
+    cols = unmix64(words)
+    key = np.uint64(0)
+    assert np.array_equal(prf.block_words(key, cols), words)
+    exact = prf.block_normals(key, cols).copy()
+    mid, half = prf.block_cells(key, cols)
+    assert np.all(np.abs(exact - mid) <= half)
+    # the end cells are exact; every other cell is narrower than 0.1
+    assert np.array_equal(mid[[0, -1]], exact[[0, -1]])
+    assert np.all(half[[0, -1]] == 0)
+    assert np.all(half[1:-1] > 0) and half.max() < 0.1

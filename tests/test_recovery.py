@@ -4,7 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from oracles import ascent_oracle, dual_bound, random_instances, sparse_unit
+from oracles import (
+    SIGN_CASES,
+    ascent_oracle,
+    dual_bound,
+    exact_sign_measure,
+    random_instances,
+    sign_case,
+    sparse_unit,
+)
 
 from onebitcs import prf, recovery
 from onebitcs.prf import RandomSource
@@ -271,3 +279,57 @@ class TestPipeline:
                 trial_errs.append(float(np.sum((x - xh) ** 2)))
             errs[rows] = float(np.median(trial_errs))
         assert errs[2000] < errs[200]
+
+
+def recomputed_rows(monkeypatch):
+    """A list that collects the rows of every ``prf.block_normals`` call."""
+    rows = []
+    block_normals = prf.block_normals
+
+    def counted(keys, cols):
+        rows.append(np.shape(keys)[0])
+        return block_normals(keys, cols)
+
+    monkeypatch.setattr(prf, "block_normals", counted)
+    return rows
+
+
+class TestSignFilter:
+    @pytest.mark.parametrize("block_words", [1, 7, prf.BLOCK_WORDS])
+    @pytest.mark.parametrize("case", SIGN_CASES)
+    def test_bits_equal_exact_route(self, monkeypatch, case, block_words):
+        schema, x = sign_case(case)
+        monkeypatch.setattr(prf, "BLOCK_WORDS", block_words)
+        want = exact_sign_measure(schema, x)
+        rows = recomputed_rows(monkeypatch)
+        assert recovery.sign_measure(schema, x).tobytes() == want.tobytes()
+        if case.startswith("tail-"):
+            assert sum(rows) < schema.rows // 4  # the bound settles most rows
+        if case == "below-fallback":
+            assert sum(rows) < schema.rows
+        if case == "above-fallback":
+            assert sum(rows) == schema.rows
+
+    def test_widened_cells_recompute_every_row(self, monkeypatch):
+        # half-widths of 10 exceed any |normal|, so no row can settle
+        schema, x = sign_case("tail-1")
+        want = exact_sign_measure(schema, x)
+        monkeypatch.setattr(prf, "_CELL_HALF", prf._CELL_HALF + 10.0)
+        rows = recomputed_rows(monkeypatch)
+        assert recovery.sign_measure(schema, x).tobytes() == want.tobytes()
+        assert sum(rows) == schema.rows
+
+    def test_rounding_slack_covers_summation_order(self):
+        # products of six exact normals (+-1) with x: summed left to right
+        # they give -2 (each +1 is lost against 2**53), summed small terms
+        # first +2, the exact sum; zero half-widths cannot settle the row
+        products = [2.0**53, 1.0, 1.0, 1.0, 1.0, -(2.0**53 + 2)]
+        left_to_right = 0.0
+        for p in products:
+            left_to_right += p
+        small_first = products[0] + sum(products[1:5]) + products[5]
+        assert (left_to_right, small_first, math.fsum(products)) == (-2.0, 2.0, 2.0)
+        size = np.abs(products)
+        assert recovery._unsettled(np.array([left_to_right]), np.zeros(1), size).tolist() == [0]
+        # the slack is only as wide as rounding needs: a dot of 2**10 settles
+        assert recovery._unsettled(np.array([2.0**10]), np.zeros(1), size).size == 0

@@ -15,11 +15,14 @@ import numpy as np
 import pytest
 
 from oracles import (
+    SIGN_CASES,
+    exact_sign_measure,
     exhaustive_stats,
     exhaustive_vote,
     heavy_hitters_measure_per_bucket,
     measure_signal,
     probe_all_reps,
+    sign_case,
     sparse_probe_case,
     two_bucket_pipeline,
     vote_case,
@@ -189,6 +192,18 @@ class TestIdenticalOnAnyThreadCount:
         got = [b.bits.tobytes() for bucket in bits.support_bits for layer in bucket
                for b in (layer.heavy, layer.check)]
         assert got == want[:-1]
+
+    @pytest.mark.parametrize("count", [1, 4])
+    @pytest.mark.parametrize("case", SIGN_CASES)
+    def test_sign_filter_matches_exact_route(self, cpus, monkeypatch, count, case):
+        # one row per block, so blocks that settle every row and blocks that
+        # recompute theirs run side by side
+        schema, x = sign_case(case)
+        monkeypatch.setattr(prf, "BLOCK_WORDS", 1)
+        cpus(1)
+        want = exact_sign_measure(schema, x)
+        cpus(count)
+        assert recovery.sign_measure(schema, x).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("count", [1, 4])
     def test_probe_matches_oracle(self, cpus, monkeypatch, count):
