@@ -152,18 +152,20 @@ def build_and_measure(
 def decode(schema: BTreeSchema, level_bits: list[ps.SketchBits]) -> BTreeDecodeResult:
     """Descend the tree and return the surviving leaf coordinates.
 
-    Each level's ``count_sketch_decode`` keeps at most cap_factor * k parts
-    (ties broken toward lower part index), so the output size and the
-    per-level candidate count are hard-capped regardless of the signal.
-    ``bit_reads`` counts all rows of every candidate, an upper bound: the
-    vote stops reading a part once it cannot pass.
+    Every level's bits are checked first.  Each level's count-sketch vote
+    keeps at most cap_factor * k parts (ties broken toward lower part
+    index), so the output size and the per-level candidate count are
+    hard-capped regardless of the signal.  ``bit_reads`` counts all rows of
+    every candidate, an upper bound: the vote stops reading a part once it
+    cannot pass.
     """
     if len(level_bits) != len(schema.levels):
         raise ValueError(
             f"got bits for {len(level_bits)} levels, schema has {len(schema.levels)}"
         )
+    pairs = [ps._check_bits(lv.schema, bits) for lv, bits in zip(schema.levels, level_bits)]
     root = schema.levels[0].schema
-    survivors = ps.count_sketch_decode(root, level_bits[0])
+    survivors = ps._count_sketch_decode(root, pairs[0], None)[0]
     point_queries = schema.levels[0].starts.size
     bit_reads = point_queries * 3 * root.reps * 2
     per_level = [int(survivors.size)]
@@ -174,7 +176,7 @@ def decode(schema: BTreeSchema, level_bits: list[ps.SketchBits]) -> BTreeDecodeR
         # survivors are sorted and distinct, so their children are too
         candidates = schema.children(r - 1, survivors)
         level = schema.levels[r].schema
-        survivors = ps.count_sketch_decode(level, level_bits[r], candidates)
+        survivors = ps._count_sketch_decode(level, pairs[r], candidates)[0]
         point_queries += candidates.size
         bit_reads += candidates.size * 3 * level.reps * 2
         per_level.append(int(survivors.size))

@@ -254,7 +254,7 @@ def build_schema(
 def make_name(schema: ExpanderSchema, i, layer: int) -> np.ndarray:
     """Name fields of coordinate(s) i in a layer: own hash, chunk, neighbor hashes."""
     i = np.atleast_1d(np.asarray(i, dtype=np.int64))
-    if i.min() < 0 or i.max() >= schema.n:
+    if i.size and (i.min() < 0 or i.max() >= schema.n):
         raise ValueError("coordinate out of range")
     own = uniform_index(schema.name_key(layer), i, schema.h_range)
     chunk = schema.code.encode_many(i)[:, layer]
@@ -280,63 +280,31 @@ def _measure(schema: ExpanderSchema, nz, vals) -> tuple[LayerBits, ...]:
     return tuple(out)
 
 
-def layer_decode(
-    schema: ExpanderSchema,
-    layer: int,
-    bits: LayerBits,
-    prefilter_reps: int = 8,
-) -> LayerList:
+def layer_decode(schema: ExpanderSchema, layer: int, bits: LayerBits) -> LayerList:
     """Candidate heavy names of one layer.
 
     Count-sketch decode over the realized names (pruned by the nonzero
     probe), then drop candidates whose own-hash collides within the list,
-    then keep those passing the point-query check, capped by good count.
-    ``bit_reads`` counts the probe as reading all parts' rows in all
-    ``prefilter_reps`` repetitions and the vote all candidates' in all; both
-    stop reading parts that fail, so the count is an upper bound.
+    then keep those passing the point-query check's vote, capped by good
+    count.  Both sketches are checked first.  ``bit_reads`` counts the probe
+    as reading all parts' rows in all ``ps.PROBE_REPS`` repetitions and each
+    vote all its candidates' in all; both stop reading parts that fail, so
+    the count is an upper bound.
     """
     ls = schema.layers[layer]
     heavy = ps._check_bits(ls.heavy_schema, bits.heavy)
-    n_parts = ls.partition.size
-    reads = 0
-    if prefilter_reps > 0:
-        candidates = ps._nonzero_candidates(ls.heavy_schema, heavy, prefilter_reps)
-        reads += n_parts * 3 * min(prefilter_reps, ls.heavy_schema.reps) * 2
-    else:
-        candidates = np.arange(n_parts)
+    check = ps._check_bits(ls.check_schema, bits.check)
+    candidates = ps._nonzero_candidates(ls.heavy_schema, heavy)
     queries = int(candidates.size)
-    reads += int(candidates.size) * 3 * ls.heavy_schema.reps * 2
-    found = ps._count_sketch_decode(ls.heavy_schema, heavy, candidates)
-    empty = LayerList(
-        layer=layer,
-        parts=np.empty(0, dtype=np.int64),
-        names=np.empty((0, 2 + schema.degree), dtype=np.int64),
-        good_counts=np.empty(0, dtype=np.int64),
-        point_queries=queries,
-        bit_reads=reads,
-    )
-    if found.size == 0:
-        return empty
+    reads = ls.partition.size * 3 * min(ps.PROBE_REPS, ls.heavy_schema.reps) * 2
+    reads += queries * 3 * ls.heavy_schema.reps * 2
+    found, good = ps._count_sketch_decode(ls.heavy_schema, heavy, candidates)
     own = ls.names_of(found)[:, 0]
     _, inverse, counts = np.unique(own, return_inverse=True, return_counts=True)
-    unique_mask = counts[inverse] == 1
-    found = found[unique_mask]
-    if found.size == 0:
-        return empty
+    found = found[counts[inverse] == 1]
     queries += int(found.size)
     reads += int(found.size) * 3 * ls.check_schema.reps * 2
-    stats = ps.query_stats(ls.check_schema, bits.check, found)
-    passing = (~stats.zero_declared) & (
-        stats.good_counts >= ls.check_schema.vote_threshold
-    )
-    found = found[passing]
-    good = stats.good_counts[passing]
-    cap = schema.cap
-    if found.size > cap:
-        order = np.lexsort((found, -good))[:cap]
-        found, good = found[order], good[order]
-    order = np.argsort(found)
-    found, good = found[order], good[order]
+    found, good = ps._count_sketch_decode(ls.check_schema, check, found)
     return LayerList(
         layer=layer, parts=found, names=ls.names_of(found), good_counts=good,
         point_queries=queries, bit_reads=reads,
@@ -479,15 +447,10 @@ def link_cluster_decode(
 
 
 def recover(
-    schema: ExpanderSchema,
-    bits: tuple[LayerBits, ...],
-    prefilter_reps: int = 8,
+    schema: ExpanderSchema, bits: tuple[LayerBits, ...]
 ) -> tuple[np.ndarray, np.ndarray, RecoveryDiagnostics]:
     """Full decode: per-layer lists, then link-and-cluster reassembly."""
     if len(bits) != schema.layers_count:
         raise ValueError("layer bit count does not match schema")
-    lists = [
-        layer_decode(schema, j, bits[j], prefilter_reps)
-        for j in range(schema.layers_count)
-    ]
+    lists = [layer_decode(schema, j, bits[j]) for j in range(schema.layers_count)]
     return link_cluster_decode(schema, lists)

@@ -104,7 +104,6 @@ def _measure(schema: HeavyHitterSchema, nz, vals) -> list[tuple[expander.LayerBi
 def decode(
     schema: HeavyHitterSchema,
     bucket_bits: list[tuple[expander.LayerBits, ...]],
-    prefilter_reps: int = 8,
 ) -> tuple[np.ndarray, np.ndarray, list[expander.RecoveryDiagnostics]]:
     """Union of per-bucket recoveries, capped at cap_factor * k by score."""
     if len(bucket_bits) != schema.buckets:
@@ -113,7 +112,7 @@ def decode(
     scores_all = []
     diags = []
     for sub_schema, bits in zip(schema.sub_schemas, bucket_bits):
-        coords, scores, diag = expander.recover(sub_schema, bits, prefilter_reps)
+        coords, scores, diag = expander.recover(sub_schema, bits)
         coords_all.append(coords)
         scores_all.append(scores)
         diags.append(diag)

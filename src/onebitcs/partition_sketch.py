@@ -40,6 +40,8 @@ QUANTILE_LO = float(norm.ppf(0.525))
 # a bucket index is a multiply-shift reduction of a 20-bit slice of a row word
 SLICE_BITS = 20
 MAX_BUCKETS = 1 << SLICE_BITS
+# repetitions the nonzero probe reads, from the first
+PROBE_REPS = 8
 # per sub-iteration s: its index, and the shift 3 - s that moves its sign,
 # bit 60 + s of a word, to bit 63, or bit 12 + s of the word's top 16 to 15
 _SUBS = np.arange(3, dtype=np.uint64)[:, None, None]
@@ -60,9 +62,8 @@ class AnalysisMarginWarning(RuntimeWarning):
 
 @dataclass(frozen=True)
 class PartitionFamily:
-    """A partition of [n] into ``size`` parts, stored in one of three ways:
+    """A partition of [n] into ``size`` parts, stored in one of two ways:
 
-    - ``labels``: an explicit per-coordinate part index;
     - ``starts``: for interval partitions, the sorted interval start positions;
     - ``names`` with ``keys``: each coordinate's packed name, a (words, n)
       uint64 array whose columns compare word by word, and the (words, size)
@@ -72,7 +73,6 @@ class PartitionFamily:
 
     n: int
     size: int
-    labels: np.ndarray | None = None
     starts: np.ndarray | None = None
     names: np.ndarray | None = None
     keys: np.ndarray | None = None
@@ -80,18 +80,11 @@ class PartitionFamily:
     def __post_init__(self):
         if self.n < 1 or self.size < 1:
             raise ValueError("partition needs n >= 1 and at least one part")
-        if sum(a is not None for a in (self.labels, self.starts, self.names)) != 1:
-            raise ValueError("exactly one of labels/starts/names must be given")
+        if (self.starts is None) == (self.names is None):
+            raise ValueError("exactly one of starts/names must be given")
         if (self.names is None) != (self.keys is None):
             raise ValueError("names and keys must be given together")
-        if self.labels is not None:
-            lab = np.asarray(self.labels, dtype=np.int64)
-            if lab.shape != (self.n,):
-                raise ValueError("labels must cover every coordinate")
-            if lab.min() < 0 or lab.max() >= self.size:
-                raise ValueError("part label out of range")
-            object.__setattr__(self, "labels", lab)
-        elif self.starts is not None:
+        if self.starts is not None:
             st = np.asarray(self.starts, dtype=np.int64)
             if st.size != self.size or st[0] != 0 or np.any(np.diff(st) <= 0):
                 raise ValueError("starts must begin at 0 and strictly increase")
@@ -115,11 +108,6 @@ class PartitionFamily:
         return cls(n=n, size=len(starts), starts=starts)
 
     @classmethod
-    def from_labels(cls, labels) -> "PartitionFamily":
-        lab = np.asarray(labels, dtype=np.int64)
-        return cls(n=lab.size, size=int(lab.max()) + 1 if lab.size else 1, labels=lab)
-
-    @classmethod
     def from_names(cls, names: np.ndarray) -> "PartitionFamily":
         """One part per distinct name of a (words, n) uint64 array."""
         keys = _sorted_distinct(names)
@@ -131,8 +119,6 @@ class PartitionFamily:
         coords = np.asarray(coords, dtype=np.int64)
         if coords.size and (coords.min() < 0 or coords.max() >= self.n):
             raise ValueError(f"coordinate out of range [0, {self.n})")
-        if self.labels is not None:
-            return self.labels[coords]
         if self.names is not None:
             flat = coords.ravel()
             return _key_ranks(self.keys, self.names.take(flat, axis=1)).reshape(coords.shape)
@@ -276,15 +262,6 @@ class SketchBits:
             raise ValueError(f"bad bit tensor shape {b.shape} / dtype {b.dtype}")
 
 
-@dataclass(frozen=True)
-class QueryStats:
-    """Vote tallies for a batch of queried parts."""
-
-    parts: np.ndarray
-    good_counts: np.ndarray
-    zero_declared: np.ndarray  # bool: majority of repetitions all-zero rows
-
-
 def build_schema(
     partition: PartitionFamily,
     k: int,
@@ -355,10 +332,10 @@ def _row_pairs(schema: PointQuerySchema, pairs: np.ndarray, reps, parts):
     return words, got
 
 
-def _good_reps(schema: PointQuerySchema, pairs: np.ndarray, reps, parts):
-    """Whether each repetition is good for each part, and whether each row
-    is zero (z == 0 exactly), in this thread's scratch: good when no row is
-    zero and the rows' sign bits all equal the part's or all differ."""
+def _good_reps(schema: PointQuerySchema, pairs: np.ndarray, reps, parts) -> np.ndarray:
+    """Whether each repetition is good for each part, in this thread's
+    scratch: good when no row is zero (z == 0 exactly) and the rows' sign
+    bits all equal the part's or all differ."""
     words, got = _row_pairs(schema, pairs, reps, parts)
     shape = words.shape
     zero = np.equal(got, _ZERO_PAIR, out=prf.scratch("zero", got.shape, bool))
@@ -370,7 +347,7 @@ def _good_reps(schema: PointQuerySchema, pairs: np.ndarray, reps, parts):
     differ[0] |= differ[1]
     good = np.greater_equal(differ[0], 0, out=prf.scratch("good", shape, bool))
     some_zero = zero.any(axis=0, out=prf.scratch("some_zero", shape, bool))
-    return np.greater(good, some_zero, out=good), zero  # good and no zero row
+    return np.greater(good, some_zero, out=good)  # good and no zero row
 
 
 def _require_finite(sums: np.ndarray) -> None:
@@ -513,51 +490,15 @@ def _check_parts(schema: PointQuerySchema, parts) -> np.ndarray:
     return parts
 
 
-def query_stats(
-    schema: PointQuerySchema,
-    sketch: SketchBits,
-    parts,
-) -> QueryStats:
-    """Tally good repetitions and zero detections for a batch of parts.
-
-    A repetition is good for a part when its three bucket rows all agree
-    with the part's assigned signs or all anti-agree, and none of the three
-    rows is an exact zero.  A part whose three rows are all zero in a strict
-    majority of repetitions is declared exactly zero.
-    """
-    pairs = _check_bits(schema, sketch)
-    parts = _check_parts(schema, parts)
-    reps = schema.reps
-    rr = np.arange(reps)
-    step = max(1, prf.BLOCK_WORDS // reps)
-    good = np.empty(parts.size, dtype=np.int64)
-    zero_declared = np.empty(parts.size, dtype=bool)
-
-    def query_block(lo):
-        good_rep, zero = _good_reps(schema, pairs, rr, parts[lo : lo + step])
-        good[lo : lo + step] = good_rep.sum(axis=0)
-        all_zero = zero.all(axis=0, out=prf.scratch("some_zero", good_rep.shape, bool))
-        zero_declared[lo : lo + step] = 2 * all_zero.sum(axis=0) > reps
-
-    prf.map_blocks(query_block, range(0, parts.size, step))
-    return QueryStats(parts=parts, good_counts=good, zero_declared=zero_declared)
-
-
 def point_query(schema: PointQuerySchema, sketch: SketchBits, part: int) -> int:
-    """1 if the part is judged to contain a heavy hitter, else 0."""
-    stats = query_stats(schema, sketch, [part])
-    if stats.zero_declared[0]:
-        return 0
-    return int(stats.good_counts[0] >= schema.vote_threshold)
+    """1 if the part is judged to contain a heavy hitter, else 0: the vote
+    over the one part."""
+    return int(count_sketch_decode(schema, sketch, [part]).size)
 
 
-def nonzero_candidates(
-    schema: PointQuerySchema,
-    sketch: SketchBits,
-    probe_reps: int = 8,
-) -> np.ndarray:
+def nonzero_candidates(schema: PointQuerySchema, sketch: SketchBits) -> np.ndarray:
     """Parts whose three bucket rows are nonzero in each of the first
-    ``probe_reps`` repetitions.
+    ``PROBE_REPS`` repetitions.
 
     A part holding any signal mass makes all three of its bucket rows nonzero
     in every repetition, so it always survives this probe.  A part that sits
@@ -571,11 +512,11 @@ def nonzero_candidates(
     probing all repetitions at once.  Each sweep runs through
     ``prf.map_blocks`` in blocks of about ``prf.BLOCK_WORDS`` PRF words.
     """
-    return _nonzero_candidates(schema, _check_bits(schema, sketch), probe_reps)
+    return _nonzero_candidates(schema, _check_bits(schema, sketch))
 
 
-def _nonzero_candidates(schema: PointQuerySchema, pairs: np.ndarray, probe_reps: int) -> np.ndarray:
-    reps = min(probe_reps, schema.reps)
+def _nonzero_candidates(schema: PointQuerySchema, pairs: np.ndarray) -> np.ndarray:
+    reps = min(PROBE_REPS, schema.reps)
 
     def sweep(parts, first, last):
         """The ``parts`` whose rows are nonzero in repetitions [first, last)."""
@@ -615,13 +556,17 @@ def count_sketch_decode(
     good count plus the repetitions left is below ``vote_threshold``, so the
     result is exact.  No part can fail in the first reps - vote_threshold
     repetitions, and each round but the last reads ``prf.BLOCK_WORDS`` words
-    per CPU or more, as each ``map_blocks`` call starts a pool.  A passing
-    part is good, so not all-zero, in most repetitions: never declared zero.
+    per CPU or more, as each ``map_blocks`` call starts a pool.
     """
-    return _count_sketch_decode(schema, _check_bits(schema, sketch), candidates)
+    return _count_sketch_decode(schema, _check_bits(schema, sketch), candidates)[0]
 
 
-def _count_sketch_decode(schema: PointQuerySchema, pairs: np.ndarray, candidates) -> np.ndarray:
+def _count_sketch_decode(
+    schema: PointQuerySchema, pairs: np.ndarray, candidates
+) -> tuple[np.ndarray, np.ndarray]:
+    """``count_sketch_decode`` of checked ``pairs``: the passing parts, sorted,
+    and their good counts, which are complete, as a part still read in the
+    last round was read in every repetition."""
     size = schema.partition.size
     parts = np.arange(size) if candidates is None else _check_parts(schema, candidates)
     reps, need = schema.reps, schema.vote_threshold
@@ -629,7 +574,7 @@ def _count_sketch_decode(schema: PointQuerySchema, pairs: np.ndarray, candidates
     first, least = 0, reps - need + 1
 
     def vote_block(lo):  # a block of the current round's rr, parts and step
-        good[lo : lo + step] += _good_reps(schema, pairs, rr, parts[lo : lo + step])[0].sum(axis=0)
+        good[lo : lo + step] += _good_reps(schema, pairs, rr, parts[lo : lo + step]).sum(axis=0)
 
     while parts.size and first < reps:
         per_cpu = -(-prf.available_cpus() * prf.BLOCK_WORDS // parts.size)
@@ -640,5 +585,7 @@ def _count_sketch_decode(schema: PointQuerySchema, pairs: np.ndarray, candidates
         alive = good + (reps - first) >= need
         parts, good = parts[alive], good[alive]
     if parts.size > schema.cap:
-        parts = parts[np.lexsort((parts, -good))[: schema.cap]]
-    return np.sort(parts)
+        keep = np.lexsort((parts, -good))[: schema.cap]
+        parts, good = parts[keep], good[keep]
+    order = np.argsort(parts)
+    return parts[order], good[order]

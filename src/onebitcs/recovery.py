@@ -254,16 +254,14 @@ def measure(schema: PipelineSchema, x) -> PipelineBits:
 
 
 def decode(
-    schema: PipelineSchema, bits: PipelineBits, prefilter_reps: int = 8
+    schema: PipelineSchema, bits: PipelineBits
 ) -> tuple[SparseEstimate, PipelineDiagnostics]:
     """Support from the sketch block, values from the gaussian block."""
     y = bits.sign_bits
     if not (isinstance(y, np.ndarray) and y.dtype == np.int8
             and y.shape == (schema.gauss_rows,) and np.all(np.abs(y) == 1)):
         raise ValueError(f"sign bits must be {schema.gauss_rows} int8 values of +1 or -1")
-    support, _, diags = hh.decode(
-        schema.support_schema, bits.support_bits, prefilter_reps
-    )
+    support, _, diags = hh.decode(schema.support_schema, bits.support_bits)
     diag = PipelineDiagnostics(
         support=support, support_empty=support.size == 0,
         point_queries=sum(d.point_queries for d in diags),

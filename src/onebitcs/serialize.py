@@ -220,7 +220,7 @@ def read_blocks(path: str) -> tuple[str, dict, list[bytes]]:
 def save_ppcs(path: str, schema: ps.PointQuerySchema, bits: ps.SketchBits):
     if schema.partition.starts is None:
         raise ValueError(
-            "only interval partitions are serialized; label partitions are "
+            "only interval partitions are serialized; name partitions are "
             "schema-internal (layered sketches persist through their own format)"
         )
     header = {

@@ -22,6 +22,13 @@ from onebitcs.partition_sketch import (
 from onebitcs.prf import RandomSource, derive_key, fold, standard_normal, uniform_index
 
 
+def label_partition(labels):
+    """A name partition whose parts are the given per-coordinate labels: one
+    one-word name per coordinate.  Parts are the labels' ranks, so for labels
+    covering 0..size-1 a coordinate's part is its label."""
+    return PartitionFamily.from_names(np.asarray(labels, dtype=np.uint64)[None])
+
+
 def sparse_unit(n, k, seed):
     """Exactly k-sparse unit vector with +-1/sqrt(k) entries."""
     src = RandomSource(seed)
@@ -152,7 +159,7 @@ def sparse_probe_case():
     occupied.  An unoccupied part often has three nonzero rows in one
     repetition but rarely in each of 8, so probing any one repetition and
     probing all of them keep different parts."""
-    part = PartitionFamily.from_labels(np.arange(200) % 40)
+    part = label_partition(np.arange(200) % 40)
     schema = build_schema(part, 2, 0.05, seed=61, constants=SketchConstants(bucket_factor=4))
     x = np.zeros(200)
     x[[3, 77, 151]] = [1.0, -0.5, 0.8]

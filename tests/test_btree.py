@@ -158,6 +158,16 @@ class TestDecode:
         total_bits = schema.total_rows
         assert result.bit_reads < total_bits
 
+    def test_malformed_bits_below_an_empty_level_raise(self):
+        # the zero signal empties the root level, so no level below it is
+        # voted on, yet every level's bits are checked
+        n = 1 << 12
+        schema, bits = btree.build_and_measure(np.zeros(n), n, 4, 16, 0.1, seed=10)
+        assert btree.decode(schema, bits).per_level_survivors[0] == 0
+        bits[1] = ps.SketchBits(bits=np.ones((1, 3, 2, 2), dtype=np.int8))
+        with pytest.raises(ValueError, match="bit tensor"):
+            btree.decode(schema, bits)
+
     def test_level_mismatch_rejected(self):
         schema, bits = btree.build_and_measure(np.zeros(64), 64, 2, 2, 0.1, seed=9)
         with pytest.raises(ValueError):

@@ -141,6 +141,12 @@ class TestNameKeys:
                 layer.names_of(layer.partition.parts_of(probe)),
             )
 
+    def test_make_name_of_no_coordinates(self):
+        schema = expander.build_schema(1 << 10, 2, seed=12)
+        for j in range(schema.layers_count):
+            names = expander.make_name(schema, np.array([], dtype=np.int64), j)
+            assert names.shape == (0, 2 + schema.degree) and names.dtype == np.int64
+
 
     @pytest.mark.parametrize(
         "widths, high",
@@ -230,15 +236,17 @@ class TestLayerDecode:
                 total += 1
         assert per_layer_hits / total >= 0.9
 
-    def test_prefilter_matches_exhaustive(self):
+    def test_prefilter_matches_exhaustive(self, monkeypatch):
         n, k = 1 << 10, 2
         schema = expander.build_schema(n, k, seed=8)
         x, sup = sparse_unit(n, k, 9)
         bits = expander.measure(schema, x)
+        fast = [expander.layer_decode(schema, j, bits[j]) for j in range(schema.layers_count)]
+        # the vote over every part in place of the probe's survivors
+        monkeypatch.setattr(ps, "_nonzero_candidates", lambda s, pairs: np.arange(s.partition.size))
         for j in range(schema.layers_count):
-            fast = expander.layer_decode(schema, j, bits[j], prefilter_reps=8)
-            full = expander.layer_decode(schema, j, bits[j], prefilter_reps=0)
-            assert np.array_equal(fast.parts, full.parts)
+            full = expander.layer_decode(schema, j, bits[j])
+            assert np.array_equal(fast[j].parts, full.parts)
 
     def test_each_sketch_checked_once(self, monkeypatch):
         n, k = 1 << 10, 2
@@ -260,7 +268,7 @@ class TestLayerDecode:
             assert sorted(checked) == sorted([id(bits[j].heavy), id(bits[j].check)])
 
     @pytest.mark.parametrize("corrupt", ["pair", "value", "shape"])
-    def test_malformed_heavy_bits_raise(self, corrupt):
+    def test_malformed_heavy_bits_raise(self, monkeypatch, corrupt):
         n, k = 1 << 10, 2
         schema = expander.build_schema(n, k, seed=8)
         x, _ = sparse_unit(n, k, 9)
@@ -273,9 +281,29 @@ class TestLayerDecode:
         else:
             heavy = heavy[:-1]
         bits[0] = expander.LayerBits(heavy=ps.SketchBits(bits=heavy), check=bits[0].check)
-        for prefilter_reps in (8, 0):
+        for probe_reps in (8, 0):
+            monkeypatch.setattr(ps, "PROBE_REPS", probe_reps)
             with pytest.raises(ValueError, match="bit tensor"):
-                expander.layer_decode(schema, 0, bits[0], prefilter_reps=prefilter_reps)
+                expander.layer_decode(schema, 0, bits[0])
+        with pytest.raises(ValueError, match="bit tensor"):
+            expander.recover(schema, tuple(bits))
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [lambda b: np.full_like(b, 7), lambda b: np.ones((1, 3, 4, 2), dtype=np.int8)],
+        ids=["all-7", "shape"],
+    )
+    def test_malformed_check_bits_raise_when_no_name_is_heavy(self, corrupt):
+        # the zero signal: the heavy vote finds no name, so the check sketch
+        # is never voted on, yet its bits are still checked
+        n, k = 1 << 10, 2
+        schema = expander.build_schema(n, k, seed=8)
+        bits = list(expander.measure(schema, np.zeros(n)))
+        assert expander.layer_decode(schema, 0, bits[0]).parts.size == 0
+        check = ps.SketchBits(bits=corrupt(bits[0].check.bits))
+        bits[0] = expander.LayerBits(heavy=bits[0].heavy, check=check)
+        with pytest.raises(ValueError, match="bit tensor"):
+            expander.layer_decode(schema, 0, bits[0])
         with pytest.raises(ValueError, match="bit tensor"):
             expander.recover(schema, tuple(bits))
 

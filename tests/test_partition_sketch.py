@@ -12,6 +12,7 @@ from oracles import (
     exhaustive_reps,
     exhaustive_stats,
     exhaustive_vote,
+    label_partition,
     planted_signal,
     probe_all_reps,
     row_hash,
@@ -84,15 +85,6 @@ class TestPartitionFamily:
         assert part.size == 4
         assert part.parts_of(np.arange(10)).tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2, 3]
 
-    def test_labels_total(self):
-        part = ps.PartitionFamily.from_labels([0, 2, 1, 2])
-        assert part.size == 3
-        assert part.parts_of([1, 3]).tolist() == [2, 2]
-
-    def test_rejects_partial_labels(self):
-        with pytest.raises(ValueError):
-            ps.PartitionFamily(n=4, size=2, labels=np.array([0, 1, 2, 0]))
-
     def test_rejects_bad_starts(self):
         with pytest.raises(ValueError):
             ps.PartitionFamily(n=4, size=2, starts=np.array([1, 2]))
@@ -103,7 +95,7 @@ class TestPartitionFamily:
             part.parts_of([-1, 99])
 
     def test_label_parts_of_rejects_out_of_range(self):
-        part = ps.PartitionFamily.from_labels([0, 2, 1, 2])
+        part = label_partition([0, 2, 1, 2])
         with pytest.raises(ValueError, match="out of range"):
             part.parts_of([4])
 
@@ -203,17 +195,17 @@ class TestMeasure:
     @pytest.mark.parametrize("block_words", [1, 7, 200])
     def test_independent_of_block_size(self, monkeypatch, block_words):
         # 96 nonzeros: one repetition per block below 96 words, two at 200
-        part = ps.PartitionFamily.from_labels(np.arange(96) % 20)
+        part = label_partition(np.arange(96) % 20)
         schema = ps.build_schema(part, 2, 0.3, seed=23)
         x = RandomSource(8).gaussian(np.arange(96))
         bits = ps.measure(schema, x)
-        stats = ps.query_stats(schema, bits, np.arange(20))
+        pairs = ps._check_bits(schema, bits)
+        vote = ps._count_sketch_decode(schema, pairs, None)
         probe = ps.nonzero_candidates(schema, bits)
         monkeypatch.setattr(prf, "BLOCK_WORDS", block_words)
         assert np.array_equal(ps.measure(schema, x).bits, bits.bits)
-        small = ps.query_stats(schema, bits, np.arange(20))
-        assert np.array_equal(small.good_counts, stats.good_counts)
-        assert np.array_equal(small.zero_declared, stats.zero_declared)
+        for got, want in zip(ps._count_sketch_decode(schema, pairs, None), vote):
+            assert np.array_equal(got, want)
         assert np.array_equal(ps.nonzero_candidates(schema, bits), probe)
 
 
@@ -226,7 +218,7 @@ def nested_label_schemas():
     middle = (fine * 7) % 10
     coarse = (middle * 3) % 4
     return [
-        ps.build_schema(ps.PartitionFamily.from_labels(lab), 2, 0.3, seed=32 + i)
+        ps.build_schema(label_partition(lab), 2, 0.3, seed=32 + i)
         for i, lab in enumerate((coarse, middle, fine))
     ]
 
@@ -251,7 +243,7 @@ def irregular_label_schemas():
     middle = group([1, 1, 2, 3, 5, 12, 16], 40, 2)[fine]
     coarse = group([1, 2, 4], 7, 4)[middle]
     return [
-        ps.build_schema(ps.PartitionFamily.from_labels(lab), 2, 0.3, seed=52 + i)
+        ps.build_schema(label_partition(lab), 2, 0.3, seed=52 + i)
         for i, lab in enumerate((coarse, middle, fine))
     ]
 
@@ -260,7 +252,7 @@ def irregular_signals(schemas):
     """Signals over ``irregular_label_schemas``: dense; about half the
     coordinates; and one coordinate in each coarse part, so every coarse
     part has exactly one occupied child."""
-    coarse = schemas[0].partition.labels
+    coarse = schemas[0].partition.parts_of(np.arange(120))
     src = RandomSource(53)
     dense = src.gaussian(np.arange(120))
     half = dense * (src.uniform(np.arange(120)) < 0.5)
@@ -318,10 +310,10 @@ class TestMeasureNested:
         [
             (ps.PartitionFamily.contiguous(64, 8), ps.PartitionFamily.contiguous(64, 6)),
             (ps.PartitionFamily.contiguous(64, 16), ps.PartitionFamily.contiguous(64, 4)),
-            (ps.PartitionFamily.from_labels(np.arange(60) % 3),
-             ps.PartitionFamily.from_labels(np.arange(60) % 4)),
+            (label_partition(np.arange(60) % 3),
+             label_partition(np.arange(60) % 4)),
             (ps.PartitionFamily.contiguous(60, 4),
-             ps.PartitionFamily.from_labels(np.arange(60) % 15)),
+             label_partition(np.arange(60) % 15)),
         ],
     )
     def test_rejects_partitions_that_do_not_nest(self, coarse, fine):
@@ -330,7 +322,7 @@ class TestMeasureNested:
             ps.measure_nested(schemas, np.ones(coarse.n))
 
     def test_accepts_intervals_nested_in_labels(self):
-        coarse = ps.PartitionFamily.from_labels(np.arange(60) // 20)
+        coarse = label_partition(np.arange(60) // 20)
         fine = ps.PartitionFamily.contiguous(60, 6)
         schemas = [ps.build_schema(p, 2, 0.3, seed=36) for p in (coarse, fine)]
         x = RandomSource(37).gaussian(np.arange(60))
@@ -435,8 +427,6 @@ class TestQuery:
         with pytest.raises(ValueError, match="out of range"):
             ps.point_query(schema, bits, bad)
         with pytest.raises(ValueError, match="out of range"):
-            ps.query_stats(schema, bits, [0, bad])
-        with pytest.raises(ValueError, match="out of range"):
             ps.count_sketch_decode(schema, bits, [0, bad])
 
     @pytest.mark.parametrize(
@@ -455,7 +445,7 @@ class TestQuery:
         x[5] = 1.0
         bad = ps.SketchBits(bits=reshape(ps.measure(schema, x).bits))
         with pytest.raises(ValueError, match="does not match the schema"):
-            ps.query_stats(schema, bad, np.arange(8))
+            ps.point_query(schema, bad, 0)
         with pytest.raises(ValueError, match="does not match the schema"):
             ps.nonzero_candidates(schema, bad)
         with pytest.raises(ValueError, match="does not match the schema"):
@@ -479,8 +469,6 @@ class TestQuery:
         x[5] = 1.0
         bits = ps.measure(schema, x)
         corrupt(bits.bits)
-        with pytest.raises(ValueError, match="bit tensor holds"):
-            ps.query_stats(schema, bits, np.arange(8))
         with pytest.raises(ValueError, match="bit tensor holds"):
             ps.nonzero_candidates(schema, bits)
         with pytest.raises(ValueError, match="bit tensor holds"):
@@ -527,11 +515,11 @@ class TestQuery:
             src = RandomSource(9000 + t)
             schema = ps.build_schema(part, k, delta, seed=10_000 + t)
             x, spot = planted_signal(n, k, src)
-            stats = ps.query_stats(schema, ps.measure(schema, x), [spot // width])
-            planted_fracs.append(stats.good_counts[0] / schema.reps)
+            good, _ = exhaustive_stats(schema, ps.measure(schema, x), [spot // width])
+            planted_fracs.append(good[0] / schema.reps)
             x, jq = crowded_signal(n, parts, width, src.derive(9))
-            stats = ps.query_stats(schema, ps.measure(schema, x), [jq])
-            crowded_fracs.append(stats.good_counts[0] / schema.reps)
+            good, _ = exhaustive_stats(schema, ps.measure(schema, x), [jq])
+            crowded_fracs.append(good[0] / schema.reps)
         planted_mean = float(np.mean(planted_fracs))
         crowded_mean = float(np.mean(crowded_fracs))
         se_p = float(np.std(planted_fracs) / math.sqrt(trials))
@@ -602,7 +590,8 @@ class TestCountSketchDecode:
     ):
         schema, bits = sparse_probe_case()
         monkeypatch.setattr(prf, "BLOCK_WORDS", block_words)
-        probe = ps.nonzero_candidates(schema, bits, probe_reps)
+        monkeypatch.setattr(ps, "PROBE_REPS", probe_reps)
+        probe = ps.nonzero_candidates(schema, bits)
         assert np.array_equal(probe, probe_all_reps(schema, bits, probe_reps))
         assert np.isin([3, 37, 31], probe).all()  # the occupied parts
 
@@ -614,9 +603,9 @@ class TestCountSketchDecode:
 
 
 class TestVote:
-    """The vote, the query tallies and the probe against the exhaustive
-    oracle, at block sizes that make the vote read in one round (the
-    default) or in many, where parts stop being read part-way."""
+    """The vote, its good counts, the point query and the probe against the
+    exhaustive oracle, at block sizes that make the vote read in one round
+    (the default) or in many, where parts stop being read part-way."""
 
     @pytest.mark.parametrize("block_words", [1, 7, 64, prf.BLOCK_WORDS])
     @pytest.mark.parametrize("case", VOTE_CASES)
@@ -631,12 +620,27 @@ class TestVote:
         assert np.array_equal(
             ps.count_sketch_decode(schema, bits, subset), exhaustive_vote(schema, bits, subset)
         )
-        stats = ps.query_stats(schema, bits, subset)
-        good, zero_declared = exhaustive_stats(schema, bits, subset)
-        assert np.array_equal(stats.parts, subset)
-        assert np.array_equal(stats.good_counts, good)
-        assert np.array_equal(stats.zero_declared, zero_declared)
+        for candidates in (None, subset):
+            parts, good = ps._count_sketch_decode(schema, ps._check_bits(schema, bits), candidates)
+            assert np.array_equal(good, exhaustive_stats(schema, bits, parts)[0])
         assert np.array_equal(ps.nonzero_candidates(schema, bits), probe_all_reps(schema, bits, 8))
+
+    @pytest.mark.parametrize("block_words", [1, prf.BLOCK_WORDS])
+    @pytest.mark.parametrize("case", VOTE_CASES + ("sparse-probe",))
+    def test_point_query_is_the_vote_over_one_part(self, monkeypatch, case, block_words):
+        # a part's point query is 1 exactly when the exhaustive vote over
+        # that part alone passes it, and the vote over every part returns a
+        # subset of those, cut to the cap
+        schema, bits = sparse_probe_case() if case == "sparse-probe" else vote_case(case)
+        everything = np.arange(schema.partition.size)
+        monkeypatch.setattr(prf, "BLOCK_WORDS", block_words)
+        queried = np.array([ps.point_query(schema, bits, part) for part in everything])
+        alone = np.array([exhaustive_vote(schema, bits, [part]).size for part in everything])
+        assert np.array_equal(queried, alone)
+        passing = everything[queried == 1]
+        voted = exhaustive_vote(schema, bits, everything)
+        assert np.isin(voted, passing).all()
+        assert voted.size == min(passing.size, schema.cap)
 
     def test_cap_cuts_through_tied_counts(self):
         # the case the cap's tie-break decides: the last part kept and the

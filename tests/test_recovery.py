@@ -14,7 +14,8 @@ from oracles import (
     sparse_unit,
 )
 
-from onebitcs import prf, recovery
+from onebitcs import expander, prf, recovery
+from onebitcs import partition_sketch as ps
 from onebitcs.prf import RandomSource
 
 
@@ -197,15 +198,17 @@ class TestPipeline:
         assert wins / trials >= 0.9
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
-    def test_probe_leaves_sparse_decode_unchanged(self, seed):
+    def test_probe_leaves_sparse_decode_unchanged(self, monkeypatch, seed):
         # k = 24 >= log2(n) = 11: the support sketch hashes into 3 buckets
         n, k = 1 << 11, 24
         schema = recovery.build_pipeline(n, k, 0.25, seed=seed)
         assert schema.support_schema.buckets >= 2
         x, _ = sparse_unit(n, k, 60 + seed)
         bits = recovery.measure(schema, x)
-        probed, _ = recovery.decode(schema, bits, prefilter_reps=8)
-        exhaustive, _ = recovery.decode(schema, bits, prefilter_reps=0)
+        probed, _ = recovery.decode(schema, bits)
+        # the vote over every part in place of the probe's survivors
+        monkeypatch.setattr(ps, "_nonzero_candidates", lambda s, pairs: np.arange(s.partition.size))
+        exhaustive, _ = recovery.decode(schema, bits)
         assert probed.indices.size > 0
         assert np.array_equal(probed.indices, exhaustive.indices)
         assert probed.values.tobytes() == exhaustive.values.tobytes()
@@ -236,6 +239,19 @@ class TestPipeline:
         bits = recovery.measure(schema, x)
         bad = recovery.PipelineBits(bits.support_bits, corrupt(bits.sign_bits))
         with pytest.raises(ValueError, match="sign bits"):
+            recovery.decode(schema, bad)
+
+    def test_decode_rejects_malformed_check_bits_of_a_zero_signal(self):
+        # no name is heavy, so no check sketch is voted on, yet each is checked
+        n, k = 256, 2
+        schema = recovery.build_pipeline(n, k, 0.5, seed=12, gauss_rows=64)
+        bits = recovery.measure(schema, np.zeros(n))
+        layers = list(bits.support_bits[0])
+        check = ps.SketchBits(bits=np.full_like(layers[0].check.bits, 7))
+        layers[0] = expander.LayerBits(heavy=layers[0].heavy, check=check)
+        support = [tuple(layers), *bits.support_bits[1:]]
+        bad = recovery.PipelineBits(support, bits.sign_bits)
+        with pytest.raises(ValueError, match="bit tensor"):
             recovery.decode(schema, bad)
 
     def test_error_decomposition_identity(self):

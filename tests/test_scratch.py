@@ -14,7 +14,7 @@ import threading
 import numpy as np
 import pytest
 
-from oracles import brute_force_bits
+from oracles import brute_force_bits, label_partition
 
 from onebitcs import btree, prf, recovery
 from onebitcs import partition_sketch as ps
@@ -44,7 +44,7 @@ def signals():
 
 
 def schemas():
-    sketch = ps.build_schema(ps.PartitionFamily.from_labels(np.arange(N) % 40), 2, 0.3, seed=72)
+    sketch = ps.build_schema(label_partition(np.arange(N) % 40), 2, 0.3, seed=72)
     tree = btree.build_schema(N, 2, 4, 0.3, seed=73)
     gauss = recovery.GaussianSchema(rows=150, n=N, seed=74)
     return sketch, tree, gauss

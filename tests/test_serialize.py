@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import btree_measure_per_level
+from oracles import btree_measure_per_level, label_partition
 
 from onebitcs import btree, expander, heavy_hitters, recovery, serialize, signals
 from onebitcs import partition_sketch as ps
@@ -88,7 +88,7 @@ class TestFiles:
         )
 
     def test_label_partition_not_serializable(self, tmp_path):
-        partition = ps.PartitionFamily.from_labels([0, 1, 0, 1])
+        partition = label_partition([0, 1, 0, 1])
         schema = ps.build_schema(partition, 1, 0.5, seed=1)
         bits = ps.measure(schema, np.zeros(4))
         with pytest.raises(ValueError):

@@ -20,6 +20,7 @@ from oracles import (
     exhaustive_stats,
     exhaustive_vote,
     heavy_hitters_measure_per_bucket,
+    label_partition,
     measure_signal,
     probe_all_reps,
     sign_case,
@@ -47,7 +48,7 @@ def cpus(monkeypatch):
 def sketch_case():
     """A partition sketch over 300 coordinates in 40 parts, with a signal
     that is nonzero on about half of them."""
-    part = ps.PartitionFamily.from_labels(np.arange(300) % 40)
+    part = label_partition(np.arange(300) % 40)
     schema = ps.build_schema(part, 2, 0.05, seed=41)
     src = RandomSource(42)
     x = src.gaussian(np.arange(300)) * (src.uniform(np.arange(300)) < 0.5)
@@ -56,11 +57,11 @@ def sketch_case():
 
 def sketch_outputs(schema, x):
     bits = ps.measure(schema, x)
-    stats = ps.query_stats(schema, bits, np.arange(schema.partition.size))
+    parts, good = ps._count_sketch_decode(schema, ps._check_bits(schema, bits), None)
     sparse = np.zeros_like(x)
     sparse[[7, 150]] = x[[7, 150]] + 1.0
     probe = ps.nonzero_candidates(schema, ps.measure(schema, sparse))
-    return bits.bits, stats.good_counts, stats.zero_declared, probe
+    return bits.bits, parts, good, probe
 
 
 @functools.lru_cache(maxsize=None)
@@ -223,19 +224,15 @@ class TestIdenticalOnAnyThreadCount:
         everything = np.arange(schema.partition.size)
         monkeypatch.setattr(prf, "BLOCK_WORDS", 1)
         cpus(count)
-        assert np.array_equal(
-            ps.count_sketch_decode(schema, bits), exhaustive_vote(schema, bits, everything)
-        )
-        stats = ps.query_stats(schema, bits, everything)
-        good, zero_declared = exhaustive_stats(schema, bits, everything)
-        assert np.array_equal(stats.good_counts, good)
-        assert np.array_equal(stats.zero_declared, zero_declared)
+        parts, good = ps._count_sketch_decode(schema, ps._check_bits(schema, bits), None)
+        assert np.array_equal(parts, exhaustive_vote(schema, bits, everything))
+        assert np.array_equal(good, exhaustive_stats(schema, bits, parts)[0])
 
     def test_measure_repeats_under_contention(self, cpus, monkeypatch):
         # 35 one-repetition blocks of 2,048 buckets, 10,000 nonzeros each:
         # blocks big enough for the ufuncs to run concurrently, so a block
         # writing outside its own slice shows within a few repeats
-        part = ps.PartitionFamily.from_labels(np.arange(20000) % 4000)
+        part = label_partition(np.arange(20000) % 4000)
         schema = ps.build_schema(part, 64, 0.05, seed=45)
         src = RandomSource(46)
         x = src.gaussian(np.arange(20000)) * (src.uniform(np.arange(20000)) < 0.5)
