@@ -54,7 +54,7 @@ def _cmd_encode(args) -> int:
     x = _read_signal(args.signal)
     scheme = harness.SCHEMES[args.scheme]
     schema = scheme.build(args, x.size, args.seed)  # the flags are named as config fields
-    scheme.save(args.out, schema, scheme.measure(schema, x))
+    serialize.save(args.out, schema, scheme.measure(schema, x))
     print(f"encoded {args.scheme} measurements for n={x.size} into {args.out}")
     return 0
 
@@ -141,9 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.set_defaults(func=_cmd_experiment)
 
     p_enc = sub.add_parser("encode", help="measure a signal file into a bits file")
-    p_enc.add_argument("--scheme", required=True, choices=[
-        name for name, scheme in harness.SCHEMES.items() if scheme.save is not None
-    ])
+    p_enc.add_argument("--scheme", required=True,
+                       choices=[f.name for f in serialize.FORMATS.values()])
     p_enc.add_argument("--signal", required=True, help="text file, one value per line")
     p_enc.add_argument("--out", required=True)
     p_enc.add_argument("--k", type=int, required=True)

@@ -18,7 +18,7 @@ from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
-from . import btree, expander, heavy_hitters, recovery, serialize, signals
+from . import btree, expander, heavy_hitters, recovery, signals
 from . import partition_sketch as ps
 from .model import tail_stats
 from .prf import RandomSource, derive_key
@@ -135,15 +135,14 @@ class Scheme:
     ``decode(schema, bits)`` returns (found, values or None, point queries
     plus bit reads); ``found`` lists parts when ``unit`` is "part", else
     coordinates.  ``judge(x, stats, config, schema, found, values)`` returns
-    (success, err_sq).  ``save(path, schema, bits)`` writes a bits file; a
-    scheme without one is harness-only.
+    (success, err_sq).  ``serialize`` writes and reads the bits files of
+    every scheme whose schema type its format table lists.
     """
 
     build: Callable
     measure: Callable
     decode: Callable
     judge: Callable
-    save: Callable | None
     unit: str = "index"
 
 
@@ -152,35 +151,30 @@ _PPCS = Scheme(
         ps.PartitionFamily.contiguous(n, min(n, PARTS_PER_SPARSITY * c.k)),
         c.k, c.delta, seed,
     ),
-    measure=ps.measure, decode=_decode_ppcs, judge=_judge_parts,
-    save=serialize.save_ppcs, unit="part",
+    measure=ps.measure, decode=_decode_ppcs, judge=_judge_parts, unit="part",
 )
 
 SCHEMES = {
     # a single point query on the heaviest coordinate's part (see _run_trial)
-    "ppq": replace(_PPCS, save=None),
+    "ppq": _PPCS,
     "ppcs": _PPCS,
     "btree": Scheme(
         build=lambda c, n, seed: btree.build_schema(n, c.k, c.b, c.delta, seed),
         measure=btree.measure, decode=_decode_btree, judge=_judge_coords,
-        save=serialize.save_btree,
     ),
     "expander": Scheme(
         build=lambda c, n, seed: expander.build_schema(n, c.k, seed),
         measure=expander.measure, decode=_decode_expander, judge=_judge_coords,
-        save=serialize.save_expander,
     ),
     "heavy-hitters": Scheme(
         build=lambda c, n, seed: heavy_hitters.build_schema(n, c.k, seed),
-        measure=heavy_hitters.measure, decode=_decode_heavy_hitters,
-        judge=_judge_coords, save=serialize.save_heavy_hitters,
+        measure=heavy_hitters.measure, decode=_decode_heavy_hitters, judge=_judge_coords,
     ),
     "pipeline": Scheme(
         build=lambda c, n, seed: recovery.build_pipeline(
             n, c.k, c.delta, seed, gauss_rows=c.mg or None, noise_sigma=c.sigma
         ),
         measure=recovery.measure, decode=_decode_pipeline, judge=_judge_estimate,
-        save=serialize.save_pipeline,
     ),
 }
 

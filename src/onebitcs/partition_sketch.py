@@ -188,7 +188,7 @@ def _key_ranks(keys: np.ndarray, needles: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SketchConstants:
-    """Tunable constants of the sketch.
+    """Tunable constants of the sketch, each a positive integer.
 
     bucket_factor  buckets per unit of sparsity
     rep_factor     repetitions per bit of failure probability
@@ -198,6 +198,11 @@ class SketchConstants:
     bucket_factor: int = 32
     rep_factor: int = 8
     cap_factor: int = 16
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ValueError(f"sketch constant {name} must be a positive integer, not {value!r}")
 
 
 @dataclass(frozen=True)

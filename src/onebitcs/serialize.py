@@ -6,13 +6,18 @@ hash/sign/gaussian families regenerate on the decode side), then raw packed
 bit blocks whose byte lengths are listed in the header.  The magic line names
 the format version; a file of any other version is rejected, because its bits
 were taken under a different hash layout (v2: one PRF word per repetition and
-part of every partition sketch).  The header must hold every field its
-scheme's loader reads, the file must hold exactly as many blocks as the
-rebuilt schema measures, every block must have exactly the length its bit
-count requires, and nothing may follow the last block.  Header values are
-typed: integer fields must be JSON integers and float fields finite JSON
-numbers (booleans are neither).  A partition sketch's block may not hold a
-(-1, -1) polarity pair, which no measurement produces.
+part of every partition sketch).
+
+One table, ``FORMATS``, keyed by schema type, gives each scheme's header
+fields, schema rebuild and block layout; ``save`` and ``load_measurement``
+serve every scheme from it.  On load, every header field of the rebuilt
+schema must equal the file's (only a field earlier v2 files lack may be
+absent: the rebuild takes its build default), the block count must be the
+schema's, every block must have exactly the length its bit count requires,
+and nothing may follow the last block.  Header values are typed: integer
+fields must be JSON integers and float fields finite JSON numbers (booleans
+are neither).  A partition sketch's block may not hold a (-1, -1) polarity
+pair, which no measurement produces.
 
 Bits pack +1 -> 1 and -1 -> 0 in little-endian bit order, following each
 sketch's flattened row order (repetition-major, then sub-iteration, then
@@ -23,6 +28,8 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
+from dataclasses import asdict, dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -63,36 +70,6 @@ def unpack_bits(data: bytes, reps: int, buckets: int) -> ps.SketchBits:
     if pairs.any():
         raise ValueError("bit block holds a (-1, -1) pair, which no measurement produces")
     return ps.SketchBits(bits=bits.reshape(reps, 3, buckets, 2))
-
-
-def _unpack_sketch(data: bytes, schema: ps.PointQuerySchema) -> ps.SketchBits:
-    return unpack_bits(data, schema.reps, schema.buckets)
-
-
-def _pack_layers(layers) -> list[bytes]:
-    """Blocks of a layered sketch's bits: each layer's heavy, then check block."""
-    return [pack_bits(sketch) for bits in layers for sketch in (bits.heavy, bits.check)]
-
-
-def _unpack_layers(schema: expander.ExpanderSchema, blocks) -> tuple:
-    """Inverse of ``_pack_layers``, taking the blocks from an iterator."""
-    return tuple(
-        expander.LayerBits(
-            heavy=_unpack_sketch(next(blocks), layer.heavy_schema),
-            check=_unpack_sketch(next(blocks), layer.check_schema),
-        )
-        for layer in schema.layers
-    )
-
-
-def _pack_buckets(bucket_bits) -> list[bytes]:
-    """Blocks of a bucketed sketch: each bucket's layered-sketch blocks in turn."""
-    return [block for layers in bucket_bits for block in _pack_layers(layers)]
-
-
-def _unpack_buckets(schema: heavy_hitters.HeavyHitterSchema, blocks) -> list:
-    """Inverse of ``_pack_buckets``, taking the blocks from an iterator."""
-    return [_unpack_layers(sub, blocks) for sub in schema.sub_schemas]
 
 
 def pack_sign_vector(y: np.ndarray) -> bytes:
@@ -151,34 +128,11 @@ class _Header(dict):
         return value if kind is None else _typed(key, value, kind)
 
 
-def _constants_dict(c: ps.SketchConstants) -> dict:
-    return {name: getattr(c, name) for name in _CONSTANT_FIELDS}
-
-
 def _constants_from(d) -> ps.SketchConstants:
     if not isinstance(d, dict):
         raise ValueError(f"bits file header field 'constants' must be an object, not {d!r}")
     d = _Header(d, dict.fromkeys(_CONSTANT_FIELDS, int))
     return ps.SketchConstants(**{name: d[name] for name in _CONSTANT_FIELDS})
-
-
-def _optional(header: dict, *fields: str) -> dict:
-    """Build parameters that older v2 files may lack; a missing one takes its
-    build default."""
-    return {name: header[name] for name in fields if name in header}
-
-
-def _sub_schema_params(schema: heavy_hitters.HeavyHitterSchema) -> dict:
-    """Layered-sketch parameters shared by every bucket's sub-sketch."""
-    sub = schema.sub_schemas[0]
-    return {"degree": sub.degree, "error_fraction": sub.error_fraction}
-
-
-def _check_block_count(blocks: list[bytes], expected: int, scheme: str):
-    if len(blocks) != expected:
-        raise ValueError(
-            f"{scheme} file holds {len(blocks)} bit blocks, its schema measures {expected}"
-        )
 
 
 def write_blocks(path: str, scheme: str, header: dict, blocks: list[bytes]):
@@ -215,159 +169,157 @@ def read_blocks(path: str) -> tuple[str, dict, list[bytes]]:
     return scheme, header, blocks
 
 
-# -- scheme-specific save/load ------------------------------------------------
+# -- the format table ---------------------------------------------------------
 
-def save_ppcs(path: str, schema: ps.PointQuerySchema, bits: ps.SketchBits):
-    if schema.partition.starts is None:
-        raise ValueError(
-            "only interval partitions are serialized; name partitions are "
-            "schema-internal (layered sketches persist through their own format)"
-        )
-    header = {
-        "n": schema.n,
-        "parts": schema.partition.size,
-        "k": schema.k,
-        "delta": schema.delta,
-        "seed": schema.seed,
-        "reps": schema.reps,
-        "buckets": schema.buckets,
-        "constants": _constants_dict(schema.constants),
-    }
-    write_blocks(path, "ppcs", header, [pack_bits(bits)])
+@dataclass(frozen=True)
+class Format:
+    """How one scheme's measurement is laid out in a bits file.
+
+    ``header(schema)`` gives the header fields; ``build(header, constants,
+    **optional)`` rebuilds the schema from them, receiving each ``optional``
+    field the header holds (an earlier v2 file may lack these, and the
+    rebuild then takes its build default).  ``layout(schema, take)`` calls
+    ``take(leaf)`` for each block's partition-sketch or gaussian schema in
+    file order and returns the bits built from what ``take`` returned.
+    """
+
+    name: str
+    header: Callable
+    build: Callable
+    layout: Callable
+    optional: tuple[str, ...] = ()
 
 
-def load_ppcs(header: dict, blocks: list[bytes]):
-    partition = ps.PartitionFamily.contiguous(header["n"], header["parts"])
-    schema = ps.build_schema(
-        partition, header["k"], header["delta"], header["seed"],
-        _constants_from(header["constants"]),
+def _ppcs_header(s: ps.PointQuerySchema) -> dict:
+    if s.partition.starts is None:
+        raise ValueError("only interval partitions are serialized; a name partition "
+                         "is schema-internal")
+    return {"n": s.n, "parts": s.partition.size, "k": s.k, "delta": s.delta,
+            "seed": s.seed, "reps": s.reps, "buckets": s.buckets,
+            "constants": asdict(s.constants)}
+
+
+def _hh_header(s: heavy_hitters.HeavyHitterSchema) -> dict:
+    sub = s.sub_schemas[0]  # every bucket's layered sketch shares these
+    return {"n": s.n, "k": s.k, "seed": s.seed, "buckets": s.buckets,
+            "log_factor": s.log_factor, "bucket_factor": s.bucket_factor,
+            "degree": sub.degree, "error_fraction": sub.error_fraction,
+            "constants": asdict(s.constants)}
+
+
+def _pipeline_header(s: recovery.PipelineSchema) -> dict:
+    header = _hh_header(s.support_schema)
+    header["hh_buckets"] = header.pop("buckets")
+    return {**header, "delta": s.delta, "seed": s.seed,
+            "gauss_rows": s.gauss_schema.rows, "noise_sigma": s.gauss_schema.noise_sigma}
+
+
+def _layers(s: expander.ExpanderSchema, take) -> tuple:
+    """Each layer's heavy, then check block."""
+    return tuple(
+        expander.LayerBits(heavy=take(layer.heavy_schema), check=take(layer.check_schema))
+        for layer in s.layers
     )
-    if schema.reps != header["reps"] or schema.buckets != header["buckets"]:
-        raise ValueError("rebuilt schema does not match file header")
-    _check_block_count(blocks, 1, "ppcs")
-    return schema, _unpack_sketch(blocks[0], schema)
 
 
-def save_btree(path: str, schema: btree.BTreeSchema, level_bits: list[ps.SketchBits]):
-    header = {
-        "n": schema.n, "k": schema.k, "b": schema.b, "delta": schema.delta,
-        "seed": schema.seed, "levels": len(schema.levels),
-        "constants": _constants_dict(schema.constants),
-    }
-    write_blocks(path, "btree", header, [pack_bits(b) for b in level_bits])
+def _buckets(s: heavy_hitters.HeavyHitterSchema, take) -> list:
+    """Each bucket's layered-sketch blocks in turn."""
+    return [_layers(sub, take) for sub in s.sub_schemas]
 
 
-def load_btree(header: dict, blocks: list[bytes]):
-    schema = btree.build_schema(
-        header["n"], header["k"], header["b"], header["delta"], header["seed"],
-        _constants_from(header["constants"]),
-    )
-    if len(schema.levels) != header["levels"]:
-        raise ValueError("rebuilt level count does not match file header")
-    _check_block_count(blocks, len(schema.levels), "btree")
-    return schema, [
-        _unpack_sketch(block, level.schema) for block, level in zip(blocks, schema.levels)
-    ]
-
-
-def save_expander(path: str, schema: expander.ExpanderSchema, bits):
-    header = {
-        "n": schema.n, "k": schema.k, "seed": schema.seed,
-        "layers": schema.layers_count,
-        "degree": schema.degree,
-        "error_fraction": schema.error_fraction,
-        "log_factor": schema.log_factor,
-        "constants": _constants_dict(schema.constants),
-    }
-    write_blocks(path, "expander", header, _pack_layers(bits))
-
-
-def load_expander(header: dict, blocks: list[bytes]):
-    schema = expander.build_schema(
-        header["n"], header["k"], header["seed"],
-        _constants_from(header["constants"]),
-        error_fraction=header["error_fraction"],
-        **_optional(header, "degree", "log_factor"),
-    )
-    if schema.layers_count != header["layers"]:
-        raise ValueError("rebuilt layer count does not match file header")
-    _check_block_count(blocks, 2 * schema.layers_count, "expander")
-    return schema, _unpack_layers(schema, iter(blocks))
-
-
-def save_heavy_hitters(path: str, schema: heavy_hitters.HeavyHitterSchema, bucket_bits):
-    header = {
-        "n": schema.n, "k": schema.k, "seed": schema.seed,
-        "buckets": schema.buckets,
-        "log_factor": schema.log_factor,
-        "bucket_factor": schema.bucket_factor,
-        **_sub_schema_params(schema),
-        "constants": _constants_dict(schema.constants),
-    }
-    write_blocks(path, "heavy-hitters", header, _pack_buckets(bucket_bits))
-
-
-def _hh_block_count(schema: heavy_hitters.HeavyHitterSchema) -> int:
-    return 2 * sum(len(sub.layers) for sub in schema.sub_schemas)
-
-
-def load_heavy_hitters(header: dict, blocks: list[bytes]):
-    schema = heavy_hitters.build_schema(
-        header["n"], header["k"], header["seed"],
-        _constants_from(header["constants"]),
-        log_factor=header["log_factor"],
-        bucket_factor=header["bucket_factor"],
-        **_optional(header, "degree", "error_fraction"),
-    )
-    if schema.buckets != header["buckets"]:
-        raise ValueError("rebuilt bucket count does not match file header")
-    _check_block_count(blocks, _hh_block_count(schema), "heavy-hitters")
-    return schema, _unpack_buckets(schema, iter(blocks))
-
-
-def save_pipeline(path: str, schema: recovery.PipelineSchema, bits: recovery.PipelineBits):
-    header = {
-        "n": schema.n, "k": schema.k, "delta": schema.delta, "seed": schema.seed,
-        "gauss_rows": schema.gauss_schema.rows,
-        "noise_sigma": schema.gauss_schema.noise_sigma,
-        "hh_buckets": schema.support_schema.buckets,
-        "log_factor": schema.support_schema.log_factor,
-        "bucket_factor": schema.support_schema.bucket_factor,
-        **_sub_schema_params(schema.support_schema),
-        "constants": _constants_dict(schema.support_schema.constants),
-    }
-    blocks = _pack_buckets(bits.support_bits) + [pack_sign_vector(bits.sign_bits)]
-    write_blocks(path, "pipeline", header, blocks)
-
-
-def load_pipeline(header: dict, blocks: list[bytes]):
-    schema = recovery.build_pipeline(
-        header["n"], header["k"], header["delta"], header["seed"],
-        gauss_rows=header["gauss_rows"], noise_sigma=header["noise_sigma"],
-        constants=_constants_from(header["constants"]),
-        **_optional(header, "degree", "error_fraction", "log_factor", "bucket_factor"),
-    )
-    if schema.support_schema.buckets != header["hh_buckets"]:
-        raise ValueError("rebuilt bucketing does not match file header")
-    _check_block_count(blocks, _hh_block_count(schema.support_schema) + 1, "pipeline")
-    support_bits = _unpack_buckets(schema.support_schema, iter(blocks))
-    sign_bits = unpack_sign_vector(blocks[-1], schema.gauss_schema.rows)
-    return schema, recovery.PipelineBits(support_bits=support_bits, sign_bits=sign_bits)
-
-
-_LOADERS = {
-    "ppcs": load_ppcs,
-    "btree": load_btree,
-    "expander": load_expander,
-    "heavy-hitters": load_heavy_hitters,
-    "pipeline": load_pipeline,
+# builds read module attributes at call time, so a tracer that patches
+# ``recovery.build_pipeline`` and its like sees the rebuild
+FORMATS = {
+    ps.PointQuerySchema: Format(
+        "ppcs", _ppcs_header,
+        build=lambda h, c: ps.build_schema(
+            ps.PartitionFamily.contiguous(h["n"], h["parts"]), h["k"], h["delta"], h["seed"], c
+        ),
+        layout=lambda s, take: take(s),
+    ),
+    btree.BTreeSchema: Format(
+        "btree",
+        lambda s: {"n": s.n, "k": s.k, "b": s.b, "delta": s.delta, "seed": s.seed,
+                   "levels": len(s.levels), "constants": asdict(s.constants)},
+        build=lambda h, c: btree.build_schema(h["n"], h["k"], h["b"], h["delta"], h["seed"], c),
+        layout=lambda s, take: [take(level.schema) for level in s.levels],
+    ),
+    expander.ExpanderSchema: Format(
+        "expander",
+        lambda s: {"n": s.n, "k": s.k, "seed": s.seed, "layers": s.layers_count,
+                   "degree": s.degree, "error_fraction": s.error_fraction,
+                   "log_factor": s.log_factor, "constants": asdict(s.constants)},
+        build=lambda h, c, **opt: expander.build_schema(
+            h["n"], h["k"], h["seed"], c, error_fraction=h["error_fraction"], **opt
+        ),
+        layout=_layers, optional=("degree", "log_factor"),
+    ),
+    heavy_hitters.HeavyHitterSchema: Format(
+        "heavy-hitters", _hh_header,
+        build=lambda h, c, **opt: heavy_hitters.build_schema(
+            h["n"], h["k"], h["seed"], c,
+            log_factor=h["log_factor"], bucket_factor=h["bucket_factor"], **opt,
+        ),
+        layout=_buckets, optional=("degree", "error_fraction"),
+    ),
+    recovery.PipelineSchema: Format(
+        "pipeline", _pipeline_header,
+        build=lambda h, c, **opt: recovery.build_pipeline(
+            h["n"], h["k"], h["delta"], h["seed"], gauss_rows=h["gauss_rows"],
+            noise_sigma=h["noise_sigma"], constants=c, **opt,
+        ),
+        layout=lambda s, take: recovery.PipelineBits(
+            support_bits=_buckets(s.support_schema, take), sign_bits=take(s.gauss_schema)
+        ),
+        optional=("degree", "error_fraction", "log_factor", "bucket_factor"),
+    ),
 }
+
+
+def _blocks(bits) -> list[bytes]:
+    """The packed blocks of a measurement's bits, depth first over its
+    fields and items: the order its format's layout takes them in."""
+    if isinstance(bits, ps.SketchBits):
+        return [pack_bits(bits)]
+    if isinstance(bits, np.ndarray):
+        return [pack_sign_vector(bits)]
+    if is_dataclass(bits):
+        bits = [getattr(bits, f.name) for f in fields(bits)]
+    return [block for part in bits for block in _blocks(part)]
+
+
+def _unpack(block: bytes, leaf):
+    if isinstance(leaf, ps.PointQuerySchema):
+        return unpack_bits(block, leaf.reps, leaf.buckets)
+    return unpack_sign_vector(block, leaf.rows)
+
+
+def save(path: str, schema, bits):
+    """Write a measurement as a bits file in its schema's format."""
+    fmt = FORMATS[type(schema)]
+    write_blocks(path, fmt.name, fmt.header(schema), _blocks(bits))
+
+
+# the benchmark saves through this name and its tracer times it
+save_pipeline = save
 
 
 def load_measurement(path: str):
     """Rebuild (scheme name, schema, bits) from a bits file alone."""
     scheme, header, blocks = read_blocks(path)
-    if scheme not in _LOADERS:
+    fmt = next((f for f in FORMATS.values() if f.name == scheme), None)
+    if fmt is None:
         raise ValueError(f"unknown scheme {scheme!r} in {path}")
-    schema, bits = _LOADERS[scheme](header, blocks)
-    return scheme, schema, bits
+    optional = {name: header[name] for name in fmt.optional if name in header}
+    schema = fmt.build(header, _constants_from(header["constants"]), **optional)
+    for name, value in fmt.header(schema).items():
+        if (name in header or name not in fmt.optional) and header[name] != value:
+            raise ValueError(f"rebuilt schema does not match file header field {name!r}")
+    leaves = []
+    fmt.layout(schema, leaves.append)
+    if len(blocks) != len(leaves):
+        raise ValueError(
+            f"{scheme} file holds {len(blocks)} bit blocks, its schema measures {len(leaves)}"
+        )
+    blocks = iter(blocks)
+    return scheme, schema, fmt.layout(schema, lambda leaf: _unpack(next(blocks), leaf))

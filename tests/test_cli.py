@@ -108,7 +108,7 @@ class TestBadInput:
     def test_decode_rejects_ill_typed_header(self, tmp_path, capsys):
         schema = expander.build_schema(256, 2, seed=3)
         bits = tmp_path / "m.bits"
-        serialize.save_expander(str(bits), schema, expander.measure(schema, np.zeros(256)))
+        serialize.save(str(bits), schema, expander.measure(schema, np.zeros(256)))
         scheme, header, blocks = serialize.read_blocks(str(bits))
         serialize.write_blocks(str(bits), scheme, {**header, "degree": "3"}, blocks)
         assert run_cli("decode", "--bits", str(bits)) == 2
@@ -117,10 +117,24 @@ class TestBadInput:
         assert captured.err.startswith("onebitcs: error:") and "'degree'" in captured.err
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("field", ["bucket_factor", "rep_factor", "cap_factor"])
+    def test_decode_rejects_a_zero_constant(self, tmp_path, capsys, field):
+        schema = ps.build_schema(ps.PartitionFamily.contiguous(256, 32), 2, 0.1, seed=3)
+        bits = tmp_path / "m.bits"
+        serialize.save(str(bits), schema, ps.measure(schema, np.zeros(256)))
+        scheme, header, blocks = serialize.read_blocks(str(bits))
+        constants = {**header["constants"], field: 0}
+        serialize.write_blocks(str(bits), scheme, {**header, "constants": constants}, blocks)
+        assert run_cli("decode", "--bits", str(bits)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("onebitcs: error:") and field in captured.err
+        assert captured.err.count("\n") == 1
+
     def test_decode_rejects_an_impossible_sign_pair(self, tmp_path, capsys):
         schema = ps.build_schema(ps.PartitionFamily.contiguous(256, 32), 2, 0.1, seed=3)
         bits = tmp_path / "m.bits"
-        serialize.save_ppcs(str(bits), schema, ps.measure(schema, np.zeros(256)))
+        serialize.save(str(bits), schema, ps.measure(schema, np.zeros(256)))
         scheme, header, blocks = serialize.read_blocks(str(bits))
         serialize.write_blocks(str(bits), scheme, header, [bytes(1) + blocks[0][1:]])
         assert run_cli("decode", "--bits", str(bits)) == 2

@@ -62,6 +62,12 @@ class TestBuild:
             ps.build_schema(part, 1, 0.5, seed=1,
                             constants=ps.SketchConstants(bucket_factor=2**20 + 1))
 
+    @pytest.mark.parametrize("field", ["bucket_factor", "rep_factor", "cap_factor"])
+    def test_rejects_a_zero_constant(self, field):
+        part = ps.PartitionFamily.contiguous(16, 4)
+        with pytest.raises(ValueError, match=field):
+            ps.build_schema(part, 1, 0.5, seed=1, constants=ps.SketchConstants(**{field: 0}))
+
     def test_margin_warning_fires_at_defaults(self):
         part = ps.PartitionFamily.contiguous(16, 4)
         with pytest.warns(ps.AnalysisMarginWarning):

@@ -111,4 +111,4 @@ def test_harness_cli_and_files_name_the_same_schemes():
 
     file_schemes = {name for name in harness.SCHEMES if name != "ppq"}
     assert scheme_choices("experiment") == set(harness.SCHEMES)
-    assert scheme_choices("encode") == file_schemes == set(serialize._LOADERS)
+    assert scheme_choices("encode") == file_schemes == {f.name for f in serialize.FORMATS.values()}

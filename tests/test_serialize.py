@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -6,7 +7,7 @@ import pytest
 
 from oracles import btree_measure_per_level, label_partition
 
-from onebitcs import btree, expander, heavy_hitters, recovery, serialize, signals
+from onebitcs import btree, expander, harness, heavy_hitters, recovery, serialize, signals
 from onebitcs import partition_sketch as ps
 from onebitcs.model import tail_stats
 from onebitcs.prf import RandomSource
@@ -24,7 +25,7 @@ def ppcs_file(tmp_path):
     schema = ps.build_schema(ps.PartitionFamily.contiguous(512, 64), 2, 0.01, seed=21)
     x, _ = sparse_unit(512, 2, 22)
     path = tmp_path / "m.bits"
-    serialize.save_ppcs(str(path), schema, ps.measure(schema, x))
+    serialize.save(str(path), schema, ps.measure(schema, x))
     serialize.load_measurement(str(path))  # intact, it loads
     return path
 
@@ -78,7 +79,7 @@ class TestFiles:
         x, sup = sparse_unit(n, k, 22)
         bits = ps.measure(schema, x)
         path = tmp_path / "m.bits"
-        serialize.save_ppcs(str(path), schema, bits)
+        serialize.save(str(path), schema, bits)
         scheme, schema2, bits2 = serialize.load_measurement(str(path))
         assert scheme == "ppcs"
         assert np.array_equal(bits2.bits, bits.bits)
@@ -92,14 +93,14 @@ class TestFiles:
         schema = ps.build_schema(partition, 1, 0.5, seed=1)
         bits = ps.measure(schema, np.zeros(4))
         with pytest.raises(ValueError):
-            serialize.save_ppcs(str(tmp_path / "x.bits"), schema, bits)
+            serialize.save(str(tmp_path / "x.bits"), schema, bits)
 
     def test_btree_file_round_trip(self, tmp_path):
         n, k, b = 256, 2, 4
         x, sup = sparse_unit(n, k, 23)
         schema, bits = btree.build_and_measure(x, n, k, b, 0.1, seed=24)
         path = tmp_path / "t.bits"
-        serialize.save_btree(str(path), schema, bits)
+        serialize.save(str(path), schema, bits)
         _, schema2, bits2 = serialize.load_measurement(str(path))
         a = btree.decode(schema, bits)
         c = btree.decode(schema2, bits2)
@@ -117,7 +118,7 @@ class TestFiles:
         shared = btree.measure(schema, x)
         assert not all(np.array_equal(a.bits, c.bits) for a, c in zip(bits, shared))
         path = tmp_path / "old.bits"
-        serialize.save_btree(str(path), schema, bits)
+        serialize.save(str(path), schema, bits)
         assert path.read_bytes().startswith(f"{serialize.MAGIC} btree\n".encode())
         _, schema2, bits2 = serialize.load_measurement(str(path))
         in_memory = btree.decode(schema, bits)
@@ -131,7 +132,7 @@ class TestFiles:
         x, sup = sparse_unit(n, k, 26)
         bits = expander.measure(schema, x)
         path = tmp_path / "e.bits"
-        serialize.save_expander(str(path), schema, bits)
+        serialize.save(str(path), schema, bits)
         _, schema2, bits2 = serialize.load_measurement(str(path))
         assert np.array_equal(
             expander.recover(schema, bits)[0], expander.recover(schema2, bits2)[0]
@@ -143,7 +144,7 @@ class TestFiles:
         x, sup = sparse_unit(n, k, 28)
         bits = heavy_hitters.measure(schema, x)
         path = tmp_path / "h.bits"
-        serialize.save_heavy_hitters(str(path), schema, bits)
+        serialize.save(str(path), schema, bits)
         _, schema2, bits2 = serialize.load_measurement(str(path))
         assert np.array_equal(
             heavy_hitters.decode(schema, bits)[0],
@@ -156,7 +157,7 @@ class TestFiles:
         x, sup = sparse_unit(n, k, 30)
         bits = recovery.measure(schema, x)
         path = tmp_path / "p.bits"
-        serialize.save_pipeline(str(path), schema, bits)
+        serialize.save(str(path), schema, bits)
         _, schema2, bits2 = serialize.load_measurement(str(path))
         assert np.array_equal(bits2.sign_bits, bits.sign_bits)
         est_a, _ = recovery.decode(schema, bits)
@@ -197,15 +198,15 @@ class TestFiles:
 LAYERED = {
     "expander": (
         lambda **kw: expander.build_schema(1 << 10, 2, seed=41, **kw),
-        expander.measure, serialize.save_expander,
+        expander.measure, serialize.save,
     ),
     "heavy-hitters": (
         lambda **kw: heavy_hitters.build_schema(1 << 10, 12, seed=42, **kw),
-        heavy_hitters.measure, serialize.save_heavy_hitters,
+        heavy_hitters.measure, serialize.save,
     ),
     "pipeline": (
         lambda **kw: recovery.build_pipeline(1 << 10, 12, 0.3, seed=43, gauss_rows=400, **kw),
-        recovery.measure, serialize.save_pipeline,
+        recovery.measure, serialize.save,
     ),
 }
 NON_DEFAULT = {"degree": 2, "error_fraction": 0.1, "log_factor": 2.0, "bucket_factor": 2.0}
@@ -285,7 +286,7 @@ class TestMalformedHeaders:
         x, _ = sparse_unit(256, 2, 23)
         schema, bits = btree.build_and_measure(x, 256, 2, 4, 0.1, seed=24)
         path = tmp_path / "t.bits"
-        serialize.save_btree(str(path), schema, bits)
+        serialize.save(str(path), schema, bits)
         rewrite(path, edit_blocks=lambda blocks: blocks + [blocks[-1]])
         with pytest.raises(ValueError, match="bit blocks"):
             serialize.load_measurement(str(path))
@@ -294,7 +295,7 @@ class TestMalformedHeaders:
         schema = recovery.build_pipeline(512, 2, 0.3, seed=29, gauss_rows=400)
         x, _ = sparse_unit(512, 2, 30)
         path = tmp_path / "p.bits"
-        serialize.save_pipeline(str(path), schema, recovery.measure(schema, x))
+        serialize.save(str(path), schema, recovery.measure(schema, x))
         rewrite(path, edit_blocks=lambda blocks: blocks[1:])
         with pytest.raises(ValueError, match="bit blocks"):
             serialize.load_measurement(str(path))
@@ -383,7 +384,7 @@ class TestImpossiblePairs:
         schema = recovery.build_pipeline(512, 2, 0.3, seed=29, gauss_rows=400)
         x, _ = sparse_unit(512, 2, 30)
         path = tmp_path / "p.bits"
-        serialize.save_pipeline(str(path), schema, recovery.measure(schema, x))
+        serialize.save(str(path), schema, recovery.measure(schema, x))
         rewrite(path, edit_blocks=lambda blocks: blocks[:-1] + [bytes(len(blocks[-1]))])
         _, _, bits = serialize.load_measurement(str(path))
         assert (bits.sign_bits == -1).all()
@@ -400,3 +401,67 @@ class TestImpossiblePairs:
         bits[0, 2, buckets - 1] = -1  # the last pair, next to the padding
         with pytest.raises(ValueError, match=r"\(-1, -1\) pair"):
             serialize.unpack_bits(serialize.pack_bits(ps.SketchBits(bits=bits)), 1, buckets)
+
+
+# build inputs for every format, read by name like a file header; k = 10 at
+# n = 2^10 is at the layered sketch's sparsity limit and makes 2 buckets
+BUILD_INPUTS = {"n": 1 << 10, "k": 10, "delta": 0.1, "seed": 5, "parts": 64, "b": 4,
+                "error_fraction": 0.25, "log_factor": 1.0, "bucket_factor": 2.0,
+                "gauss_rows": 400, "noise_sigma": 0.0}
+FORMATS = list(serialize.FORMATS.values())
+
+
+def format_named(name):
+    return next(fmt for fmt in FORMATS if fmt.name == name)
+
+
+def save_format(tmp_path, fmt, constants=ps.SketchConstants()):
+    schema = fmt.build(BUILD_INPUTS, constants)
+    x = signals.gen_signal(signals.SPARSE_PLUS_TAIL, schema.n, 4, RandomSource(45))
+    bits = harness.SCHEMES[fmt.name].measure(schema, x)
+    path = tmp_path / f"{fmt.name}.bits"
+    serialize.save(str(path), schema, bits)
+    return schema, bits, path
+
+
+def same_bits(a, b) -> bool:
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            same_bits(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)
+        )
+    return len(a) == len(b) and all(same_bits(u, v) for u, v in zip(a, b))
+
+
+class TestFormatTable:
+    @pytest.mark.parametrize("fmt", FORMATS, ids=lambda fmt: fmt.name)
+    def test_non_default_constants_round_trip(self, tmp_path, fmt):
+        constants = ps.SketchConstants(bucket_factor=16, rep_factor=4, cap_factor=8)
+        schema, bits, path = save_format(tmp_path, fmt, constants)
+        scheme, schema2, bits2 = serialize.load_measurement(str(path))
+        assert scheme == fmt.name
+        assert fmt.header(schema2) == fmt.header(schema)
+        assert same_bits(bits2, bits)
+        found, values, _ = harness.SCHEMES[fmt.name].decode(schema, bits)
+        found2, values2, _ = harness.SCHEMES[fmt.name].decode(schema2, bits2)
+        assert np.array_equal(found2, found) and np.array_equal(values2, values)
+
+    @pytest.mark.parametrize("scheme, name", [
+        ("ppcs", "reps"), ("ppcs", "buckets"), ("ppcs", "parts"), ("btree", "levels"),
+        ("expander", "layers"), ("heavy-hitters", "buckets"), ("pipeline", "hh_buckets"),
+    ])
+    def test_header_disagreeing_with_the_rebuild_rejected(self, tmp_path, scheme, name):
+        # 65 parts of 2^10 coordinates round to 64 intervals of width 16
+        _, _, path = save_format(tmp_path, format_named(scheme))
+        rewrite(path, edit_header=lambda header: header.update({name: header[name] + 1}))
+        with pytest.raises(ValueError, match=f"does not match file header field '{name}'"):
+            serialize.load_measurement(str(path))
+
+    @pytest.mark.parametrize("scheme", [fmt.name for fmt in FORMATS])
+    @pytest.mark.parametrize("field", ["bucket_factor", "rep_factor", "cap_factor"])
+    def test_zero_constant_rejected(self, tmp_path, scheme, field):
+        _, _, path = save_format(tmp_path, format_named(scheme))
+        rewrite(path, edit_header=lambda header: header["constants"].update({field: 0}))
+        with pytest.raises(ValueError, match=field):
+            serialize.load_measurement(str(path))
