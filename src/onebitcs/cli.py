@@ -14,17 +14,19 @@ from .model import as_signal
 from .prf import RandomSource, derive_key
 
 
+_TYPES = {"int": int, "float": float, "str": str}
+
+
 def _add_experiment_flags(p: argparse.ArgumentParser):
     """One flag per ``ExperimentConfig`` field; an unset flag is None."""
     choices = {"scheme": harness.SCHEMES, "model": signals.MODELS}
     notes = {"timing": "record wall time per trial (breaks byte-identical reruns)"}
-    types = {"int": int, "float": float, "str": str}
     for f in fields(harness.ExperimentConfig):
         if f.type == "bool":
             p.add_argument(f"--{f.name}", action="store_true", default=None,
                            help=notes.get(f.name))
         else:
-            p.add_argument(f"--{f.name}", type=types[f.type], choices=choices.get(f.name))
+            p.add_argument(f"--{f.name}", type=_TYPES[f.type], choices=choices.get(f.name))
     p.add_argument("--config", help="key=value config file; flags override it")
 
 
@@ -142,15 +144,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_enc = sub.add_parser("encode", help="measure a signal file into a bits file")
     p_enc.add_argument("--scheme", required=True,
-                       choices=[f.name for f in serialize.FORMATS.values()])
+                       choices=[name for name, s in harness.SCHEMES.items() if s.layout])
     p_enc.add_argument("--signal", required=True, help="text file, one value per line")
     p_enc.add_argument("--out", required=True)
     p_enc.add_argument("--k", type=int, required=True)
-    p_enc.add_argument("--delta", type=float, default=0.1)
-    p_enc.add_argument("--b", type=int, default=16)
-    p_enc.add_argument("--sigma", type=float, default=0.0)
-    p_enc.add_argument("--mg", type=int, default=0)
-    p_enc.add_argument("--seed", type=int, default=1)
+    for f in fields(harness.ExperimentConfig):
+        if f.name in ("delta", "b", "sigma", "mg", "seed"):
+            p_enc.add_argument(f"--{f.name}", type=_TYPES[f.type], default=f.default)
     p_enc.set_defaults(func=_cmd_encode)
 
     p_dec = sub.add_parser("decode", help="decode a bits file (schema is in the header)")

@@ -431,11 +431,7 @@ def link_cluster_decode(
             results[value] = score
     coords = np.array(sorted(results), dtype=np.int64)
     scores = np.array([results[int(i)] for i in coords])
-    cap = schema.cap
-    if coords.size > cap:
-        order = np.lexsort((coords, -scores))[:cap]
-        keep = np.sort(order)
-        coords, scores = coords[keep], scores[keep]
+    coords, scores = ps.cap_by_score(coords, scores, schema.cap)
     diag = RecoveryDiagnostics(
         components=len(components),
         decode_failures=decode_failures,

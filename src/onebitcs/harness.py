@@ -14,7 +14,7 @@ import io
 import math
 import time
 from collections.abc import Callable
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -129,14 +129,22 @@ def _decode_pipeline(schema, bits):
 
 @dataclass(frozen=True)
 class Scheme:
-    """One scheme's steps, shared by the harness and the CLI.
+    """One scheme's steps, shared by the harness, the CLI and bits files.
 
     ``build(config, n, seed)`` reads config.k, .delta, .b, .sigma and .mg.
     ``decode(schema, bits)`` returns (found, values or None, point queries
     plus bit reads); ``found`` lists parts when ``unit`` is "part", else
     coordinates.  ``judge(x, stats, config, schema, found, values)`` returns
-    (success, err_sq).  ``serialize`` writes and reads the bits files of
-    every scheme whose schema type its format table lists.
+    (success, err_sq).
+
+    A scheme with a ``layout`` has bits files, which ``serialize`` writes for
+    schemas of type ``schema_type``.  ``header(schema)`` gives the header
+    fields; ``rebuild(header, constants, **optional)`` rebuilds the schema
+    from them, receiving each ``optional`` field the header holds (an
+    earlier v2 file may lack these, and the rebuild then takes its build
+    default).  ``layout(schema, take)`` calls ``take(leaf)`` for each
+    block's partition-sketch or gaussian schema in file order and returns
+    the bits built from what ``take`` returned.
     """
 
     build: Callable
@@ -144,9 +152,52 @@ class Scheme:
     decode: Callable
     judge: Callable
     unit: str = "index"
+    schema_type: type | None = None
+    header: Callable | None = None
+    rebuild: Callable | None = None
+    layout: Callable | None = None
+    optional: tuple[str, ...] = ()
 
 
-_PPCS = Scheme(
+def _ppcs_header(s: ps.PointQuerySchema) -> dict:
+    if s.partition.starts is None:
+        raise ValueError("only interval partitions are serialized; a name partition "
+                         "is schema-internal")
+    return {"n": s.n, "parts": s.partition.size, "k": s.k, "delta": s.delta,
+            "seed": s.seed, "reps": s.reps, "buckets": s.buckets,
+            "constants": asdict(s.constants)}
+
+
+def _hh_header(s: heavy_hitters.HeavyHitterSchema) -> dict:
+    sub = s.sub_schemas[0]  # every bucket's layered sketch shares these
+    return {"n": s.n, "k": s.k, "seed": s.seed, "buckets": s.buckets,
+            "log_factor": s.log_factor, "bucket_factor": s.bucket_factor,
+            "degree": sub.degree, "error_fraction": sub.error_fraction,
+            "constants": asdict(s.constants)}
+
+
+def _pipeline_header(s: recovery.PipelineSchema) -> dict:
+    header = _hh_header(s.support_schema)
+    header["hh_buckets"] = header.pop("buckets")
+    return {**header, "delta": s.delta, "seed": s.seed,
+            "gauss_rows": s.gauss_schema.rows, "noise_sigma": s.gauss_schema.noise_sigma}
+
+
+def _layers(s: expander.ExpanderSchema, take) -> tuple:
+    """Each layer's heavy, then check block."""
+    return tuple(
+        expander.LayerBits(heavy=take(layer.heavy_schema), check=take(layer.check_schema))
+        for layer in s.layers
+    )
+
+
+def _buckets(s: heavy_hitters.HeavyHitterSchema, take) -> list:
+    """Each bucket's layered-sketch blocks in turn."""
+    return [_layers(sub, take) for sub in s.sub_schemas]
+
+
+# a single point query on the heaviest coordinate's part (see _run_trial)
+_PPQ = Scheme(
     build=lambda c, n, seed: ps.build_schema(
         ps.PartitionFamily.contiguous(n, min(n, PARTS_PER_SPARSITY * c.k)),
         c.k, c.delta, seed,
@@ -154,27 +205,62 @@ _PPCS = Scheme(
     measure=ps.measure, decode=_decode_ppcs, judge=_judge_parts, unit="part",
 )
 
+# builds and rebuilds read module attributes at call time, so a tracer that
+# patches ``recovery.build_pipeline`` and its like sees them
 SCHEMES = {
-    # a single point query on the heaviest coordinate's part (see _run_trial)
-    "ppq": _PPCS,
-    "ppcs": _PPCS,
+    "ppq": _PPQ,
+    "ppcs": replace(
+        _PPQ, schema_type=ps.PointQuerySchema, header=_ppcs_header,
+        rebuild=lambda h, c: ps.build_schema(
+            ps.PartitionFamily.contiguous(h["n"], h["parts"]), h["k"], h["delta"], h["seed"], c
+        ),
+        layout=lambda s, take: take(s),
+    ),
     "btree": Scheme(
         build=lambda c, n, seed: btree.build_schema(n, c.k, c.b, c.delta, seed),
         measure=btree.measure, decode=_decode_btree, judge=_judge_coords,
+        schema_type=btree.BTreeSchema,
+        header=lambda s: {"n": s.n, "k": s.k, "b": s.b, "delta": s.delta, "seed": s.seed,
+                          "levels": len(s.levels), "constants": asdict(s.constants)},
+        rebuild=lambda h, c: btree.build_schema(h["n"], h["k"], h["b"], h["delta"], h["seed"], c),
+        layout=lambda s, take: [take(level.schema) for level in s.levels],
     ),
     "expander": Scheme(
         build=lambda c, n, seed: expander.build_schema(n, c.k, seed),
         measure=expander.measure, decode=_decode_expander, judge=_judge_coords,
+        schema_type=expander.ExpanderSchema,
+        header=lambda s: {"n": s.n, "k": s.k, "seed": s.seed, "layers": s.layers_count,
+                          "degree": s.degree, "error_fraction": s.error_fraction,
+                          "log_factor": s.log_factor, "constants": asdict(s.constants)},
+        rebuild=lambda h, c, **opt: expander.build_schema(
+            h["n"], h["k"], h["seed"], c, error_fraction=h["error_fraction"], **opt
+        ),
+        layout=_layers, optional=("degree", "log_factor"),
     ),
     "heavy-hitters": Scheme(
         build=lambda c, n, seed: heavy_hitters.build_schema(n, c.k, seed),
         measure=heavy_hitters.measure, decode=_decode_heavy_hitters, judge=_judge_coords,
+        schema_type=heavy_hitters.HeavyHitterSchema, header=_hh_header,
+        rebuild=lambda h, c, **opt: heavy_hitters.build_schema(
+            h["n"], h["k"], h["seed"], c,
+            log_factor=h["log_factor"], bucket_factor=h["bucket_factor"], **opt,
+        ),
+        layout=_buckets, optional=("degree", "error_fraction"),
     ),
     "pipeline": Scheme(
         build=lambda c, n, seed: recovery.build_pipeline(
             n, c.k, c.delta, seed, gauss_rows=c.mg or None, noise_sigma=c.sigma
         ),
         measure=recovery.measure, decode=_decode_pipeline, judge=_judge_estimate,
+        schema_type=recovery.PipelineSchema, header=_pipeline_header,
+        rebuild=lambda h, c, **opt: recovery.build_pipeline(
+            h["n"], h["k"], h["delta"], h["seed"], gauss_rows=h["gauss_rows"],
+            noise_sigma=h["noise_sigma"], constants=c, **opt,
+        ),
+        layout=lambda s, take: recovery.PipelineBits(
+            support_bits=_buckets(s.support_schema, take), sign_bits=take(s.gauss_schema)
+        ),
+        optional=("degree", "error_fraction", "log_factor", "bucket_factor"),
     ),
 }
 

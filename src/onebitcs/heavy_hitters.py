@@ -124,8 +124,5 @@ def decode(
         coords, scores = coords[order], scores[order]
         first = np.concatenate([[True], np.diff(coords) != 0])
         coords, scores = coords[first], scores[first]
-    if coords.size > schema.cap:
-        order = np.lexsort((coords, -scores))[: schema.cap]
-        keep = np.sort(order)
-        coords, scores = coords[keep], scores[keep]
+    coords, scores = ps.cap_by_score(coords, scores, schema.cap)
     return coords, scores, diags

@@ -33,7 +33,7 @@ from .model import signal_nonzeros
 from .prf import U64, derive_key, fold
 
 # probability mass pinned by the two-sided gaussian clipping constants:
-# P[|N(0,1)| < quantile_hi] = 19/20 and P[|N(0,1)| > quantile_lo] = 19/20
+# P[|N(0,1)| < QUANTILE_HI] = 19/20 and P[|N(0,1)| > QUANTILE_LO] = 19/20
 QUANTILE_HI = float(norm.ppf(0.975))
 QUANTILE_LO = float(norm.ppf(0.525))
 
@@ -216,8 +216,6 @@ class PointQuerySchema:
     constants: SketchConstants
     reps: int
     buckets: int
-    quantile_hi: float
-    quantile_lo: float
 
     @property
     def n(self) -> int:
@@ -303,8 +301,6 @@ def build_schema(
         constants=constants,
         reps=reps,
         buckets=buckets,
-        quantile_hi=hi,
-        quantile_lo=lo,
     )
 
 
@@ -589,8 +585,14 @@ def _count_sketch_decode(
         first, least = rr[-1] + 1, 1
         alive = good + (reps - first) >= need
         parts, good = parts[alive], good[alive]
-    if parts.size > schema.cap:
-        keep = np.lexsort((parts, -good))[: schema.cap]
-        parts, good = parts[keep], good[keep]
-    order = np.argsort(parts)
-    return parts[order], good[order]
+    return cap_by_score(parts, good, schema.cap)
+
+
+def cap_by_score(ids: np.ndarray, scores: np.ndarray, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``cap`` highest-scored ``ids`` (ties toward the lower id) and their
+    scores, sorted by id."""
+    if ids.size > cap:
+        keep = np.lexsort((ids, -scores))[:cap]
+        ids, scores = ids[keep], scores[keep]
+    order = np.argsort(ids)
+    return ids[order], scores[order]

@@ -8,13 +8,13 @@ the format version; a file of any other version is rejected, because its bits
 were taken under a different hash layout (v2: one PRF word per repetition and
 part of every partition sketch).
 
-One table, ``FORMATS``, keyed by schema type, gives each scheme's header
-fields, schema rebuild and block layout; ``save`` and ``load_measurement``
-serve every scheme from it.  On load, every header field of the rebuilt
-schema must equal the file's (only a field earlier v2 files lack may be
-absent: the rebuild takes its build default), the block count must be the
-schema's, every block must have exactly the length its bit count requires,
-and nothing may follow the last block.  Header values are typed: integer
+Each file scheme's header fields, schema rebuild and block layout sit on its
+``harness.SCHEMES`` entry; ``save`` and ``load_measurement`` serve every
+scheme from there.  On load, every header field of the rebuilt schema must
+equal the file's (only a field earlier v2 files lack may be absent: the
+rebuild takes its build default), the block count must be the schema's,
+every block must have exactly the length its bit count requires, and
+nothing may follow the last block.  Header values are typed: integer
 fields must be JSON integers and float fields finite JSON numbers (booleans
 are neither).  A partition sketch's block may not hold a (-1, -1) polarity
 pair, which no measurement produces.
@@ -28,12 +28,11 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Callable
-from dataclasses import asdict, dataclass, fields, is_dataclass
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 
-from . import btree, expander, heavy_hitters, recovery
+from . import harness
 from . import partition_sketch as ps
 
 MAGIC = "onebitcs-bits v2"
@@ -169,116 +168,9 @@ def read_blocks(path: str) -> tuple[str, dict, list[bytes]]:
     return scheme, header, blocks
 
 
-# -- the format table ---------------------------------------------------------
-
-@dataclass(frozen=True)
-class Format:
-    """How one scheme's measurement is laid out in a bits file.
-
-    ``header(schema)`` gives the header fields; ``build(header, constants,
-    **optional)`` rebuilds the schema from them, receiving each ``optional``
-    field the header holds (an earlier v2 file may lack these, and the
-    rebuild then takes its build default).  ``layout(schema, take)`` calls
-    ``take(leaf)`` for each block's partition-sketch or gaussian schema in
-    file order and returns the bits built from what ``take`` returned.
-    """
-
-    name: str
-    header: Callable
-    build: Callable
-    layout: Callable
-    optional: tuple[str, ...] = ()
-
-
-def _ppcs_header(s: ps.PointQuerySchema) -> dict:
-    if s.partition.starts is None:
-        raise ValueError("only interval partitions are serialized; a name partition "
-                         "is schema-internal")
-    return {"n": s.n, "parts": s.partition.size, "k": s.k, "delta": s.delta,
-            "seed": s.seed, "reps": s.reps, "buckets": s.buckets,
-            "constants": asdict(s.constants)}
-
-
-def _hh_header(s: heavy_hitters.HeavyHitterSchema) -> dict:
-    sub = s.sub_schemas[0]  # every bucket's layered sketch shares these
-    return {"n": s.n, "k": s.k, "seed": s.seed, "buckets": s.buckets,
-            "log_factor": s.log_factor, "bucket_factor": s.bucket_factor,
-            "degree": sub.degree, "error_fraction": sub.error_fraction,
-            "constants": asdict(s.constants)}
-
-
-def _pipeline_header(s: recovery.PipelineSchema) -> dict:
-    header = _hh_header(s.support_schema)
-    header["hh_buckets"] = header.pop("buckets")
-    return {**header, "delta": s.delta, "seed": s.seed,
-            "gauss_rows": s.gauss_schema.rows, "noise_sigma": s.gauss_schema.noise_sigma}
-
-
-def _layers(s: expander.ExpanderSchema, take) -> tuple:
-    """Each layer's heavy, then check block."""
-    return tuple(
-        expander.LayerBits(heavy=take(layer.heavy_schema), check=take(layer.check_schema))
-        for layer in s.layers
-    )
-
-
-def _buckets(s: heavy_hitters.HeavyHitterSchema, take) -> list:
-    """Each bucket's layered-sketch blocks in turn."""
-    return [_layers(sub, take) for sub in s.sub_schemas]
-
-
-# builds read module attributes at call time, so a tracer that patches
-# ``recovery.build_pipeline`` and its like sees the rebuild
-FORMATS = {
-    ps.PointQuerySchema: Format(
-        "ppcs", _ppcs_header,
-        build=lambda h, c: ps.build_schema(
-            ps.PartitionFamily.contiguous(h["n"], h["parts"]), h["k"], h["delta"], h["seed"], c
-        ),
-        layout=lambda s, take: take(s),
-    ),
-    btree.BTreeSchema: Format(
-        "btree",
-        lambda s: {"n": s.n, "k": s.k, "b": s.b, "delta": s.delta, "seed": s.seed,
-                   "levels": len(s.levels), "constants": asdict(s.constants)},
-        build=lambda h, c: btree.build_schema(h["n"], h["k"], h["b"], h["delta"], h["seed"], c),
-        layout=lambda s, take: [take(level.schema) for level in s.levels],
-    ),
-    expander.ExpanderSchema: Format(
-        "expander",
-        lambda s: {"n": s.n, "k": s.k, "seed": s.seed, "layers": s.layers_count,
-                   "degree": s.degree, "error_fraction": s.error_fraction,
-                   "log_factor": s.log_factor, "constants": asdict(s.constants)},
-        build=lambda h, c, **opt: expander.build_schema(
-            h["n"], h["k"], h["seed"], c, error_fraction=h["error_fraction"], **opt
-        ),
-        layout=_layers, optional=("degree", "log_factor"),
-    ),
-    heavy_hitters.HeavyHitterSchema: Format(
-        "heavy-hitters", _hh_header,
-        build=lambda h, c, **opt: heavy_hitters.build_schema(
-            h["n"], h["k"], h["seed"], c,
-            log_factor=h["log_factor"], bucket_factor=h["bucket_factor"], **opt,
-        ),
-        layout=_buckets, optional=("degree", "error_fraction"),
-    ),
-    recovery.PipelineSchema: Format(
-        "pipeline", _pipeline_header,
-        build=lambda h, c, **opt: recovery.build_pipeline(
-            h["n"], h["k"], h["delta"], h["seed"], gauss_rows=h["gauss_rows"],
-            noise_sigma=h["noise_sigma"], constants=c, **opt,
-        ),
-        layout=lambda s, take: recovery.PipelineBits(
-            support_bits=_buckets(s.support_schema, take), sign_bits=take(s.gauss_schema)
-        ),
-        optional=("degree", "error_fraction", "log_factor", "bucket_factor"),
-    ),
-}
-
-
 def _blocks(bits) -> list[bytes]:
     """The packed blocks of a measurement's bits, depth first over its
-    fields and items: the order its format's layout takes them in."""
+    fields and items: the order its scheme's layout takes them in."""
     if isinstance(bits, ps.SketchBits):
         return [pack_bits(bits)]
     if isinstance(bits, np.ndarray):
@@ -295,9 +187,11 @@ def _unpack(block: bytes, leaf):
 
 
 def save(path: str, schema, bits):
-    """Write a measurement as a bits file in its schema's format."""
-    fmt = FORMATS[type(schema)]
-    write_blocks(path, fmt.name, fmt.header(schema), _blocks(bits))
+    """Write a measurement as a bits file in its schema's scheme."""
+    for name, scheme in harness.SCHEMES.items():
+        if scheme.schema_type is type(schema):
+            return write_blocks(path, name, scheme.header(schema), _blocks(bits))
+    raise ValueError(f"no bits-file scheme saves a {type(schema).__name__}")
 
 
 # the benchmark saves through this name and its tracer times it
@@ -306,20 +200,20 @@ save_pipeline = save
 
 def load_measurement(path: str):
     """Rebuild (scheme name, schema, bits) from a bits file alone."""
-    scheme, header, blocks = read_blocks(path)
-    fmt = next((f for f in FORMATS.values() if f.name == scheme), None)
-    if fmt is None:
-        raise ValueError(f"unknown scheme {scheme!r} in {path}")
-    optional = {name: header[name] for name in fmt.optional if name in header}
-    schema = fmt.build(header, _constants_from(header["constants"]), **optional)
-    for name, value in fmt.header(schema).items():
-        if (name in header or name not in fmt.optional) and header[name] != value:
-            raise ValueError(f"rebuilt schema does not match file header field {name!r}")
+    name, header, blocks = read_blocks(path)
+    scheme = harness.SCHEMES.get(name)
+    if scheme is None or scheme.layout is None:
+        raise ValueError(f"unknown scheme {name!r} in {path}")
+    optional = {field: header[field] for field in scheme.optional if field in header}
+    schema = scheme.rebuild(header, _constants_from(header["constants"]), **optional)
+    for field, value in scheme.header(schema).items():
+        if (field in header or field not in scheme.optional) and header[field] != value:
+            raise ValueError(f"rebuilt schema does not match file header field {field!r}")
     leaves = []
-    fmt.layout(schema, leaves.append)
+    scheme.layout(schema, leaves.append)
     if len(blocks) != len(leaves):
         raise ValueError(
-            f"{scheme} file holds {len(blocks)} bit blocks, its schema measures {len(leaves)}"
+            f"{name} file holds {len(blocks)} bit blocks, its schema measures {len(leaves)}"
         )
     blocks = iter(blocks)
-    return scheme, schema, fmt.layout(schema, lambda leaf: _unpack(next(blocks), leaf))
+    return name, schema, scheme.layout(schema, lambda leaf: _unpack(next(blocks), leaf))

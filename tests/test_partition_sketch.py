@@ -33,10 +33,8 @@ class TestBuild:
         assert schema.rows == 2 * 3 * (32 * 8) * 32 == 49152
 
     def test_quantile_constants(self):
-        part = ps.PartitionFamily.contiguous(16, 4)
-        schema = ps.build_schema(part, k=1, delta=0.5, seed=1)
-        assert abs(schema.quantile_hi - 1.959964) < 1e-6
-        assert abs(schema.quantile_lo - 0.062707) < 1e-6
+        assert abs(ps.QUANTILE_HI - 1.959964) < 1e-6
+        assert abs(ps.QUANTILE_LO - 0.062707) < 1e-6
 
     @given(st.integers(1, 20), st.floats(1e-6, 0.99))
     def test_row_count_all_params(self, k, delta):

@@ -109,6 +109,7 @@ def test_harness_cli_and_files_name_the_same_schemes():
     def scheme_choices(command):
         return set(next(a for a in commands[command]._actions if a.dest == "scheme").choices)
 
-    file_schemes = {name for name in harness.SCHEMES if name != "ppq"}
+    # every scheme with a file layout is encodable and has pinned file digests
+    file_schemes = {name for name, scheme in harness.SCHEMES.items() if scheme.layout}
     assert scheme_choices("experiment") == set(harness.SCHEMES)
-    assert scheme_choices("encode") == file_schemes == {f.name for f in serialize.FORMATS.values()}
+    assert scheme_choices("encode") == file_schemes == set(FILE_DIGESTS)

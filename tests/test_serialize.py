@@ -192,6 +192,20 @@ class TestFiles:
         with pytest.raises(ValueError):
             serialize.load_measurement(str(path))
 
+    def test_schema_without_a_file_scheme_rejected(self, tmp_path):
+        schema = recovery.GaussianSchema(rows=8, n=16, seed=1)
+        with pytest.raises(ValueError, match="GaussianSchema"):
+            serialize.save(str(tmp_path / "g.bits"), schema, np.ones(8, dtype=np.int8))
+
+    def test_scheme_without_a_file_layout_rejected(self, tmp_path):
+        # ppq measures a ppcs schema, but has no files of its own
+        path = ppcs_file(tmp_path)
+        _, header, blocks = serialize.read_blocks(str(path))
+        serialize.write_blocks(str(path), "ppq", header, blocks)
+        assert path.read_bytes().startswith(f"{serialize.MAGIC} ppq\n".encode())
+        with pytest.raises(ValueError, match="unknown scheme 'ppq'"):
+            serialize.load_measurement(str(path))
+
 
 # scheme -> (build with extra keyword arguments, measure, save); k = 12 at
 # n = 2^10 is bucketed into 2 buckets under the default log_factor of 1
@@ -403,23 +417,20 @@ class TestImpossiblePairs:
             serialize.unpack_bits(serialize.pack_bits(ps.SketchBits(bits=bits)), 1, buckets)
 
 
-# build inputs for every format, read by name like a file header; k = 10 at
-# n = 2^10 is at the layered sketch's sparsity limit and makes 2 buckets
+# rebuild inputs for every file scheme, read by name like a file header; k = 10
+# at n = 2^10 is at the layered sketch's sparsity limit and makes 2 buckets
 BUILD_INPUTS = {"n": 1 << 10, "k": 10, "delta": 0.1, "seed": 5, "parts": 64, "b": 4,
                 "error_fraction": 0.25, "log_factor": 1.0, "bucket_factor": 2.0,
                 "gauss_rows": 400, "noise_sigma": 0.0}
-FORMATS = list(serialize.FORMATS.values())
+FILE_SCHEMES = [name for name, scheme in harness.SCHEMES.items() if scheme.layout]
 
 
-def format_named(name):
-    return next(fmt for fmt in FORMATS if fmt.name == name)
-
-
-def save_format(tmp_path, fmt, constants=ps.SketchConstants()):
-    schema = fmt.build(BUILD_INPUTS, constants)
+def save_scheme(tmp_path, name, constants=ps.SketchConstants()):
+    scheme = harness.SCHEMES[name]
+    schema = scheme.rebuild(BUILD_INPUTS, constants)
     x = signals.gen_signal(signals.SPARSE_PLUS_TAIL, schema.n, 4, RandomSource(45))
-    bits = harness.SCHEMES[fmt.name].measure(schema, x)
-    path = tmp_path / f"{fmt.name}.bits"
+    bits = scheme.measure(schema, x)
+    path = tmp_path / f"{name}.bits"
     serialize.save(str(path), schema, bits)
     return schema, bits, path
 
@@ -435,16 +446,17 @@ def same_bits(a, b) -> bool:
 
 
 class TestFormatTable:
-    @pytest.mark.parametrize("fmt", FORMATS, ids=lambda fmt: fmt.name)
-    def test_non_default_constants_round_trip(self, tmp_path, fmt):
+    @pytest.mark.parametrize("name", FILE_SCHEMES)
+    def test_non_default_constants_round_trip(self, tmp_path, name):
         constants = ps.SketchConstants(bucket_factor=16, rep_factor=4, cap_factor=8)
-        schema, bits, path = save_format(tmp_path, fmt, constants)
-        scheme, schema2, bits2 = serialize.load_measurement(str(path))
-        assert scheme == fmt.name
-        assert fmt.header(schema2) == fmt.header(schema)
+        schema, bits, path = save_scheme(tmp_path, name, constants)
+        name2, schema2, bits2 = serialize.load_measurement(str(path))
+        scheme = harness.SCHEMES[name]
+        assert name2 == name
+        assert scheme.header(schema2) == scheme.header(schema)
         assert same_bits(bits2, bits)
-        found, values, _ = harness.SCHEMES[fmt.name].decode(schema, bits)
-        found2, values2, _ = harness.SCHEMES[fmt.name].decode(schema2, bits2)
+        found, values, _ = scheme.decode(schema, bits)
+        found2, values2, _ = scheme.decode(schema2, bits2)
         assert np.array_equal(found2, found) and np.array_equal(values2, values)
 
     @pytest.mark.parametrize("scheme, name", [
@@ -453,15 +465,15 @@ class TestFormatTable:
     ])
     def test_header_disagreeing_with_the_rebuild_rejected(self, tmp_path, scheme, name):
         # 65 parts of 2^10 coordinates round to 64 intervals of width 16
-        _, _, path = save_format(tmp_path, format_named(scheme))
+        _, _, path = save_scheme(tmp_path, scheme)
         rewrite(path, edit_header=lambda header: header.update({name: header[name] + 1}))
         with pytest.raises(ValueError, match=f"does not match file header field '{name}'"):
             serialize.load_measurement(str(path))
 
-    @pytest.mark.parametrize("scheme", [fmt.name for fmt in FORMATS])
+    @pytest.mark.parametrize("scheme", FILE_SCHEMES)
     @pytest.mark.parametrize("field", ["bucket_factor", "rep_factor", "cap_factor"])
     def test_zero_constant_rejected(self, tmp_path, scheme, field):
-        _, _, path = save_format(tmp_path, format_named(scheme))
+        _, _, path = save_scheme(tmp_path, scheme)
         rewrite(path, edit_header=lambda header: header["constants"].update({field: 0}))
         with pytest.raises(ValueError, match=field):
             serialize.load_measurement(str(path))
