@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import partition_sketch as ps
+from .model import as_indices
 from .prf import derive_key
 
 
@@ -54,9 +55,12 @@ class BTreeSchema:
 
     def children(self, level: int, parts) -> np.ndarray:
         """Parts of ``level``+1 contained in the given part(s) of ``level``,
-        parent by parent: one searchsorted over the parents' interval bounds."""
-        parts = np.atleast_1d(np.asarray(parts, dtype=np.int64))
-        bounds = np.append(self.levels[level].starts, self.n)
+        parent by parent: one searchsorted over the parents' interval bounds.
+        A part that is not the integer index of a ``level`` part raises
+        ``ValueError``."""
+        starts = self.levels[level].starts
+        parts = np.atleast_1d(as_indices(parts, starts.size, f"level-{level} part"))
+        bounds = np.append(starts, self.n)
         first, last = np.searchsorted(self.levels[level + 1].starts, bounds[[parts, parts + 1]])
         counts = last - first
         return np.repeat(first - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import partition_sketch as ps
-from .model import signal_nonzeros
+from .model import as_indices, signal_nonzeros
 from .prf import derive_key, uniform_index
 from .rscode import ChunkCode
 
@@ -137,13 +137,6 @@ def max_sparsity(n: int, log_factor: float = 1.0) -> int:
     return max(1, math.ceil(log_factor * math.log2(max(n, 2))))
 
 
-def _hash_fields(schema_seed: int, n: int, s: int, h_range: int) -> np.ndarray:
-    coords = np.arange(n)
-    return np.stack(
-        [uniform_index(derive_key(schema_seed, 300 + j), coords, h_range) for j in range(s)]
-    )
-
-
 def _word_fields(widths) -> list[range]:
     """Fields of each 64-bit key word: runs of consecutive fields, filled
     greedily, so that comparing the words in order compares the fields in
@@ -168,7 +161,7 @@ def _pack_rows(columns, widths) -> np.ndarray:
     for word, cols in zip(out, fields):
         for i in cols:
             word <<= np.uint64(widths[i])
-            word |= np.asarray(columns[i], dtype=np.int64).view(np.uint64)
+            np.bitwise_or(word, columns[i], out=word, dtype=np.uint64, casting="unsafe")
     return out
 
 
@@ -215,7 +208,9 @@ def build_schema(
     deg = len(neighbors[0])
     h_range = max(16, math.ceil(math.log2(n)) ** 3)
 
-    own_hash = _hash_fields(seed, n, s, h_range)
+    # (s, n): row j hashes every coordinate under name_key(j)
+    name_keys = np.array([derive_key(seed, 300 + j) for j in range(s)])
+    own_hash = uniform_index(name_keys[:, None], np.arange(n), h_range)
     codewords = code.codeword_table(n)  # (n, s), shared by every build at this n
 
     heavy_delta = float((1 << code.t)) ** -2
@@ -252,10 +247,9 @@ def build_schema(
 
 
 def make_name(schema: ExpanderSchema, i, layer: int) -> np.ndarray:
-    """Name fields of coordinate(s) i in a layer: own hash, chunk, neighbor hashes."""
-    i = np.atleast_1d(np.asarray(i, dtype=np.int64))
-    if i.size and (i.min() < 0 or i.max() >= schema.n):
-        raise ValueError("coordinate out of range")
+    """Name fields of coordinate(s) i in a layer: own hash, chunk, neighbor
+    hashes.  A coordinate that is not an integer in [0, n) raises ``ValueError``."""
+    i = np.atleast_1d(as_indices(i, schema.n, "coordinate"))
     own = uniform_index(schema.name_key(layer), i, schema.h_range)
     chunk = schema.code.encode_many(i)[:, layer]
     cols = [own, chunk]

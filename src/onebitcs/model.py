@@ -37,6 +37,20 @@ def as_signal(x) -> np.ndarray:
     return arr
 
 
+def as_indices(values, size: int, what: str) -> np.ndarray:
+    """``values`` as an int64 array of their shape.  A dtype other than a
+    signed or unsigned integer (bool included) or an entry outside
+    [0, size) raises ``ValueError``; an empty list, which numpy types as
+    float, passes."""
+    idx = np.asarray(values)
+    if idx.size and idx.dtype.kind not in "iu":
+        raise ValueError(f"{what} must be integers, not {idx.dtype}")
+    idx = idx.astype(np.int64, copy=False)
+    if idx.size and (idx.min() < 0 or idx.max() >= size):
+        raise ValueError(f"{what} out of range [0, {size})")
+    return idx
+
+
 def signal_nonzeros(x, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Validate a signal of length n; its nonzero coordinates, ascending, and
     their values: the one scan of x each measure takes and hands down."""
@@ -94,9 +108,7 @@ def tail_stats(x, k: int) -> TailStats:
 def restrict(x, indices) -> np.ndarray:
     """Zero out every coordinate not listed in ``indices``."""
     x = as_signal(x)
-    idx = np.asarray(sorted(indices), dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= x.size):
-        raise ValueError("restriction index out of range")
+    idx = as_indices(sorted(indices), x.size, "restriction index")
     out = np.zeros_like(x)
     out[idx] = x[idx]
     return out

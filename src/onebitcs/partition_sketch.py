@@ -26,16 +26,16 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from . import prf
-from .model import signal_nonzeros
+from .model import as_indices, signal_nonzeros
 from .prf import U64, derive_key, fold
 
 # probability mass pinned by the two-sided gaussian clipping constants:
 # P[|N(0,1)| < QUANTILE_HI] = 19/20 and P[|N(0,1)| > QUANTILE_LO] = 19/20
-QUANTILE_HI = float(norm.ppf(0.975))
-QUANTILE_LO = float(norm.ppf(0.525))
+QUANTILE_HI = float(ndtri(0.975))
+QUANTILE_LO = float(ndtri(0.525))
 
 # a bucket index is a multiply-shift reduction of a 20-bit slice of a row word
 SLICE_BITS = 20
@@ -114,11 +114,9 @@ class PartitionFamily:
         return cls(n=names.shape[1], size=keys.shape[1], names=names, keys=keys)
 
     def parts_of(self, coords) -> np.ndarray:
-        """Part index of each coordinate (vectorized); a coordinate outside
-        [0, n) raises ``ValueError``."""
-        coords = np.asarray(coords, dtype=np.int64)
-        if coords.size and (coords.min() < 0 or coords.max() >= self.n):
-            raise ValueError(f"coordinate out of range [0, {self.n})")
+        """Part index of each coordinate (vectorized); a coordinate that is
+        not an integer in [0, n) raises ``ValueError``."""
+        coords = as_indices(coords, self.n, "coordinate")
         if self.names is not None:
             flat = coords.ravel()
             return _key_ranks(self.keys, self.names.take(flat, axis=1)).reshape(coords.shape)
@@ -484,11 +482,9 @@ def _measure(schemas, nz, vals, labels) -> list[SketchBits]:
 
 
 def _check_parts(schema: PointQuerySchema, parts) -> np.ndarray:
-    """``parts`` as int64; a part outside [0, size) raises ``ValueError``."""
-    parts = np.atleast_1d(np.asarray(parts, dtype=np.int64))
-    if parts.size and (parts.min() < 0 or parts.max() >= schema.partition.size):
-        raise ValueError("queried part index out of range")
-    return parts
+    """``parts`` as 1-D int64; a part that is not an integer in [0, size)
+    raises ``ValueError``."""
+    return np.atleast_1d(as_indices(parts, schema.partition.size, "queried part index"))
 
 
 def point_query(schema: PointQuerySchema, sketch: SketchBits, part: int) -> int:

@@ -215,10 +215,26 @@ def rademacher(key, idx) -> np.ndarray:
 
 
 def uniform_index(key, idx, size: int) -> np.ndarray:
-    """Indices in [0, size). Modulo bias is < size/2**64, negligible here."""
+    """Indices in [0, size) as int64, broadcasting like ``fold``.  Modulo bias
+    is < size/2**64, negligible here."""
     if size < 1:
         raise ValueError(f"range size must be positive, got {size}")
-    return (fold(key, idx) % U64(size)).astype(np.int64)
+    cols = col_words(idx)
+    shape = np.broadcast_shapes(np.shape(key), cols.shape)
+    words = np.bitwise_xor(np.asarray(key, dtype=np.uint64), cols, out=np.empty(shape, np.uint64))
+    # per block of BLOCK_WORDS: splitmix, then ``% size`` as a floor
+    # division, a multiply and a subtract, which numpy runs faster than its
+    # uint64 modulo by a scalar
+    flat = words.reshape(-1)
+    tmp = np.empty(min(flat.size, BLOCK_WORDS), np.uint64)
+    for start in range(0, flat.size, BLOCK_WORDS):
+        z = flat[start:start + BLOCK_WORDS]
+        t = tmp[:z.size]
+        _mix64_inplace(z, t)
+        np.floor_divide(z, U64(size), out=t)
+        t *= U64(size)
+        z -= t
+    return words.view(np.int64)[()]
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ import numpy as np
 from . import heavy_hitters as hh
 from . import partition_sketch as ps
 from . import prf
-from .model import SparseEstimate, signal_nonzeros
+from .model import SparseEstimate, as_indices, signal_nonzeros
 from .prf import derive_key, fold, standard_normal
 
 
@@ -112,13 +112,15 @@ def _unsettled(dot, radius, size) -> np.ndarray:
 
 def correlation(schema: GaussianSchema, y, support) -> np.ndarray:
     """c = G_S^T y over the support columns, regenerated in blocks of columns
-    holding about ``prf.BLOCK_WORDS`` entries, run through ``prf.map_blocks``."""
+    holding about ``prf.BLOCK_WORDS`` entries, run through ``prf.map_blocks``.
+    A non-finite ``y`` or a column that is not an integer in [0, n) raises
+    ``ValueError``."""
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (schema.rows,):
         raise ValueError("measurement length mismatch")
-    support = np.asarray(support, dtype=np.int64)
-    if support.size and (support.min() < 0 or support.max() >= schema.n):
-        raise ValueError(f"support column out of range [0, {schema.n})")
+    if not np.isfinite(y).all():
+        raise ValueError("measurements must be finite")
+    support = as_indices(support, schema.n, "support column")
     keys = fold(schema.matrix_key, np.arange(schema.rows))[:, None]
     cols = prf.col_words(support)[None, :]
     step = max(1, prf.BLOCK_WORDS // schema.rows)

@@ -86,6 +86,13 @@ class TestBuild:
             assert got.dtype == np.int64
             assert np.array_equal(got, children_loop(schema, r, parts))
 
+    @pytest.mark.parametrize("bad", [[99], [-1], [0.5], np.array([True])])
+    def test_children_reject_parts_that_are_not_parts(self, bad):
+        schema = btree.build_schema(256, 2, 4, 0.1, seed=5)
+        assert schema.levels[0].starts.size == 2
+        with pytest.raises(ValueError, match="level-0 part"):
+            schema.children(0, bad)
+
     def test_measured_bits_shapes_match_schema(self):
         schema = btree.build_schema(256, 2, 4, 0.1, seed=5)
         bits = btree.measure(schema, np.zeros(256))

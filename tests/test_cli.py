@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,9 +10,43 @@ import pytest
 from onebitcs import cli, expander, harness, serialize
 from onebitcs import partition_sketch as ps
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
 
 def run_cli(*argv):
     return cli.main(list(argv))
+
+
+def run_fresh(*argv) -> subprocess.CompletedProcess:
+    """``python argv...`` in a fresh process that imports onebitcs from this checkout."""
+    return subprocess.run(
+        [sys.executable, *argv], env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+class TestFreshProcess:
+    @pytest.mark.parametrize("argv", [("-c", "import onebitcs"), ("-m", "onebitcs.cli", "--help")])
+    def test_loads_no_scipy_stats(self, argv):
+        # -X importtime lists every module the process imports on stderr
+        done = run_fresh("-X", "importtime", *argv)
+        assert done.returncode == 0, done.stderr
+        modules = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()}
+        assert {"onebitcs.partition_sketch", "scipy.special"} <= modules
+        assert not [m for m in modules if m == "scipy.stats" or m.startswith("scipy.stats.")]
+
+    def test_encode_and_decode_of_a_pipeline_file_write_no_stderr(self, tmp_path):
+        sig = tmp_path / "signal.txt"
+        sig.write_text("".join(f"{v!r}\n" for v in [0.0] * 500 + [1.0, -0.5] + [0.01] * 10))
+        bits, out = tmp_path / "m.bits", tmp_path / "rec.csv"
+        for argv in (
+            ("encode", "--scheme", "pipeline", "--signal", str(sig), "--k", "2",
+             "--b", "4", "--mg", "400", "--out", str(bits)),
+            ("decode", "--bits", str(bits), "--out", str(out)),
+        ):
+            done = run_fresh("-m", "onebitcs.cli", *argv)
+            assert done.returncode == 0 and done.stderr == "", done.stderr
+        assert out.read_text().startswith("# index,value\n500,")
 
 
 class TestExperiment:

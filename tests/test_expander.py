@@ -141,6 +141,12 @@ class TestNameKeys:
                 layer.names_of(layer.partition.parts_of(probe)),
             )
 
+    @pytest.mark.parametrize("bad", [2.9, [0.0], np.array([True])])
+    def test_make_name_rejects_non_integer_coordinates(self, bad):
+        schema = expander.build_schema(1 << 10, 2, seed=12)
+        with pytest.raises(ValueError, match="integers"):
+            expander.make_name(schema, bad, 0)
+
     def test_make_name_of_no_coordinates(self):
         schema = expander.build_schema(1 << 10, 2, seed=12)
         for j in range(schema.layers_count):

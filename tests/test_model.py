@@ -110,6 +110,11 @@ class TestRestrict:
         with pytest.raises(ValueError):
             restrict(np.array([1.0, 2]), [2])
 
+    @pytest.mark.parametrize("bad", [[0.5], np.array([1.0]), np.array([True])])
+    def test_non_integer_index(self, bad):
+        with pytest.raises(ValueError, match="integers"):
+            restrict(np.array([1.0, 2]), bad)
+
     @given(signals, st.sets(st.integers(0, 39)))
     def test_idempotent_and_pythagorean(self, x, subset):
         subset = {i for i in subset if i < x.size}

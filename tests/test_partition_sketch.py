@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -35,6 +36,8 @@ class TestBuild:
     def test_quantile_constants(self):
         assert abs(ps.QUANTILE_HI - 1.959964) < 1e-6
         assert abs(ps.QUANTILE_LO - 0.062707) < 1e-6
+        assert ps.QUANTILE_HI == float(scipy.special.ndtri(0.975))
+        assert ps.QUANTILE_LO == float(scipy.special.ndtri(0.525))
 
     @given(st.integers(1, 20), st.floats(1e-6, 0.99))
     def test_row_count_all_params(self, k, delta):
@@ -102,6 +105,19 @@ class TestPartitionFamily:
         part = label_partition([0, 2, 1, 2])
         with pytest.raises(ValueError, match="out of range"):
             part.parts_of([4])
+
+    @pytest.mark.parametrize("labels", [None, [0, 2, 1, 2]])
+    @pytest.mark.parametrize("bad", [1.5, [0.7], np.array([1.0, 2.0]), np.array([True, False])])
+    def test_parts_of_rejects_non_integer_coordinates(self, labels, bad):
+        part = ps.PartitionFamily.contiguous(4, 2) if labels is None else label_partition(labels)
+        with pytest.raises(ValueError, match="integers"):
+            part.parts_of(bad)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int32, np.uint64])
+    def test_parts_of_takes_every_integer_dtype(self, dtype):
+        part = label_partition([0, 2, 1, 2])
+        assert part.parts_of(np.arange(4, dtype=dtype)).tolist() == [0, 2, 1, 2]
+        assert part.parts_of([]).size == 0
 
     def test_names_rank_among_keys(self):
         names = np.array([[9, 3, 9, 7, 3]], dtype=np.uint64)
@@ -432,6 +448,22 @@ class TestQuery:
             ps.point_query(schema, bits, bad)
         with pytest.raises(ValueError, match="out of range"):
             ps.count_sketch_decode(schema, bits, [0, bad])
+
+    @pytest.mark.parametrize("bad", [1.5, np.float64(1.0), True])
+    def test_point_query_rejects_a_non_integer_part(self, bad):
+        part = ps.PartitionFamily.contiguous(64, 8)
+        schema = ps.build_schema(part, 2, 0.25, seed=31)
+        bits = ps.measure(schema, np.zeros(64))
+        with pytest.raises(ValueError, match="integers"):
+            ps.point_query(schema, bits, bad)
+
+    @pytest.mark.parametrize("bad", [[0.7], [0, 1.0], np.array([True, False])])
+    def test_count_sketch_decode_rejects_non_integer_candidates(self, bad):
+        part = ps.PartitionFamily.contiguous(64, 8)
+        schema = ps.build_schema(part, 2, 0.25, seed=31)
+        bits = ps.measure(schema, np.zeros(64))
+        with pytest.raises(ValueError, match="integers"):
+            ps.count_sketch_decode(schema, bits, bad)
 
     @pytest.mark.parametrize(
         "reshape",

@@ -91,6 +91,19 @@ def test_uniform_index_in_range(size):
     assert vals.min() >= 0 and vals.max() < size
 
 
+@pytest.mark.parametrize("size", [1, 2, 97, 4913, 2**32 + 7, 2**62 + 1])
+def test_uniform_index_is_fold_mod_size(size):
+    # 3 x 50,000 words: two full blocks of prf.BLOCK_WORDS and a partial one
+    keys = np.array([derive_key(11, j) for j in range(3)])[:, None]
+    idx = np.arange(50_000)
+    want = (fold(keys, idx) % np.uint64(size)).astype(np.int64)
+    got = uniform_index(keys, idx, size)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    assert np.array_equal(uniform_index(keys[1, 0], idx, size), want[1])
+    assert uniform_index(keys[2, 0], 49_999, size) == want[2, 49_999]
+    assert uniform_index(keys, np.arange(0), size).shape == (3, 0)
+
+
 def test_uniform_index_rejects_empty_range():
     with pytest.raises(ValueError):
         uniform_index(derive_key(11), np.arange(5), 0)

@@ -173,6 +173,21 @@ class TestGaussianMeasurements:
         with pytest.raises(ValueError, match="out of range"):
             recovery.correlation(schema, y, [0, column])
 
+    @pytest.mark.parametrize("bad", [[3.7], [0, 2.0], np.array([True])])
+    def test_correlation_rejects_non_integer_columns(self, bad):
+        schema = recovery.GaussianSchema(rows=64, n=16, seed=5)
+        y = recovery.sign_measure(schema, np.ones(16))
+        with pytest.raises(ValueError, match="integers"):
+            recovery.correlation(schema, y, bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_correlation_rejects_non_finite_measurements(self, bad):
+        schema = recovery.GaussianSchema(rows=64, n=16, seed=5)
+        y = recovery.sign_measure(schema, np.ones(16)).astype(np.float64)
+        y[7] = bad
+        with pytest.raises(ValueError, match="finite"):
+            recovery.correlation(schema, y, [0, 1])
+
     def test_noise_changes_bits(self):
         x = RandomSource(10).gaussian(np.arange(32)) * 0.01
         quiet = recovery.GaussianSchema(rows=2048, n=32, seed=11, noise_sigma=0.0)
