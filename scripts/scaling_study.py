@@ -51,9 +51,8 @@ from oracles import exact_sign_measure  # noqa: E402
 # run as ``python -c FRESH_MEASURE src scheme n k seed``: one measure, and
 # the process's own wall time, CPU time and minor faults around it
 FRESH_MEASURE = """
-import json, resource, sys, time, warnings
+import json, resource, sys, time
 sys.path.insert(0, sys.argv[1])
-warnings.simplefilter("ignore")
 from onebitcs import btree, recovery, signals
 from onebitcs.prf import RandomSource
 scheme, n, k, seed = sys.argv[2], int(sys.argv[3]), int(sys.argv[4]), int(sys.argv[5])

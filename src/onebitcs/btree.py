@@ -56,8 +56,10 @@ class BTreeSchema:
     def children(self, level: int, parts) -> np.ndarray:
         """Parts of ``level``+1 contained in the given part(s) of ``level``,
         parent by parent: one searchsorted over the parents' interval bounds.
-        A part that is not the integer index of a ``level`` part raises
-        ``ValueError``."""
+        A level outside [0, depth), which has no child level, or a part that
+        is not the integer index of a ``level`` part raises ``ValueError``."""
+        if not 0 <= level < self.depth:
+            raise ValueError(f"level {level} has no child level: need 0 <= level < {self.depth}")
         starts = self.levels[level].starts
         parts = np.atleast_1d(as_indices(parts, starts.size, f"level-{level} part"))
         bounds = np.append(starts, self.n)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -168,18 +167,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command; bad input (an unreadable or malformed signal, config
-    or bits file) prints one line to stderr and returns 2, like a usage error.
-    ``AnalysisMarginWarning`` is ignored: every build at the default
-    constants raises it, so it tells a command-line user nothing."""
+    or bits file) prints one line to stderr and returns 2, like a usage error."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ps.AnalysisMarginWarning)
-        try:
-            return args.func(args)
-        except (OSError, ValueError) as exc:
-            print(f"{parser.prog}: error: {exc}", file=sys.stderr)
-            return 2
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -29,6 +29,13 @@ from .model import as_indices, signal_nonzeros
 from .prf import derive_key, uniform_index
 from .rscode import ChunkCode
 
+# fixed constants of the construction: each layer's name carries the hashes
+# of DEGREE neighbouring layers, the code corrects ERROR_FRACTION of its
+# chunks, and the sketch accepts sparsity up to LOG_FACTOR * log2(n)
+DEGREE = 4
+ERROR_FRACTION = 0.25
+LOG_FACTOR = 1.0
+
 
 def circulant_neighbors(s: int, degree: int) -> tuple[tuple[int, ...], ...]:
     """Neighbor lists of a circulant graph on [s]; connected, equal degrees.
@@ -78,10 +85,8 @@ class ExpanderSchema:
     seed: int
     layers_count: int
     code: ChunkCode
-    degree: int
+    degree: int  # DEGREE, capped at layers_count - 1
     h_range: int
-    error_fraction: float
-    log_factor: float  # sparsity limit: k <= max_sparsity(n, log_factor)
     neighbors: tuple[tuple[int, ...], ...]
     layers: tuple[LayerSchema, ...]
     constants: ps.SketchConstants
@@ -132,9 +137,9 @@ class RecoveryDiagnostics:
     bit_reads: int = 0
 
 
-def max_sparsity(n: int, log_factor: float = 1.0) -> int:
+def max_sparsity(n: int) -> int:
     """Largest sparsity this scheme accepts before bucketing must take over."""
-    return max(1, math.ceil(log_factor * math.log2(max(n, 2))))
+    return max(1, math.ceil(LOG_FACTOR * math.log2(max(n, 2))))
 
 
 def _word_fields(widths) -> list[range]:
@@ -181,9 +186,6 @@ def build_schema(
     k: int,
     seed: int,
     constants: ps.SketchConstants = ps.SketchConstants(),
-    error_fraction: float = 0.25,
-    degree: int = 4,
-    log_factor: float = 1.0,
 ) -> ExpanderSchema:
     """Build the layered naming scheme and its per-layer sketches.
 
@@ -194,17 +196,17 @@ def build_schema(
         raise ValueError("need n >= 2")
     if k < 1:
         raise ValueError("need k >= 1")
-    if k > max_sparsity(n, log_factor):
+    if k > max_sparsity(n):
         raise ValueError(
             f"sparsity {k} exceeds the small-sparsity limit "
-            f"{max_sparsity(n, log_factor)} for n={n}; reduce per-instance "
+            f"{max_sparsity(n)} for n={n}; reduce per-instance "
             "sparsity by bucketing first"
         )
     message_bits = max(1, math.ceil(math.log2(n)))
     log_bits = max(1.0, math.log2(max(message_bits, 2)))
     s = max(4, math.ceil(message_bits / log_bits))
-    code = ChunkCode.for_error_fraction(message_bits, s, error_fraction)
-    neighbors = circulant_neighbors(s, degree)
+    code = ChunkCode.for_error_fraction(message_bits, s, ERROR_FRACTION)
+    neighbors = circulant_neighbors(s, DEGREE)
     deg = len(neighbors[0])
     h_range = max(16, math.ceil(math.log2(n)) ** 3)
 
@@ -240,8 +242,7 @@ def build_schema(
         )
     return ExpanderSchema(
         n=n, k=k, seed=seed, layers_count=s, code=code, degree=deg,
-        h_range=h_range, error_fraction=error_fraction, log_factor=log_factor,
-        neighbors=neighbors,
+        h_range=h_range, neighbors=neighbors,
         layers=tuple(layers), constants=constants,
     )
 
@@ -411,7 +412,7 @@ def link_cluster_decode(
         expected = make_name(schema, decoded[single], j)
         matches[single] += (expected == layer_lists[j].names[rows]).all(axis=1)
 
-    min_matches = math.ceil((1.0 - schema.error_fraction) * s - 1e-9)
+    min_matches = math.ceil((1.0 - ERROR_FRACTION) * s - 1e-9)
     results: dict[int, float] = {}
     verify_failures = 0
     for value, claims, match in zip(values, claims_of, matches):

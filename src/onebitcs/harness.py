@@ -139,12 +139,11 @@ class Scheme:
 
     A scheme with a ``layout`` has bits files, which ``serialize`` writes for
     schemas of type ``schema_type``.  ``header(schema)`` gives the header
-    fields; ``rebuild(header, constants, **optional)`` rebuilds the schema
-    from them, receiving each ``optional`` field the header holds (an
-    earlier v2 file may lack these, and the rebuild then takes its build
-    default).  ``layout(schema, take)`` calls ``take(leaf)`` for each
-    block's partition-sketch or gaussian schema in file order and returns
-    the bits built from what ``take`` returned.
+    fields and ``rebuild(header, constants)`` rebuilds the schema from them.
+    An ``optional`` field may be absent from a file: earlier v2 files lack
+    these layered-sketch constants.  ``layout(schema, take)`` calls
+    ``take(leaf)`` for each block's partition-sketch or gaussian schema in
+    file order and returns the bits built from what ``take`` returned.
     """
 
     build: Callable
@@ -169,10 +168,10 @@ def _ppcs_header(s: ps.PointQuerySchema) -> dict:
 
 
 def _hh_header(s: heavy_hitters.HeavyHitterSchema) -> dict:
-    sub = s.sub_schemas[0]  # every bucket's layered sketch shares these
+    sub = s.sub_schemas[0]  # every bucket's layered sketch has the same degree
     return {"n": s.n, "k": s.k, "seed": s.seed, "buckets": s.buckets,
-            "log_factor": s.log_factor, "bucket_factor": s.bucket_factor,
-            "degree": sub.degree, "error_fraction": sub.error_fraction,
+            "log_factor": expander.LOG_FACTOR, "bucket_factor": heavy_hitters.BUCKET_FACTOR,
+            "degree": sub.degree, "error_fraction": expander.ERROR_FRACTION,
             "constants": asdict(s.constants)}
 
 
@@ -230,21 +229,16 @@ SCHEMES = {
         measure=expander.measure, decode=_decode_expander, judge=_judge_coords,
         schema_type=expander.ExpanderSchema,
         header=lambda s: {"n": s.n, "k": s.k, "seed": s.seed, "layers": s.layers_count,
-                          "degree": s.degree, "error_fraction": s.error_fraction,
-                          "log_factor": s.log_factor, "constants": asdict(s.constants)},
-        rebuild=lambda h, c, **opt: expander.build_schema(
-            h["n"], h["k"], h["seed"], c, error_fraction=h["error_fraction"], **opt
-        ),
+                          "degree": s.degree, "error_fraction": expander.ERROR_FRACTION,
+                          "log_factor": expander.LOG_FACTOR, "constants": asdict(s.constants)},
+        rebuild=lambda h, c: expander.build_schema(h["n"], h["k"], h["seed"], c),
         layout=_layers, optional=("degree", "log_factor"),
     ),
     "heavy-hitters": Scheme(
         build=lambda c, n, seed: heavy_hitters.build_schema(n, c.k, seed),
         measure=heavy_hitters.measure, decode=_decode_heavy_hitters, judge=_judge_coords,
         schema_type=heavy_hitters.HeavyHitterSchema, header=_hh_header,
-        rebuild=lambda h, c, **opt: heavy_hitters.build_schema(
-            h["n"], h["k"], h["seed"], c,
-            log_factor=h["log_factor"], bucket_factor=h["bucket_factor"], **opt,
-        ),
+        rebuild=lambda h, c: heavy_hitters.build_schema(h["n"], h["k"], h["seed"], c),
         layout=_buckets, optional=("degree", "error_fraction"),
     ),
     "pipeline": Scheme(
@@ -253,9 +247,9 @@ SCHEMES = {
         ),
         measure=recovery.measure, decode=_decode_pipeline, judge=_judge_estimate,
         schema_type=recovery.PipelineSchema, header=_pipeline_header,
-        rebuild=lambda h, c, **opt: recovery.build_pipeline(
+        rebuild=lambda h, c: recovery.build_pipeline(
             h["n"], h["k"], h["delta"], h["seed"], gauss_rows=h["gauss_rows"],
-            noise_sigma=h["noise_sigma"], constants=c, **opt,
+            noise_sigma=h["noise_sigma"], constants=c,
         ),
         layout=lambda s, take: recovery.PipelineBits(
             support_bits=_buckets(s.support_schema, take), sign_bits=take(s.gauss_schema)

@@ -19,6 +19,9 @@ from . import partition_sketch as ps
 from .model import signal_nonzeros
 from .prf import derive_key, uniform_index
 
+# buckets per unit of k / log2(n) once k reaches expander.LOG_FACTOR * log2(n)
+BUCKET_FACTOR = 1.0
+
 
 @dataclass(frozen=True)
 class HeavyHitterSchema:
@@ -30,8 +33,6 @@ class HeavyHitterSchema:
     sub_sparsity: int
     sub_schemas: tuple[expander.ExpanderSchema, ...]
     constants: ps.SketchConstants
-    log_factor: float  # skip threshold: bucket only when k >= log_factor*log2(n)
-    bucket_factor: float  # bucket count scale
 
     @property
     def total_rows(self) -> int:
@@ -47,43 +48,33 @@ def build_schema(
     k: int,
     seed: int,
     constants: ps.SketchConstants = ps.SketchConstants(),
-    log_factor: float = 1.0,
-    bucket_factor: float = 1.0,
-    **expander_kwargs,
 ) -> HeavyHitterSchema:
     """Bucketing layout plus one layered sketch per bucket.
 
     Bucketing is skipped entirely (one bucket, sub-sparsity k) when
-    k < log_factor * log2(n); otherwise coordinates hash into
-    ceil(bucket_factor * k / log2(n)) buckets and each sub-sketch is built
+    k < expander.LOG_FACTOR * log2(n); otherwise coordinates hash into
+    ceil(BUCKET_FACTOR * k / log2(n)) buckets and each sub-sketch is built
     for a log2(n) sparsity budget.
     """
     if n < 2 or k < 1 or k > n:
         raise ValueError(f"invalid (n={n}, k={k})")
     log_n = math.log2(n)
-    if k < log_factor * log_n:
+    if k < expander.LOG_FACTOR * log_n:
         buckets = 1
         sub_sparsity = k
         bucket_of = None
     else:
-        buckets = max(1, math.ceil(bucket_factor * k / log_n))
+        buckets = max(1, math.ceil(BUCKET_FACTOR * k / log_n))
         sub_sparsity = max(1, math.ceil(log_n))
         bucket_of = uniform_index(derive_key(seed, 7), np.arange(n), buckets)
     subs = tuple(
-        expander.build_schema(
-            n,
-            sub_sparsity,
-            seed=int(derive_key(seed, 600 + j)),
-            constants=constants,
-            log_factor=log_factor,
-            **expander_kwargs,
-        )
+        expander.build_schema(n, sub_sparsity, seed=int(derive_key(seed, 600 + j)),
+                              constants=constants)
         for j in range(buckets)
     )
     return HeavyHitterSchema(
         n=n, k=k, seed=seed, buckets=buckets, bucket_of=bucket_of,
         sub_sparsity=sub_sparsity, sub_schemas=subs, constants=constants,
-        log_factor=log_factor, bucket_factor=bucket_factor,
     )
 
 

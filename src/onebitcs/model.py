@@ -123,7 +123,10 @@ class SparseEstimate:
     sparsity_bound: int
 
     def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
+        idx = np.asarray(self.indices)
+        if idx.size and idx.dtype.kind not in "iu":
+            raise ValueError(f"estimate indices must be integers, not {idx.dtype}")
+        idx = idx.astype(np.int64, copy=False)
         val = np.asarray(self.values, dtype=np.float64)
         if idx.shape != val.shape or idx.ndim != 1:
             raise ValueError("indices and values must be matching 1-D arrays")

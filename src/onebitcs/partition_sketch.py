@@ -21,21 +21,14 @@ row's bit pair through ``_row_pairs``.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import prf
 from .model import as_indices, signal_nonzeros
 from .prf import U64, derive_key, fold
-
-# probability mass pinned by the two-sided gaussian clipping constants:
-# P[|N(0,1)| < QUANTILE_HI] = 19/20 and P[|N(0,1)| > QUANTILE_LO] = 19/20
-QUANTILE_HI = float(ndtri(0.975))
-QUANTILE_LO = float(ndtri(0.525))
 
 # a bucket index is a multiply-shift reduction of a 20-bit slice of a row word
 SLICE_BITS = 20
@@ -53,11 +46,8 @@ _ZERO_PAIR, _PLUS_PAIR, _MINUS_PAIR = np.array([1, 1, 1, -1, -1, 1], dtype=np.in
 
 
 class AnalysisMarginWarning(RuntimeWarning):
-    """The bucket constant is too small for the separation analysis to apply.
-
-    Detection still works empirically at much smaller constants; this warning
-    records that the worst-case margin condition is not met.
-    """
+    """Nothing raises this warning; the name stays importable for callers
+    that still filter it (see ``SketchConstants`` for the margin it named)."""
 
 
 @dataclass(frozen=True)
@@ -191,6 +181,11 @@ class SketchConstants:
     bucket_factor  buckets per unit of sparsity
     rep_factor     repetitions per bit of failure probability
     cap_factor     output size cap, in units of sparsity
+
+    The worst-case separation analysis needs bucket_factor >= 20 (z_.975 /
+    z_.525)^2 ~ 19,539 at every k, where z_p is the standard normal p-quantile.
+    The default 32 is far below that; detection and rejection (acceptance
+    criteria 01 and 02) hold empirically at it.
     """
 
     bucket_factor: int = 32
@@ -280,16 +275,6 @@ def build_schema(
     if buckets > MAX_BUCKETS:
         raise ValueError(
             f"{buckets} buckets exceed the {MAX_BUCKETS} a {SLICE_BITS}-bit hash slice addresses"
-        )
-    hi, lo = QUANTILE_HI, QUANTILE_LO
-    if lo / math.sqrt(k) <= hi * math.sqrt(20.0 / (constants.bucket_factor * k)):
-        needed = math.ceil(20.0 * (hi / lo) ** 2)
-        warnings.warn(
-            "bucket_factor %d is below the worst-case separation margin "
-            "(needs >= %d); detection relies on empirical slack"
-            % (constants.bucket_factor, needed),
-            AnalysisMarginWarning,
-            stacklevel=2,
         )
     return PointQuerySchema(
         partition=partition,

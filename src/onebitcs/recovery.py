@@ -213,7 +213,6 @@ class PipelineBits:
 @dataclass(frozen=True)
 class PipelineDiagnostics:
     support: np.ndarray
-    support_empty: bool
     point_queries: int
     bit_reads: int
 
@@ -231,11 +230,10 @@ def build_pipeline(
     gauss_rows: int | None = None,
     noise_sigma: float = 0.0,
     constants: ps.SketchConstants = ps.SketchConstants(),
-    **hh_kwargs,
 ) -> PipelineSchema:
     if not 0 < delta < 1:
         raise ValueError(f"delta must be in (0,1), got {delta}")
-    support_schema = hh.build_schema(n, k, seed=int(derive_key(seed, 21)), constants=constants, **hh_kwargs)
+    support_schema = hh.build_schema(n, k, seed=int(derive_key(seed, 21)), constants=constants)
     if gauss_rows is None:
         gauss_rows = default_gauss_rows(n, k, delta)
     gauss_schema = GaussianSchema(
@@ -265,7 +263,7 @@ def decode(
         raise ValueError(f"sign bits must be {schema.gauss_rows} int8 values of +1 or -1")
     support, _, diags = hh.decode(schema.support_schema, bits.support_bits)
     diag = PipelineDiagnostics(
-        support=support, support_empty=support.size == 0,
+        support=support,
         point_queries=sum(d.point_queries for d in diags),
         bit_reads=sum(d.bit_reads for d in diags),
     )

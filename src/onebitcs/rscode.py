@@ -233,8 +233,12 @@ class ChunkCode:
 
         ``symbols`` holds one value per chunk position (erased positions may
         hold anything); ``erasures`` lists positions known to be unreliable.
+        Symbols that are not integers raise ``ValueError``.
         """
-        symbols = np.asarray(symbols, dtype=np.int64).copy()
+        symbols = np.asarray(symbols)
+        if symbols.dtype.kind not in "iu":
+            raise ValueError(f"chunk symbols must be integers, not {symbols.dtype}")
+        symbols = symbols.astype(np.int64)
         if symbols.shape != (self.length,):
             raise ValueError(f"expected {self.length} chunk symbols")
         if np.any(symbols < 0) or np.any(symbols >= (1 << self.t)):

@@ -11,13 +11,14 @@ part of every partition sketch).
 Each file scheme's header fields, schema rebuild and block layout sit on its
 ``harness.SCHEMES`` entry; ``save`` and ``load_measurement`` serve every
 scheme from there.  On load, every header field of the rebuilt schema must
-equal the file's (only a field earlier v2 files lack may be absent: the
-rebuild takes its build default), the block count must be the schema's,
-every block must have exactly the length its bit count requires, and
-nothing may follow the last block.  Header values are typed: integer
-fields must be JSON integers and float fields finite JSON numbers (booleans
-are neither).  A partition sketch's block may not hold a (-1, -1) polarity
-pair, which no measurement produces.
+equal the file's, so the layered sketch's degree, error fraction, log
+factor and bucket factor, which are fixed constants, must hold their
+values; only a field earlier v2 files lack may be absent.  The block count
+must be the schema's, every block must have exactly the length its bit
+count requires, and nothing may follow the last block.  Header values are
+typed: integer fields must be JSON integers and float fields finite JSON
+numbers (booleans are neither).  A partition sketch's block may not hold a
+(-1, -1) polarity pair, which no measurement produces.
 
 Bits pack +1 -> 1 and -1 -> 0 in little-endian bit order, following each
 sketch's flattened row order (repetition-major, then sub-iteration, then
@@ -204,8 +205,7 @@ def load_measurement(path: str):
     scheme = harness.SCHEMES.get(name)
     if scheme is None or scheme.layout is None:
         raise ValueError(f"unknown scheme {name!r} in {path}")
-    optional = {field: header[field] for field in scheme.optional if field in header}
-    schema = scheme.rebuild(header, _constants_from(header["constants"]), **optional)
+    schema = scheme.rebuild(header, _constants_from(header["constants"]))
     for field, value in scheme.header(schema).items():
         if (field in header or field not in scheme.optional) and header[field] != value:
             raise ValueError(f"rebuilt schema does not match file header field {field!r}")

@@ -8,12 +8,10 @@ constructed directly from their defining property.
 
 import functools
 import math
-import warnings
 
 import numpy as np
 
 from onebitcs.partition_sketch import (
-    AnalysisMarginWarning,
     PartitionFamily,
     SketchConstants,
     build_schema,
@@ -191,7 +189,7 @@ def link_cluster_loop(schema, layer_lists):
 
     s = schema.layers_count
     components = expander._components(schema, layer_lists)
-    min_matches = math.ceil((1.0 - schema.error_fraction) * s - 1e-9)
+    min_matches = math.ceil((1.0 - expander.ERROR_FRACTION) * s - 1e-9)
     results = {}
     decode_failures = verify_failures = 0
     for members in components:
@@ -337,9 +335,7 @@ def two_bucket_pipeline(n=1 << 10, k=20, seed=5):
     """A pipeline whose support block hashes into two buckets (k >= log2(n))."""
     from onebitcs import recovery
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", AnalysisMarginWarning)
-        return recovery.build_pipeline(n, k, 0.25, seed=seed, gauss_rows=200)
+    return recovery.build_pipeline(n, k, 0.25, seed=seed, gauss_rows=200)
 
 
 def exact_sign_measure(schema, x):

@@ -93,6 +93,13 @@ class TestBuild:
         with pytest.raises(ValueError, match="level-0 part"):
             schema.children(0, bad)
 
+    def test_children_reject_a_level_without_children(self):
+        # the leaf level has no children, and -1 is not the leaf's parent
+        schema = btree.build_schema(256, 2, 4, 0.1, seed=5)
+        for level in (schema.depth, -1):
+            with pytest.raises(ValueError, match=f"level {level} has no child level"):
+                schema.children(level, [0])
+
     def test_measured_bits_shapes_match_schema(self):
         schema = btree.build_schema(256, 2, 4, 0.1, seed=5)
         bits = btree.measure(schema, np.zeros(256))

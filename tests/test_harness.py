@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -38,6 +39,14 @@ class TestRun:
         )
         for r in records:
             assert r.success == (r.err_sq <= 2 * r.tail_sq + r.delta)
+
+    @pytest.mark.parametrize("scheme", list(harness.SCHEMES))
+    def test_every_scheme_runs_at_its_defaults_without_a_warning(self, scheme):
+        # build, measure and decode (a point query for ppq) of one trial
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            records = harness.run_experiment(small_config(scheme=scheme, trials=1))
+        assert len(records) == 1 and records[0].m_total > 0
 
     def test_rejects_bad_scheme_before_running(self):
         with pytest.raises(ValueError):

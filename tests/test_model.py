@@ -142,6 +142,10 @@ class TestSparseEstimate:
         with pytest.raises(ValueError, match="nonnegative"):
             SparseEstimate(np.array([-1, 2]), np.array([0.5, 0.25]), 4)
 
+    def test_rejects_non_integer_index(self):
+        with pytest.raises(ValueError, match="integers"):
+            SparseEstimate(indices=[1.5], values=[1.0], sparsity_bound=1)
+
     def test_rejects_overfull(self):
         with pytest.raises(ValueError):
             SparseEstimate(np.array([0, 1, 2]), np.zeros(3), 2)

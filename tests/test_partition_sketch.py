@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,12 +32,6 @@ class TestBuild:
         assert schema.reps == 32
         assert schema.rows == 2 * 3 * (32 * 8) * 32 == 49152
 
-    def test_quantile_constants(self):
-        assert abs(ps.QUANTILE_HI - 1.959964) < 1e-6
-        assert abs(ps.QUANTILE_LO - 0.062707) < 1e-6
-        assert ps.QUANTILE_HI == float(scipy.special.ndtri(0.975))
-        assert ps.QUANTILE_LO == float(scipy.special.ndtri(0.525))
-
     @given(st.integers(1, 20), st.floats(1e-6, 0.99))
     def test_row_count_all_params(self, k, delta):
         part = ps.PartitionFamily.contiguous(64, 8)
@@ -68,22 +61,6 @@ class TestBuild:
         part = ps.PartitionFamily.contiguous(16, 4)
         with pytest.raises(ValueError, match=field):
             ps.build_schema(part, 1, 0.5, seed=1, constants=ps.SketchConstants(**{field: 0}))
-
-    def test_margin_warning_fires_at_defaults(self):
-        part = ps.PartitionFamily.contiguous(16, 4)
-        with pytest.warns(ps.AnalysisMarginWarning):
-            ps.build_schema(part, 2, 0.5, seed=1)
-
-    def test_margin_warning_silent_when_buckets_large(self):
-        import warnings
-
-        part = ps.PartitionFamily.contiguous(16, 4)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", ps.AnalysisMarginWarning)
-            ps.build_schema(
-                part, 1, 0.5, seed=1,
-                constants=ps.SketchConstants(bucket_factor=20000),
-            )
 
 
 class TestPartitionFamily:

@@ -232,7 +232,7 @@ class TestPipeline:
         n, k = 256, 2
         schema = recovery.build_pipeline(n, k, 0.5, seed=12, gauss_rows=64)
         estimate, diag = recovery.decode(schema, recovery.measure(schema, np.zeros(n)))
-        assert diag.support_empty
+        assert diag.support.size == 0
         assert estimate.indices.size == 0
 
     @pytest.mark.parametrize(

@@ -135,6 +135,11 @@ class TestChunkCode:
         with pytest.raises(ValueError):
             code.encode(1 << 16)
 
+    def test_non_integer_symbols_rejected(self):
+        code = ChunkCode.for_error_fraction(message_bits=16, length=4, e0=0.25)
+        with pytest.raises(ValueError, match="integers"):
+            code.decode(code.encode(17) + 0.4)  # truncated, it would decode 17
+
     def test_matches_nearest_codeword_oracle(self):
         # independent route: exhaustive nearest-codeword decoding
         code = ChunkCode(message_bits=8, length=5, t=4, parity=2)

@@ -207,62 +207,51 @@ class TestFiles:
             serialize.load_measurement(str(path))
 
 
-# scheme -> (build with extra keyword arguments, measure, save); k = 12 at
-# n = 2^10 is bucketed into 2 buckets under the default log_factor of 1
+# scheme -> (build, measure); k = 12 at n = 2^10 is bucketed into 2 buckets
 LAYERED = {
-    "expander": (
-        lambda **kw: expander.build_schema(1 << 10, 2, seed=41, **kw),
-        expander.measure, serialize.save,
-    ),
-    "heavy-hitters": (
-        lambda **kw: heavy_hitters.build_schema(1 << 10, 12, seed=42, **kw),
-        heavy_hitters.measure, serialize.save,
-    ),
-    "pipeline": (
-        lambda **kw: recovery.build_pipeline(1 << 10, 12, 0.3, seed=43, gauss_rows=400, **kw),
-        recovery.measure, serialize.save,
-    ),
+    "expander": (lambda: expander.build_schema(1 << 10, 2, seed=41), expander.measure),
+    "heavy-hitters": (lambda: heavy_hitters.build_schema(1 << 10, 12, seed=42),
+                      heavy_hitters.measure),
+    "pipeline": (lambda: recovery.build_pipeline(1 << 10, 12, 0.3, seed=43, gauss_rows=400),
+                 recovery.measure),
 }
+# a value other than the layered sketch's fixed constant for each field; a
+# rebuild at n = 2^10 has 4 layers, so its capped degree is 3
 NON_DEFAULT = {"degree": 2, "error_fraction": 0.1, "log_factor": 2.0, "bucket_factor": 2.0}
 
 
-def layered_params(schema) -> dict:
-    """The layered-sketch build parameters a schema holds."""
-    support = getattr(schema, "support_schema", schema)
-    sub = support.sub_schemas[0] if hasattr(support, "sub_schemas") else support
-    return {
-        "degree": sub.degree,
-        "error_fraction": sub.error_fraction,
-        "log_factor": sub.log_factor,
-        "bucket_factor": getattr(support, "bucket_factor", None),
-        "buckets": getattr(support, "buckets", 1),
-    }
-
-
-def save_layered(tmp_path, scheme, **kw):
-    build, measure, save = LAYERED[scheme]
-    schema = build(**kw)
+def save_layered(tmp_path, scheme):
+    build, measure = LAYERED[scheme]
+    schema = build()
     x, _ = sparse_unit(schema.n, 2, 44)
     path = tmp_path / f"{scheme}.bits"
-    save(str(path), schema, measure(schema, x))
+    serialize.save(str(path), schema, measure(schema, x))
     return schema, path
+
+
+def assert_loads_as(path, scheme, schema):
+    """The file loads, and its rebuilt schema has ``schema``'s header."""
+    _, schema2, _ = serialize.load_measurement(str(path))
+    header = harness.SCHEMES[scheme].header
+    assert header(schema2) == header(schema)
 
 
 class TestLayeredParameters:
     @pytest.mark.parametrize(
-        "scheme, param",
+        "scheme, field",
         [
-            (scheme, param)
+            (scheme, field)
             for scheme in LAYERED
-            for param in NON_DEFAULT
-            if not (scheme == "expander" and param == "bucket_factor")
+            for field in NON_DEFAULT
+            if not (scheme == "expander" and field == "bucket_factor")
         ],
     )
-    def test_non_default_parameter_round_trips(self, tmp_path, scheme, param):
-        schema, path = save_layered(tmp_path, scheme, **{param: NON_DEFAULT[param]})
-        assert layered_params(schema)[param] == NON_DEFAULT[param]
-        _, schema2, _ = serialize.load_measurement(str(path))
-        assert layered_params(schema2) == layered_params(schema)
+    def test_non_default_parameter_rejected(self, tmp_path, scheme, field):
+        schema, path = save_layered(tmp_path, scheme)
+        assert field in harness.SCHEMES[scheme].header(schema)
+        rewrite(path, edit_header=lambda header: header.update({field: NON_DEFAULT[field]}))
+        with pytest.raises(ValueError, match=f"does not match file header field '{field}'"):
+            serialize.load_measurement(str(path))
 
     @pytest.mark.parametrize("scheme", list(LAYERED))
     def test_header_without_parameters_loads_build_defaults(self, tmp_path, scheme):
@@ -279,8 +268,7 @@ class TestLayeredParameters:
 
         schema, path = save_layered(tmp_path, scheme)
         rewrite(path, edit_header=drop)
-        _, schema2, _ = serialize.load_measurement(str(path))
-        assert layered_params(schema2) == layered_params(schema)
+        assert_loads_as(path, scheme, schema)
 
 
 def rewrite(path, edit_header=None, edit_blocks=None):
@@ -374,10 +362,9 @@ class TestTypedHeaders:
             serialize.load_measurement(str(path))
 
     def test_integer_for_a_float_field_accepted(self, tmp_path):
-        schema, path = save_layered(tmp_path, "expander", log_factor=2.0)
-        rewrite(path, edit_header=lambda header: header.update(log_factor=2))
-        _, schema2, _ = serialize.load_measurement(str(path))
-        assert layered_params(schema2) == layered_params(schema)
+        schema, path = save_layered(tmp_path, "expander")
+        rewrite(path, edit_header=lambda header: header.update(log_factor=1))
+        assert_loads_as(path, "expander", schema)
 
 
 def zero_first_byte(blocks):
@@ -418,9 +405,9 @@ class TestImpossiblePairs:
 
 
 # rebuild inputs for every file scheme, read by name like a file header; k = 10
-# at n = 2^10 is at the layered sketch's sparsity limit and makes 2 buckets
-BUILD_INPUTS = {"n": 1 << 10, "k": 10, "delta": 0.1, "seed": 5, "parts": 64, "b": 4,
-                "error_fraction": 0.25, "log_factor": 1.0, "bucket_factor": 2.0,
+# at n = 1000 is at the layered sketch's sparsity limit, ceil(log2(n)), and
+# above log2(n), so it makes 2 buckets
+BUILD_INPUTS = {"n": 1000, "k": 10, "delta": 0.1, "seed": 5, "parts": 64, "b": 4,
                 "gauss_rows": 400, "noise_sigma": 0.0}
 FILE_SCHEMES = [name for name, scheme in harness.SCHEMES.items() if scheme.layout]
 
@@ -464,7 +451,7 @@ class TestFormatTable:
         ("expander", "layers"), ("heavy-hitters", "buckets"), ("pipeline", "hh_buckets"),
     ])
     def test_header_disagreeing_with_the_rebuild_rejected(self, tmp_path, scheme, name):
-        # 65 parts of 2^10 coordinates round to 64 intervals of width 16
+        # 64 parts of 1000 coordinates round to 63 intervals of width 16
         _, _, path = save_scheme(tmp_path, scheme)
         rewrite(path, edit_header=lambda header: header.update({name: header[name] + 1}))
         with pytest.raises(ValueError, match=f"does not match file header field '{name}'"):
