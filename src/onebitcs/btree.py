@@ -8,7 +8,7 @@ instead of the whole partition.
 
 The levels nest, so they are measured in one pass that shares one gaussian
 weight per (repetition, coordinate) across all of them, drawn with the root
-level's key (``partition_sketch.measure_nested``); each level keeps its own
+level's key (``partition_sketch._measure``); each level keeps its own
 bucket hashes and signs.  Every level on its own has exactly the row
 distribution of an independently drawn sketch, and the decoder's guarantee
 is a union bound over the point queries of all levels, which needs no
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import partition_sketch as ps
-from .model import as_indices
+from .model import as_indices, signal_nonzeros
 from .prf import derive_key
 
 
@@ -143,8 +143,10 @@ def build_schema(
 
 def measure(schema: BTreeSchema, x) -> list[ps.SketchBits]:
     """Sign measurements for every level, root first, from one shared
-    gaussian draw."""
-    return ps.measure_nested([level.schema for level in schema.levels], x)
+    gaussian draw; the levels nest by construction (``_level_starts``)."""
+    nz, vals = signal_nonzeros(x, schema.n)
+    levels = [level.schema for level in schema.levels]
+    return ps._measure(levels, nz, vals, [s.partition.parts_of(nz) for s in levels])
 
 
 def build_and_measure(

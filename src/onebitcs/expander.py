@@ -249,7 +249,9 @@ def build_schema(
 
 def make_name(schema: ExpanderSchema, i, layer: int) -> np.ndarray:
     """Name fields of coordinate(s) i in a layer: own hash, chunk, neighbor
-    hashes.  A coordinate that is not an integer in [0, n) raises ``ValueError``."""
+    hashes.  A coordinate that is not an integer in [0, n), or a layer outside
+    [0, layers_count), raises ``ValueError``."""
+    layer = int(as_indices(layer, schema.layers_count, "layer"))
     i = np.atleast_1d(as_indices(i, schema.n, "coordinate"))
     own = uniform_index(schema.name_key(layer), i, schema.h_range)
     chunk = schema.code.encode_many(i)[:, layer]
@@ -284,8 +286,10 @@ def layer_decode(schema: ExpanderSchema, layer: int, bits: LayerBits) -> LayerLi
     count.  Both sketches are checked first.  ``bit_reads`` counts the probe
     as reading all parts' rows in all ``ps.PROBE_REPS`` repetitions and each
     vote all its candidates' in all; both stop reading parts that fail, so
-    the count is an upper bound.
+    the count is an upper bound.  A layer outside [0, layers_count) raises
+    ``ValueError``.
     """
+    layer = int(as_indices(layer, schema.layers_count, "layer"))
     ls = schema.layers[layer]
     heavy = ps._check_bits(ls.heavy_schema, bits.heavy)
     check = ps._check_bits(ls.check_schema, bits.check)
@@ -412,25 +416,17 @@ def link_cluster_decode(
         expected = make_name(schema, decoded[single], j)
         matches[single] += (expected == layer_lists[j].names[rows]).all(axis=1)
 
-    min_matches = math.ceil((1.0 - ERROR_FRACTION) * s - 1e-9)
-    results: dict[int, float] = {}
-    verify_failures = 0
-    for value, claims, match in zip(values, claims_of, matches):
-        if match < min_matches:
-            verify_failures += 1
-            continue
-        score = float(
-            sum(layer_lists[j].good_counts[rows[0]] for j, rows in claims.items() if len(rows) == 1)
-        )
-        if value not in results or score > results[value]:
-            results[value] = score
-    coords = np.array(sorted(results), dtype=np.int64)
-    scores = np.array([results[int(i)] for i in coords])
-    coords, scores = ps.cap_by_score(coords, scores, schema.cap)
+    verified = matches >= math.ceil((1.0 - ERROR_FRACTION) * s - 1e-9)
+    scores = np.array([
+        float(sum(layer_lists[j].good_counts[rows[0]]
+                  for j, rows in claims.items() if len(rows) == 1))
+        for claims in claims_of
+    ])
+    coords, scores = ps.cap_by_score(decoded[verified], scores[verified], schema.cap)
     diag = RecoveryDiagnostics(
         components=len(components),
         decode_failures=decode_failures,
-        verify_failures=verify_failures,
+        verify_failures=int(np.count_nonzero(~verified)),
         point_queries=sum(ll.point_queries for ll in layer_lists),
         bit_reads=sum(ll.bit_reads for ll in layer_lists),
     )

@@ -19,7 +19,7 @@ from . import partition_sketch as ps
 from .model import signal_nonzeros
 from .prf import derive_key, uniform_index
 
-# buckets per unit of k / log2(n) once k reaches expander.LOG_FACTOR * log2(n)
+# buckets per unit of k / log2(n) once k reaches expander.max_sparsity(n)
 BUCKET_FACTOR = 1.0
 
 
@@ -51,21 +51,21 @@ def build_schema(
 ) -> HeavyHitterSchema:
     """Bucketing layout plus one layered sketch per bucket.
 
-    Bucketing is skipped entirely (one bucket, sub-sparsity k) when
-    k < expander.LOG_FACTOR * log2(n); otherwise coordinates hash into
-    ceil(BUCKET_FACTOR * k / log2(n)) buckets and each sub-sketch is built
-    for a log2(n) sparsity budget.
+    Bucketing is skipped entirely (one bucket, sub-sparsity k) when k is
+    below the layered sketch's limit ``expander.max_sparsity(n)``; otherwise
+    coordinates hash into ceil(BUCKET_FACTOR * k / log2(n)) buckets and each
+    sub-sketch is built for that limit.
     """
     if n < 2 or k < 1 or k > n:
         raise ValueError(f"invalid (n={n}, k={k})")
-    log_n = math.log2(n)
-    if k < expander.LOG_FACTOR * log_n:
+    limit = expander.max_sparsity(n)
+    if k < limit:
         buckets = 1
         sub_sparsity = k
         bucket_of = None
     else:
-        buckets = max(1, math.ceil(BUCKET_FACTOR * k / log_n))
-        sub_sparsity = max(1, math.ceil(log_n))
+        buckets = max(1, math.ceil(BUCKET_FACTOR * k / math.log2(n)))
+        sub_sparsity = limit
         bucket_of = uniform_index(derive_key(seed, 7), np.arange(n), buckets)
     subs = tuple(
         expander.build_schema(n, sub_sparsity, seed=int(derive_key(seed, 600 + j)),
@@ -96,24 +96,13 @@ def decode(
     schema: HeavyHitterSchema,
     bucket_bits: list[tuple[expander.LayerBits, ...]],
 ) -> tuple[np.ndarray, np.ndarray, list[expander.RecoveryDiagnostics]]:
-    """Union of per-bucket recoveries, capped at cap_factor * k by score."""
+    """Union of per-bucket recoveries, each coordinate with its best score,
+    capped at cap_factor * k by score (``ps.cap_by_score``)."""
     if len(bucket_bits) != schema.buckets:
         raise ValueError("bucket bit count does not match schema")
-    coords_all = []
-    scores_all = []
-    diags = []
-    for sub_schema, bits in zip(schema.sub_schemas, bucket_bits):
-        coords, scores, diag = expander.recover(sub_schema, bits)
-        coords_all.append(coords)
-        scores_all.append(scores)
-        diags.append(diag)
-    coords = np.concatenate(coords_all) if coords_all else np.empty(0, dtype=np.int64)
-    scores = np.concatenate(scores_all) if scores_all else np.empty(0)
-    if coords.size:
-        # coordinates live in disjoint buckets, but guard against duplicates
-        order = np.lexsort((-scores, coords))
-        coords, scores = coords[order], scores[order]
-        first = np.concatenate([[True], np.diff(coords) != 0])
-        coords, scores = coords[first], scores[first]
-    coords, scores = ps.cap_by_score(coords, scores, schema.cap)
-    return coords, scores, diags
+    coords, scores, diags = zip(*(
+        expander.recover(sub_schema, bits)
+        for sub_schema, bits in zip(schema.sub_schemas, bucket_bits)
+    ))
+    coords, scores = ps.cap_by_score(np.concatenate(coords), np.concatenate(scores), schema.cap)
+    return coords, scores, list(diags)

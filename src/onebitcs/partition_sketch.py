@@ -92,7 +92,10 @@ class PartitionFamily:
 
     @classmethod
     def contiguous(cls, n: int, parts: int) -> "PartitionFamily":
-        """Equal-width intervals of width ceil(n/parts); last may be short."""
+        """Equal-width intervals of width ceil(n/parts); last may be short.
+        n or parts below 1 raises ``ValueError``."""
+        if n < 1 or parts < 1:
+            raise ValueError(f"contiguous partition needs n, parts >= 1, got n={n}, parts={parts}")
         width = -(-n // parts)
         starts = np.arange(0, n, width, dtype=np.int64)
         return cls(n=n, size=len(starts), starts=starts)
@@ -359,62 +362,35 @@ def _check_bits(schema: PointQuerySchema, sketch: SketchBits) -> np.ndarray:
 
 def measure(schema: PointQuerySchema, x) -> SketchBits:
     """Take all sign measurements of ``x`` under the schema: the one-level
-    case of ``measure_nested``."""
-    return measure_nested((schema,), x)[0]
-
-
-def _check_nested(schemas) -> None:
-    """Raise ``ValueError`` unless the schemas share n and ``reps`` and their
-    partitions nest coarse to fine: every part of a finer partition lies in
-    one part of the next coarser one."""
-    if not schemas:
-        raise ValueError("measure_nested needs at least one schema")
-    n, reps = schemas[0].n, schemas[0].reps
-    if any(s.n != n for s in schemas) or any(s.reps != reps for s in schemas):
-        raise ValueError("nested schemas must share n and the repetition count")
-    for coarse, fine in zip(schemas, schemas[1:]):
-        coarse, fine = coarse.partition, fine.partition
-        if coarse.starts is not None and fine.starts is not None:
-            # interval partitions nest when every coarse cut is a fine cut
-            nested = np.isin(coarse.starts, fine.starts).all()
-        else:
-            everything = np.arange(n)
-            outer, inner = coarse.parts_of(everything), fine.parts_of(everything)
-            parent = np.zeros(fine.size, dtype=np.int64)
-            parent[inner] = outer
-            nested = np.array_equal(parent[inner], outer)
-        if not nested:
-            raise ValueError("partitions do not nest coarse to fine")
-
-
-def measure_nested(schemas, x) -> list[SketchBits]:
-    """Sign measurements of ``x`` under nested schemas, coarsest first.
-
-    All levels share one gaussian weight per (repetition, coordinate), drawn
-    with the first schema's ``gauss_key``; bucket hashes and signs stay each
-    level's own.  Within a level the repetitions are independent, so every
-    level's rows are distributed exactly as if it were measured alone, and a
-    union bound over levels needs no independence between them.  One pass
-    over the nonzeros of x per repetition forms the finest level's part sums;
-    each coarser level sums the occupied children of its parts.  The
-    underlying real measurements exist only transiently.  sign(0) = +1, so
-    rows start as (+1, +1) pairs and only rows with z != 0 are written; a z
-    that overflowed raises ``ValueError``.  Repetitions are processed in
-    blocks of about ``prf.BLOCK_WORDS`` gaussian entries (at least one
-    repetition each), run through ``prf.map_blocks``; the bits depend on
-    neither the block size nor the thread count.
-    """
-    schemas = tuple(schemas)
-    _check_nested(schemas)
-    nz, vals = signal_nonzeros(x, schemas[0].n)
-    return _measure(schemas, nz, vals, [s.partition.parts_of(nz) for s in schemas])
+    case of ``_measure``."""
+    nz, vals = signal_nonzeros(x, schema.n)
+    return _measure((schema,), nz, vals, [schema.partition.parts_of(nz)])[0]
 
 
 def _measure(schemas, nz, vals, labels) -> list[SketchBits]:
-    """``measure_nested`` of the nonzeros ``vals`` at ascending ``nz``, in parts
-    ``labels[level]``.  A block with fewer (repetition, sub-iteration, part)
-    entries than rows sums z over the rows it touches only, a denser one over
-    every row; each row adds its entries in the same order either way."""
+    """Sign measurements, under each schema, of the signal whose nonzeros
+    ``vals`` sit at ascending ``nz``, in parts ``labels[level]``.
+
+    The caller guarantees that the schemas share n and ``reps`` and that
+    their partitions nest coarse to fine: every part of a finer partition
+    lies in one part of the next coarser one.  All levels share one gaussian
+    weight per (repetition, coordinate), drawn with the first schema's
+    ``gauss_key``; bucket hashes and signs stay each level's own.  Within a
+    level the repetitions are independent, so every level's rows are
+    distributed exactly as if it were measured alone, and a union bound over
+    levels needs no independence between them.  One pass over the nonzeros
+    per repetition forms the finest level's part sums; each coarser level
+    sums the occupied children of its parts.  The underlying real
+    measurements exist only transiently.  sign(0) = +1, so rows start as
+    (+1, +1) pairs and only rows with z != 0 are written; a z that
+    overflowed raises ``ValueError``.  Repetitions are processed in blocks of
+    about ``prf.BLOCK_WORDS`` gaussian entries (at least one repetition
+    each), run through ``prf.map_blocks``; the bits depend on neither the
+    block size nor the thread count.  A block with fewer (repetition,
+    sub-iteration, part) entries than rows sums z over the rows it touches
+    only, a denser one over every row; each row adds its entries in the same
+    order either way.
+    """
     reps = schemas[0].reps
     bits = [np.ones((reps, 3, s.buckets, 2), dtype=np.int8) for s in schemas]
     if nz.size == 0:
@@ -570,10 +546,14 @@ def _count_sketch_decode(
 
 
 def cap_by_score(ids: np.ndarray, scores: np.ndarray, cap: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``cap`` highest-scored ``ids`` (ties toward the lower id) and their
-    scores, sorted by id."""
+    """Each distinct id once, with its highest score; of those, the ``cap``
+    highest-scored (ties toward the lower id) and their scores, sorted by id."""
+    order = np.lexsort((-scores, ids))  # by id, its best score first
+    ids, scores = ids[order], scores[order]
+    first = np.ones(ids.size, dtype=bool)
+    first[1:] = ids[1:] != ids[:-1]
+    ids, scores = ids[first], scores[first]
     if ids.size > cap:
-        keep = np.lexsort((ids, -scores))[:cap]
+        keep = np.sort(np.lexsort((ids, -scores))[:cap])
         ids, scores = ids[keep], scores[keep]
-    order = np.argsort(ids)
-    return ids[order], scores[order]
+    return ids, scores

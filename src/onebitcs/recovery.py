@@ -47,8 +47,10 @@ class GaussianSchema:
     noise_sigma: float = 0.0
 
     def __post_init__(self):
-        if self.rows < 1 or self.n < 1:
-            raise ValueError("rows and n must be positive")
+        for name in ("rows", "n"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, not {value!r}")
         if self.noise_sigma < 0:
             raise ValueError("noise level must be nonnegative")
 

@@ -18,6 +18,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .model import as_indices
+
 # primitive polynomials for GF(2^t), t = 2..16
 _PRIMITIVE = {
     2: 0x7, 3: 0xB, 4: 0x13, 5: 0x25, 6: 0x43, 7: 0x89, 8: 0x11D,
@@ -233,7 +235,7 @@ class ChunkCode:
 
         ``symbols`` holds one value per chunk position (erased positions may
         hold anything); ``erasures`` lists positions known to be unreliable.
-        Symbols that are not integers raise ``ValueError``.
+        Symbols or erasure positions that are not integers raise ``ValueError``.
         """
         symbols = np.asarray(symbols)
         if symbols.dtype.kind not in "iu":
@@ -243,9 +245,7 @@ class ChunkCode:
             raise ValueError(f"expected {self.length} chunk symbols")
         if np.any(symbols < 0) or np.any(symbols >= (1 << self.t)):
             raise ValueError("chunk symbol out of field range")
-        erasures = sorted(set(int(e) for e in erasures))
-        if erasures and (erasures[0] < 0 or erasures[-1] >= self.length):
-            raise ValueError("erasure position out of range")
+        erasures = np.unique(as_indices(erasures, self.length, "erasure position")).tolist()
         if len(erasures) > self.parity:
             return None
         symbols[erasures] = 0

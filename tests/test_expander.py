@@ -147,6 +147,15 @@ class TestNameKeys:
         with pytest.raises(ValueError, match="integers"):
             expander.make_name(schema, bad, 0)
 
+    def test_a_layer_out_of_range_rejected(self):
+        schema = expander.build_schema(1 << 10, 2, seed=12)
+        bits = expander.measure(schema, np.zeros(1 << 10))
+        for layer in (-1, schema.layers_count):
+            with pytest.raises(ValueError, match="layer out of range"):
+                expander.make_name(schema, [3], layer)
+            with pytest.raises(ValueError, match="layer out of range"):
+                expander.layer_decode(schema, layer, bits[0])
+
     def test_make_name_of_no_coordinates(self):
         schema = expander.build_schema(1 << 10, 2, seed=12)
         for j in range(schema.layers_count):

@@ -69,6 +69,11 @@ class TestPartitionFamily:
         assert part.size == 4
         assert part.parts_of(np.arange(10)).tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2, 3]
 
+    @pytest.mark.parametrize("n, parts", [(0, 4), (-1, 4), (10, 0), (0, 0)])
+    def test_contiguous_rejects_an_empty_signal_or_no_parts(self, n, parts):
+        with pytest.raises(ValueError, match="n, parts >= 1"):
+            ps.PartitionFamily.contiguous(n, parts)
+
     def test_rejects_bad_starts(self):
         with pytest.raises(ValueError):
             ps.PartitionFamily(n=4, size=2, starts=np.array([1, 2]))
@@ -259,6 +264,12 @@ def irregular_signals(schemas):
     return {"dense": dense, "half": half, "one-per-coarse-part": single}
 
 
+def measure_nested(schemas, x):
+    """``ps._measure`` of x under nested schemas, coarsest first."""
+    nz = np.flatnonzero(x)
+    return ps._measure(schemas, nz, x[nz], [s.partition.parts_of(nz) for s in schemas])
+
+
 class TestMeasureNested:
     @pytest.mark.parametrize("count", [1, 4])
     @pytest.mark.parametrize("block_words", [1, 7, 200, prf.BLOCK_WORDS])
@@ -267,7 +278,7 @@ class TestMeasureNested:
         monkeypatch.setattr(prf, "BLOCK_WORDS", block_words)
         monkeypatch.setattr(prf, "available_cpus", lambda: count)
         for name, x in irregular_signals(schemas).items():
-            bits = ps.measure_nested(schemas, x)
+            bits = measure_nested(schemas, x)
             for schema, got in zip(schemas, bits):
                 want = brute_force_bits(schema, x, gauss_key=schemas[0].gauss_key)
                 assert np.array_equal(got.bits, want), name
@@ -276,7 +287,7 @@ class TestMeasureNested:
         schemas = nested_label_schemas()
         src = RandomSource(33)
         x = src.gaussian(np.arange(60)) * (src.uniform(np.arange(60)) < 0.5)
-        bits = ps.measure_nested(schemas, x)
+        bits = measure_nested(schemas, x)
         assert len(bits) == 3
         for schema, got in zip(schemas, bits):
             want = brute_force_bits(schema, x, gauss_key=schemas[0].gauss_key)
@@ -296,48 +307,21 @@ class TestMeasureNested:
             return row_hashes(schema, reps, parts)
 
         monkeypatch.setattr(ps, "_row_hashes", recording)
-        ps.measure_nested(schemas, x)
+        measure_nested(schemas, x)
         for schema in schemas:
             want = np.unique(schema.partition.parts_of(np.flatnonzero(x)))
             for parts in hashed[schema.seed]:
                 assert np.array_equal(np.sort(parts), want)
 
-    @pytest.mark.parametrize(
-        "coarse,fine",
-        [
-            (ps.PartitionFamily.contiguous(64, 8), ps.PartitionFamily.contiguous(64, 6)),
-            (ps.PartitionFamily.contiguous(64, 16), ps.PartitionFamily.contiguous(64, 4)),
-            (label_partition(np.arange(60) % 3),
-             label_partition(np.arange(60) % 4)),
-            (ps.PartitionFamily.contiguous(60, 4),
-             label_partition(np.arange(60) % 15)),
-        ],
-    )
-    def test_rejects_partitions_that_do_not_nest(self, coarse, fine):
-        schemas = [ps.build_schema(p, 2, 0.3, seed=35) for p in (coarse, fine)]
-        with pytest.raises(ValueError, match="nest"):
-            ps.measure_nested(schemas, np.ones(coarse.n))
-
-    def test_accepts_intervals_nested_in_labels(self):
+    def test_intervals_nested_in_labels_match_brute_force(self):
         coarse = label_partition(np.arange(60) // 20)
         fine = ps.PartitionFamily.contiguous(60, 6)
         schemas = [ps.build_schema(p, 2, 0.3, seed=36) for p in (coarse, fine)]
         x = RandomSource(37).gaussian(np.arange(60))
-        bits = ps.measure_nested(schemas, x)
+        bits = measure_nested(schemas, x)
         for schema, got in zip(schemas, bits):
             want = brute_force_bits(schema, x, gauss_key=schemas[0].gauss_key)
             assert np.array_equal(got.bits, want)
-
-    def test_rejects_unequal_repetitions(self):
-        coarse, fine = nested_label_schemas()[1:]
-        other = ps.build_schema(fine.partition, 2, 0.1, seed=38)
-        assert other.reps != coarse.reps
-        with pytest.raises(ValueError, match="repetition"):
-            ps.measure_nested([coarse, other], np.ones(60))
-
-    def test_rejects_no_schemas(self):
-        with pytest.raises(ValueError):
-            ps.measure_nested([], np.ones(60))
 
 
 class TestRowHashes:
@@ -662,6 +646,20 @@ class TestVote:
         good, zero_declared = exhaustive_stats(schema, bits, np.arange(schema.partition.size))
         ranked = np.sort(good[~zero_declared & (good >= schema.vote_threshold)])[::-1]
         assert ranked.size > schema.cap and ranked[schema.cap - 1] == ranked[schema.cap]
+
+    def test_cap_by_score_keeps_each_ids_best_score(self):
+        ids = np.array([7, 3, 7, 9, 3, 1, 5, 9, 5])
+        scores = np.array([2.0, 6.0, 8.0, 4.0, 1.0, 4.0, 3.0, 4.0, 4.0])
+        # best scores: 1 -> 4, 3 -> 6, 5 -> 4, 7 -> 8, 9 -> 4
+        got, best = ps.cap_by_score(ids, scores, cap=10)
+        assert got.tolist() == [1, 3, 5, 7, 9] and best.tolist() == [4, 6, 4, 8, 4]
+        # the cap cuts through the three ids tied at 4 toward the lower ids
+        got, best = ps.cap_by_score(ids, scores, cap=3)
+        assert got.tolist() == [1, 3, 7] and best.tolist() == [4, 6, 8]
+        got, best = ps.cap_by_score(ids[::-1], scores[::-1], cap=4)
+        assert got.tolist() == [1, 3, 5, 7] and best.tolist() == [4, 6, 4, 8]
+        got, best = ps.cap_by_score(ids[:0], scores[:0], cap=3)
+        assert got.size == 0 and best.size == 0
 
     @pytest.mark.parametrize("block_words", [64, 1 << 16])
     def test_stops_reading_parts_that_cannot_pass(self, monkeypatch, block_words):

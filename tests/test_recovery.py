@@ -111,6 +111,12 @@ class TestSolve:
 
 
 class TestGaussianMeasurements:
+    @pytest.mark.parametrize("field, value", [("rows", 2.5), ("rows", True), ("n", 16.0),
+                                              ("n", 0), ("rows", -1)])
+    def test_rejects_a_dimension_that_is_not_a_positive_integer(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            recovery.GaussianSchema(**{"rows": 64, "n": 16, "seed": 5, field: value})
+
     def test_zero_signal_all_plus(self):
         schema = recovery.GaussianSchema(rows=64, n=16, seed=5)
         assert np.all(recovery.sign_measure(schema, np.zeros(16)) == 1)

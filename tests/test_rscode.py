@@ -140,6 +140,14 @@ class TestChunkCode:
         with pytest.raises(ValueError, match="integers"):
             code.decode(code.encode(17) + 0.4)  # truncated, it would decode 17
 
+    @pytest.mark.parametrize("erasures", [[0.7], [True], np.array([1.0])])
+    def test_non_integer_erasures_rejected(self, erasures):
+        # truncated, [0.7] would erase position 0 and [True] position 1
+        code = ChunkCode.for_error_fraction(message_bits=16, length=4, e0=0.25)
+        with pytest.raises(ValueError, match="erasure position must be integers"):
+            code.decode(code.encode(17), erasures)
+        assert code.decode(code.encode(17), []) == 17
+
     def test_matches_nearest_codeword_oracle(self):
         # independent route: exhaustive nearest-codeword decoding
         code = ChunkCode(message_bits=8, length=5, t=4, parity=2)

@@ -7,7 +7,7 @@ import pytest
 
 from oracles import btree_measure_per_level, label_partition
 
-from onebitcs import btree, expander, harness, heavy_hitters, recovery, serialize, signals
+from onebitcs import btree, cli, expander, harness, heavy_hitters, recovery, serialize, signals
 from onebitcs import partition_sketch as ps
 from onebitcs.model import tail_stats
 from onebitcs.prf import RandomSource
@@ -457,10 +457,31 @@ class TestFormatTable:
         with pytest.raises(ValueError, match=f"does not match file header field '{name}'"):
             serialize.load_measurement(str(path))
 
+    @pytest.mark.parametrize("value", [0, -1])
     @pytest.mark.parametrize("scheme", FILE_SCHEMES)
     @pytest.mark.parametrize("field", ["bucket_factor", "rep_factor", "cap_factor"])
-    def test_zero_constant_rejected(self, tmp_path, scheme, field):
+    def test_zero_constant_rejected(self, tmp_path, scheme, field, value):
         _, _, path = save_scheme(tmp_path, scheme)
-        rewrite(path, edit_header=lambda header: header["constants"].update({field: 0}))
+        rewrite(path, edit_header=lambda header: header["constants"].update({field: value}))
         with pytest.raises(ValueError, match=field):
             serialize.load_measurement(str(path))
+
+    @pytest.mark.parametrize("scheme", FILE_SCHEMES)
+    def test_non_positive_integer_field_rejected(self, tmp_path, capsys, scheme):
+        # every integer field but the seed counts or sizes something
+        _, _, path = save_scheme(tmp_path, scheme)
+        _, header, _ = serialize.read_blocks(str(path))
+        names = [name for name, value in header.items() if type(value) is int and name != "seed"]
+        assert {"n", "k"} <= set(names)
+        intact = path.read_bytes()
+        for name in names:
+            for value in (0, -1):
+                path.write_bytes(intact)
+                rewrite(path, edit_header=lambda header: header.update({name: value}))
+                with pytest.raises(ValueError):
+                    serialize.load_measurement(str(path))
+                assert cli.main(["decode", "--bits", str(path)]) == 2, (name, value)
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err.startswith("onebitcs: error:")
+                assert captured.err.count("\n") == 1
