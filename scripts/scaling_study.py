@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Six scaling studies on one page.
+"""Seven scaling studies on one page.
 
 1. Decode work of the b-tree against the ambient dimension: the query count
    grows with log(n) while n grows geometrically, so decode_ops / n falls.
@@ -28,20 +28,32 @@
    in-process time of the sign block on the filtered route
    (``recovery.sign_measure``) and on the exact route, which draws every
    normal through ``ndtri`` (``exact_sign_measure`` of ``tests/oracles.py``).
+7. A b-tree decoder that starts from a bits file (k = 16, b = 16,
+   delta = 0.05, exactly sparse, n = 2^12 .. 2^24; with ``--trials 1``, a
+   smoke run, only to 2^20): the file's size, the median time to load it and
+   rebuild the schema (``serialize.load_measurement``) and to decode it
+   (``btree.decode``), the ``tracemalloc`` peak of one load and decode, and
+   the point queries, each with its log-log slope in n, and whether the
+   decode found the support.  Written as JSON to ``--json`` (default
+   ``BENCH_btree_file.json``).
 """
 
 import argparse
 import json
 import math
+import os
+import platform
 import subprocess
 import sys
+import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 
 import onebitcs
-from onebitcs import btree, expander, heavy_hitters, prf, recovery, signals
+from onebitcs import btree, expander, heavy_hitters, prf, recovery, serialize, signals
 from onebitcs import partition_sketch as ps
 from onebitcs.prf import RandomSource
 
@@ -122,11 +134,56 @@ def median_seconds(fn, repeats) -> float:
     return float(np.median(times))
 
 
+def btree_file_study(exps, repeats, seed) -> dict:
+    """Study 7: a b-tree bits file loaded and decoded in this process."""
+    k, b, delta = 16, 16, 0.05
+    rows = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "btree.bits")
+        for exp in exps:
+            n = 1 << exp
+            x = signals.gen_signal(signals.EXACT_SPARSE, n, k, RandomSource(seed + exp))
+            schema, bits = btree.build_and_measure(x, n, k, b, delta, seed=seed + 700 + exp)
+            serialize.save(path, schema, bits)
+            support = np.flatnonzero(x)
+            del x, bits
+            load = median_seconds(lambda: serialize.load_measurement(path), repeats)
+            _, schema, bits = serialize.load_measurement(path)
+            decode = median_seconds(lambda: btree.decode(schema, bits), repeats)
+            tracemalloc.start()
+            _, schema, bits = serialize.load_measurement(path)
+            result = btree.decode(schema, bits)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            rows.append({
+                "n": n, "file_bytes": os.path.getsize(path), "load_rebuild_s": load,
+                "decode_s": decode, "tracemalloc_peak_bytes": peak,
+                "point_queries": result.point_queries,
+                "support_found": bool(np.isin(support, result.indices).all()),
+            })
+    log_n = np.log2([row["n"] for row in rows])
+    slopes = {
+        metric: float(np.polyfit(log_n, np.log2([row[metric] for row in rows]), 1)[0])
+        for metric in ("file_bytes", "load_rebuild_s", "decode_s", "tracemalloc_peak_bytes",
+                       "point_queries")
+    }
+    return {
+        "study": "b-tree decoder from a bits file",
+        "setup": {"k": k, "b": b, "delta": delta, "model": signals.EXACT_SPARSE,
+                  "repeats": repeats, "seed": seed, "cpus": prf.available_cpus(),
+                  "machine": platform.machine(), "python": platform.python_version(),
+                  "numpy": np.__version__},
+        "rows": rows,
+        "loglog_slope_in_n": slopes,
+    }
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--k", type=int, default=4)
     ap.add_argument("--trials", type=int, default=20)
     ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--json", default="BENCH_btree_file.json", help="study 7's output")
     args = ap.parse_args()
 
     print("b-tree decode work vs dimension (b=8, delta=0.1)")
@@ -233,6 +290,21 @@ def main():
                 for measure in (recovery.sign_measure, exact_sign_measure)
             )
             print(f"{model:>17} {n:>8} {redo:>11} {filtered * 1e3:>12.1f} {exact * 1e3:>9.1f}")
+
+    print()
+    repeats = min(args.trials, 5)
+    print(f"b-tree decoder from a bits file (k=16, b=16, exact-sparse; median of {repeats})")
+    print(f"{'n':>9} {'file kB':>8} {'load ms':>8} {'decode ms':>10} {'peak MB':>8} {'queries':>8}")
+    study = btree_file_study(range(12, 25 if args.trials > 1 else 21, 2), repeats, args.seed)
+    for row in study["rows"]:
+        print(f"{row['n']:>9} {row['file_bytes'] / 1e3:>8.1f} {row['load_rebuild_s'] * 1e3:>8.2f}"
+              f" {row['decode_s'] * 1e3:>10.2f} {row['tracemalloc_peak_bytes'] / 1e6:>8.2f}"
+              f" {row['point_queries']:>8}")
+    print("log-log slopes in n:", json.dumps(study["loglog_slope_in_n"]))
+    with open(args.json, "w", encoding="utf-8") as fh:
+        json.dump(study, fh, indent=2)
+        fh.write("\n")
+    print(f"wrote {args.json}")
 
 
 if __name__ == "__main__":

@@ -1,10 +1,13 @@
 """One-bit b-tree: coarse-to-fine interval partitions with point-query descent.
 
-Level r partitions [n] into contiguous intervals of width ceil(n / (k b^r)).
-The root level is decoded exhaustively with the count-sketch decoder; each
-finer level is decoded by point-querying only the children of the parts that
-survived the previous level, so decoding touches O(b k) parts per level
-instead of the whole partition.
+Level r partitions [n] into intervals of one width w_r: part c is
+[c w_r, (c+1) w_r), cut at n.  Each width is a multiple of the next finer
+one (``_level_widths``), so a part's children are a range of parts, a leaf
+part is its coordinate, and the schema holds no array: a build takes
+O(depth).  The root level is decoded exhaustively with the count-sketch
+decoder; each finer level is decoded by point-querying only the children of
+the parts that survived the previous level, so decoding touches O(b k)
+parts per level instead of the whole partition.
 
 The levels nest, so they are measured in one pass that shares one gaussian
 weight per (repetition, coordinate) across all of them, drawn with the root
@@ -30,8 +33,11 @@ from .prf import derive_key
 
 @dataclass(frozen=True)
 class BTreeLevel:
-    starts: np.ndarray  # interval start positions, strictly increasing
     schema: ps.PointQuerySchema
+
+    @property
+    def starts(self) -> np.ndarray:  # built on each read, see PartitionFamily.starts
+        return self.schema.partition.starts
 
 
 @dataclass(frozen=True)
@@ -55,16 +61,17 @@ class BTreeSchema:
 
     def children(self, level: int, parts) -> np.ndarray:
         """Parts of ``level``+1 contained in the given part(s) of ``level``,
-        parent by parent: one searchsorted over the parents' interval bounds.
+        parent by parent: part p holds children [p r, (p+1) r), cut at the
+        child level's size, where r is the ratio of the two levels' widths.
         A level outside [0, depth), which has no child level, or a part that
         is not the integer index of a ``level`` part raises ``ValueError``."""
         if not 0 <= level < self.depth:
             raise ValueError(f"level {level} has no child level: need 0 <= level < {self.depth}")
-        starts = self.levels[level].starts
-        parts = np.atleast_1d(as_indices(parts, starts.size, f"level-{level} part"))
-        bounds = np.append(starts, self.n)
-        first, last = np.searchsorted(self.levels[level + 1].starts, bounds[[parts, parts + 1]])
-        counts = last - first
+        parent, child = (lv.schema.partition for lv in self.levels[level : level + 2])
+        parts = np.atleast_1d(as_indices(parts, parent.size, f"level-{level} part"))
+        ratio = parent.width // child.width
+        first = parts * ratio
+        counts = np.minimum(first + ratio, child.size) - first
         return np.repeat(first - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
 
 
@@ -76,28 +83,21 @@ class BTreeDecodeResult:
     per_level_survivors: tuple[int, ...]
 
 
-def _level_starts(n: int, k: int, b: int, depth: int) -> list[np.ndarray]:
-    """Interval starts for levels 0..depth, nested by construction.
+def _level_widths(n: int, k: int, b: int, depth: int) -> list[int]:
+    """Interval widths of levels 0..depth, built from the leaves up.
 
-    Each level-r part is split independently into children of width
-    ceil(n / (k b^{r+1})), so a child never straddles two parents even when
-    the widths do not divide evenly; with power-of-two friendly parameters
-    this coincides with the uniform global grid.
+    The leaves have width 1, and level r's width is the least multiple of
+    level r+1's that is at least ceil(n / (k b^r)): that ceiling itself
+    where the ceilings divide each other, as for power-of-two n, k and b.
+    The ceiling is at most b times level r+1's, so at most b times its
+    width: a part holds at most b children.  The root, of width at least
+    ceil(n / k), has at most k parts.
     """
-    width0 = -(-n // k)
-    levels = [np.arange(0, n, width0, dtype=np.int64)]
-    for r in range(1, depth + 1):
-        width = max(1, -(-n // (k * b**r)))
-        prev = levels[-1]
-        # parent p has ceil(len_p / width) children at prev[p] + j * width;
-        # child number c = first[p] + j sits at prev[p] - first[p] * width + c * width
-        counts = -(-np.diff(prev, append=n) // width)
-        first = np.cumsum(counts) - counts
-        child = np.arange(int(counts.sum()), dtype=np.int64)
-        child *= width
-        child += np.repeat(prev - first * width, counts)
-        levels.append(child)
-    return levels
+    widths = [1]
+    for r in reversed(range(depth)):
+        least = -(-n // (k * b**r))
+        widths.append(-(-least // widths[-1]) * widths[-1])
+    return widths[::-1]
 
 
 def build_schema(
@@ -120,30 +120,25 @@ def build_schema(
         raise ValueError(f"sparsity must be in [1, n], got k={k}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0,1), got {delta}")
-    # smallest depth with k * b**depth >= n; guard both ways against float log
-    depth = max(0, math.ceil(math.log(n / k, b))) if k < n else 0
+    depth = 0  # the smallest with k * b**depth >= n
     while k * b**depth < n:
         depth += 1
-    while depth > 0 and k * b ** (depth - 1) >= n:
-        depth -= 1
     level_delta = delta / (b * k * max(depth, 1))
-    starts = _level_starts(n, k, b, depth)
-    levels = []
-    for r, st in enumerate(starts):
-        part = ps.PartitionFamily(n=n, size=st.size, starts=st)
-        schema = ps.build_schema(
-            part, k, level_delta, seed=int(derive_key(seed, 100 + r)), constants=constants
-        )
-        levels.append(BTreeLevel(starts=st, schema=schema))
+    levels = tuple(
+        BTreeLevel(ps.build_schema(
+            ps.PartitionFamily(n=n, size=-(-n // width), width=width), k, level_delta,
+            seed=int(derive_key(seed, 100 + r)), constants=constants,
+        ))
+        for r, width in enumerate(_level_widths(n, k, b, depth))
+    )
     return BTreeSchema(
-        n=n, k=k, b=b, delta=delta, seed=seed, depth=depth,
-        levels=tuple(levels), constants=constants,
+        n=n, k=k, b=b, delta=delta, seed=seed, depth=depth, levels=levels, constants=constants,
     )
 
 
 def measure(schema: BTreeSchema, x) -> list[ps.SketchBits]:
     """Sign measurements for every level, root first, from one shared
-    gaussian draw; the levels nest by construction (``_level_starts``)."""
+    gaussian draw; the levels nest by construction (``_level_widths``)."""
     nz, vals = signal_nonzeros(x, schema.n)
     levels = [level.schema for level in schema.levels]
     return ps._measure(levels, nz, vals, [s.partition.parts_of(nz) for s in levels])
@@ -174,13 +169,10 @@ def decode(schema: BTreeSchema, level_bits: list[ps.SketchBits]) -> BTreeDecodeR
     pairs = [ps._check_bits(lv.schema, bits) for lv, bits in zip(schema.levels, level_bits)]
     root = schema.levels[0].schema
     survivors = ps._count_sketch_decode(root, pairs[0], None)[0]
-    point_queries = schema.levels[0].starts.size
+    point_queries = root.partition.size
     bit_reads = point_queries * 3 * root.reps * 2
     per_level = [int(survivors.size)]
     for r in range(1, len(schema.levels)):
-        if survivors.size == 0:
-            per_level.append(0)
-            continue
         # survivors are sorted and distinct, so their children are too
         candidates = schema.children(r - 1, survivors)
         level = schema.levels[r].schema
@@ -188,10 +180,8 @@ def decode(schema: BTreeSchema, level_bits: list[ps.SketchBits]) -> BTreeDecodeR
         point_queries += candidates.size
         bit_reads += candidates.size * 3 * level.reps * 2
         per_level.append(int(survivors.size))
-    leaf_starts = schema.levels[-1].starts
-    indices = leaf_starts[survivors] if survivors.size else np.empty(0, dtype=np.int64)
     return BTreeDecodeResult(
-        indices=np.sort(indices),
+        indices=survivors,  # a leaf part, of width 1, is its coordinate
         point_queries=int(point_queries),
         bit_reads=int(bit_reads),
         per_level_survivors=tuple(per_level),

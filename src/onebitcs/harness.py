@@ -159,7 +159,7 @@ class Scheme:
 
 
 def _ppcs_header(s: ps.PointQuerySchema) -> dict:
-    if s.partition.starts is None:
+    if s.partition.width is None:
         raise ValueError("only interval partitions are serialized; a name partition "
                          "is schema-internal")
     return {"n": s.n, "parts": s.partition.size, "k": s.k, "delta": s.delta,
@@ -220,7 +220,8 @@ SCHEMES = {
         measure=btree.measure, decode=_decode_btree, judge=_judge_coords,
         schema_type=btree.BTreeSchema,
         header=lambda s: {"n": s.n, "k": s.k, "b": s.b, "delta": s.delta, "seed": s.seed,
-                          "levels": len(s.levels), "constants": asdict(s.constants)},
+                          "levels": len(s.levels), "constants": asdict(s.constants),
+                          "widths": [level.schema.partition.width for level in s.levels]},
         rebuild=lambda h, c: btree.build_schema(h["n"], h["k"], h["b"], h["delta"], h["seed"], c),
         layout=lambda s, take: [take(level.schema) for level in s.levels],
     ),

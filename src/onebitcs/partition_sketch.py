@@ -54,7 +54,8 @@ class AnalysisMarginWarning(RuntimeWarning):
 class PartitionFamily:
     """A partition of [n] into ``size`` parts, stored in one of two ways:
 
-    - ``starts``: for interval partitions, the sorted interval start positions;
+    - ``width``: for interval partitions, part c is [c·width, (c+1)·width)
+      cut at n, so there are ceil(n / width) parts;
     - ``names`` with ``keys``: each coordinate's packed name, a (words, n)
       uint64 array whose columns compare word by word, and the (words, size)
       sorted distinct names.  A coordinate's part is its name's rank among
@@ -63,24 +64,23 @@ class PartitionFamily:
 
     n: int
     size: int
-    starts: np.ndarray | None = None
+    width: int | None = None
     names: np.ndarray | None = None
     keys: np.ndarray | None = None
 
     def __post_init__(self):
         if self.n < 1 or self.size < 1:
             raise ValueError("partition needs n >= 1 and at least one part")
-        if (self.starts is None) == (self.names is None):
-            raise ValueError("exactly one of starts/names must be given")
+        if (self.width is None) == (self.names is None):
+            raise ValueError("exactly one of width/names must be given")
         if (self.names is None) != (self.keys is None):
             raise ValueError("names and keys must be given together")
-        if self.starts is not None:
-            st = np.asarray(self.starts, dtype=np.int64)
-            if st.size != self.size or st[0] != 0 or np.any(np.diff(st) <= 0):
-                raise ValueError("starts must begin at 0 and strictly increase")
-            if st[-1] >= self.n:
-                raise ValueError("interval start beyond signal length")
-            object.__setattr__(self, "starts", st)
+        if self.width is not None:
+            w = self.width
+            whole = isinstance(w, (int, np.integer)) and not isinstance(w, bool)
+            if not whole or w < 1 or -(-self.n // w) != self.size:
+                raise ValueError(f"interval width {w!r} must be a positive integer that cuts "
+                                 f"n={self.n} into {self.size} parts")
         else:
             names, keys = self.names, self.keys
             words = names.shape[0] if names.ndim == 2 else 0
@@ -97,14 +97,18 @@ class PartitionFamily:
         if n < 1 or parts < 1:
             raise ValueError(f"contiguous partition needs n, parts >= 1, got n={n}, parts={parts}")
         width = -(-n // parts)
-        starts = np.arange(0, n, width, dtype=np.int64)
-        return cls(n=n, size=len(starts), starts=starts)
+        return cls(n=n, size=-(-n // width), width=width)
 
     @classmethod
     def from_names(cls, names: np.ndarray) -> "PartitionFamily":
         """One part per distinct name of a (words, n) uint64 array."""
         keys = _sorted_distinct(names)
         return cls(n=names.shape[1], size=keys.shape[1], names=names, keys=keys)
+
+    @property
+    def starts(self) -> np.ndarray:
+        """An interval partition's part starts, built on each read; the library reads none."""
+        return np.arange(self.size, dtype=np.int64) * self.width
 
     def parts_of(self, coords) -> np.ndarray:
         """Part index of each coordinate (vectorized); a coordinate that is
@@ -113,7 +117,7 @@ class PartitionFamily:
         if self.names is not None:
             flat = coords.ravel()
             return _key_ranks(self.keys, self.names.take(flat, axis=1)).reshape(coords.shape)
-        return np.searchsorted(self.starts, coords, side="right") - 1
+        return coords // self.width
 
 
 def _sorted_distinct(words: np.ndarray) -> np.ndarray:

@@ -51,8 +51,8 @@ class GaussianSchema:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
                 raise ValueError(f"{name} must be a positive integer, not {value!r}")
-        if self.noise_sigma < 0:
-            raise ValueError("noise level must be nonnegative")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError(f"noise_sigma must be finite and >= 0, not {self.noise_sigma!r}")
 
     @cached_property
     def matrix_key(self) -> np.uint64:

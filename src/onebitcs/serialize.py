@@ -11,14 +11,16 @@ part of every partition sketch).
 Each file scheme's header fields, schema rebuild and block layout sit on its
 ``harness.SCHEMES`` entry; ``save`` and ``load_measurement`` serve every
 scheme from there.  On load, every header field of the rebuilt schema must
-equal the file's, so the layered sketch's degree, error fraction, log
-factor and bucket factor, which are fixed constants, must hold their
-values; only a field earlier v2 files lack may be absent.  The block count
-must be the schema's, every block must have exactly the length its bit
-count requires, and nothing may follow the last block.  Header values are
-typed: integer fields must be JSON integers and float fields finite JSON
-numbers (booleans are neither).  A partition sketch's block may not hold a
-(-1, -1) polarity pair, which no measurement produces.
+equal the file's, so the layered sketch's degree, error fraction, log factor
+and bucket factor, which are fixed constants, must hold their values; only a
+field earlier v2 files lack may be absent.  A b-tree file without
+``widths``, its levels' interval widths, is rejected, as it may have been
+measured under other partitions.  The block count must be the schema's,
+every block must have exactly the length its bit count requires, and nothing
+may follow the last block.  Header values are typed: integer fields must be
+JSON integers and float fields finite JSON numbers (booleans are neither).
+A partition sketch's block may not hold a (-1, -1) polarity pair, which no
+measurement produces.
 
 Bits pack +1 -> 1 and -1 -> 0 in little-endian bit order, following each
 sketch's flattened row order (repetition-major, then sub-iteration, then

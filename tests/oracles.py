@@ -223,23 +223,6 @@ def link_cluster_loop(schema, layer_lists):
     return coords, scores, (len(components), decode_failures, verify_failures)
 
 
-def level_starts_loop(n, k, b, depth):
-    """b-tree interval starts built part by part: each level-r part is cut
-    into children of width ceil(n / (k b^{r+1})) with one arange per part."""
-    width0 = -(-n // k)
-    levels = [np.arange(0, n, width0, dtype=np.int64)]
-    for r in range(1, depth + 1):
-        width = max(1, -(-n // (k * b**r)))
-        prev = levels[-1]
-        ends = np.append(prev[1:], n)
-        pieces = [
-            np.arange(start, end, width, dtype=np.int64)
-            for start, end in zip(prev, ends)
-        ]
-        levels.append(np.concatenate(pieces))
-    return levels
-
-
 def layer_name_table(schema, j):
     """(labels, names) of expander layer j by the full name table: stack the
     n x (2 + degree) field columns, pack each row into one key (a record of

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_bits, children_loop, level_starts_loop
+from oracles import brute_force_bits, children_loop
 
 from onebitcs import btree
 from onebitcs import partition_sketch as ps
@@ -26,15 +27,44 @@ class TestBuild:
         schema = btree.build_schema(100, 3, 3, 0.1, seed=1)
         assert schema.levels[-1].starts.size == 100
 
-    @pytest.mark.parametrize("n,k,b", [(1000, 3, 7), (17, 2, 2), (65536, 8, 16), (12345, 7, 3)])
-    def test_level_starts_match_part_by_part_loop(self, n, k, b):
-        depth = btree.build_schema(n, k, b, 0.1, seed=1).depth
-        fast = btree._level_starts(n, k, b, depth)
-        slow = level_starts_loop(n, k, b, depth)
-        assert len(fast) == len(slow) == depth + 1
-        for got, want in zip(fast, slow):
-            assert got.dtype == np.int64
-            assert np.array_equal(got, want)
+    def test_level_widths_nest_and_bound_every_part(self):
+        sizes = [*range(1, 300), 500, 1000, 12345, 65537, (1 << 20) + 1]
+        for n, k, b in itertools.product(sizes, range(1, 10), range(2, 10)):
+            if k > n:
+                continue
+            depth = next(d for d in range(n + 1) if k * b**d >= n)
+            widths = btree._level_widths(n, k, b, depth)
+            assert len(widths) == depth + 1 and widths[-1] == 1
+            assert -(-n // widths[0]) <= k  # root parts
+            for r, (coarse, fine) in enumerate(zip(widths, widths[1:])):
+                assert coarse % fine == 0
+                assert coarse // fine <= b  # children of a part
+                assert coarse >= -(-n // (k * b**r))
+
+    def test_power_of_two_widths_are_the_plain_ceilings(self):
+        powers = [1 << e for e in range(1, 25)]
+        for n, k, b in itertools.product(powers, [1, *powers[:5]], powers[:5]):
+            if k <= n and b <= n:
+                depth = btree.build_schema(n, k, b, 0.1, seed=1).depth
+                assert btree._level_widths(n, k, b, depth) == [
+                    -(-n // (k * b**r)) for r in range(depth + 1)
+                ]
+
+    @pytest.mark.parametrize("n", [1 << 12, 1 << 24])
+    def test_schema_holds_no_array(self, n):
+        def arrays(value):
+            if isinstance(value, np.ndarray):
+                return [value]
+            if isinstance(value, (tuple, list)):
+                return [a for item in value for a in arrays(item)]
+            if isinstance(value, dict):
+                return arrays(list(value.values()))
+            return arrays(vars(value)) if hasattr(value, "__dict__") else []
+
+        schema = btree.build_schema(n, 16, 16, 0.05, seed=1)
+        for level in schema.levels:  # cache the keys, so the walk sees them too
+            level.schema.bucket_key, level.schema.gauss_key
+        assert arrays(schema) == []
 
     def test_rejects_bad_branching(self):
         with pytest.raises(ValueError):
@@ -151,6 +181,21 @@ class TestDecode:
             result = btree.decode(schema, bits)
             assert result.indices.size <= schema.cap
             hits += bool(np.isin(sup, result.indices).all())
+        assert hits / trials >= 1 - 2 * 0.05 - 3 * math.sqrt(0.1 * 0.9 / trials)
+
+    def test_descent_under_widths_that_are_not_the_plain_ceilings(self):
+        # at n = 1000, k = 3, b = 7 the widths are 343, 49, 7, 1, not
+        # ceil(n / (k b^r)) = 334, 48, 7, 1
+        n, k, b, trials = 1000, 3, 7, 30
+        hits = 0
+        for t in range(trials):
+            src = RandomSource(1100 + t)
+            sup = src.derive(1).choice_without_replacement(n, k)
+            x = np.zeros(n)
+            x[sup] = src.derive(2).signs(np.arange(k)) / math.sqrt(k)
+            schema, bits = btree.build_and_measure(x, n, k, b, 0.05, seed=1200 + t)
+            assert [lv.schema.partition.width for lv in schema.levels] == [343, 49, 7, 1]
+            hits += bool(np.isin(sup, btree.decode(schema, bits).indices).all())
         assert hits / trials >= 1 - 2 * 0.05 - 3 * math.sqrt(0.1 * 0.9 / trials)
 
     def test_query_budget(self):

@@ -134,6 +134,19 @@ class TestBadInput:
         assert err.count("\n") == 1
         assert not bits.exists()
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_encode_rejects_a_non_finite_noise_sigma(self, tmp_path, capsys, sigma):
+        sig = tmp_path / "signal.txt"
+        sig.write_text("0.5\n-1.0\n0.0\n0.25\n" * 64)
+        bits = tmp_path / "m.bits"
+        code = run_cli("encode", "--scheme", "pipeline", "--signal", str(sig),
+                       "--out", str(bits), "--k", "2", "--sigma", sigma)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("onebitcs: error:") and "noise_sigma" in err
+        assert err.count("\n") == 1
+        assert not bits.exists()
+
     def test_decode_rejects_malformed_bits_file(self, tmp_path, capsys):
         bits = tmp_path / "m.bits"
         bits.write_bytes(b"onebitcs-bits v2 ppcs\n{\"scheme\": \"ppcs\"}\n")

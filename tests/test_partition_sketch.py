@@ -68,15 +68,18 @@ class TestPartitionFamily:
         part = ps.PartitionFamily.contiguous(10, 4)
         assert part.size == 4
         assert part.parts_of(np.arange(10)).tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2, 3]
+        assert part.width == 3 and part.starts.tolist() == [0, 3, 6, 9]
 
     @pytest.mark.parametrize("n, parts", [(0, 4), (-1, 4), (10, 0), (0, 0)])
     def test_contiguous_rejects_an_empty_signal_or_no_parts(self, n, parts):
         with pytest.raises(ValueError, match="n, parts >= 1"):
             ps.PartitionFamily.contiguous(n, parts)
 
-    def test_rejects_bad_starts(self):
-        with pytest.raises(ValueError):
-            ps.PartitionFamily(n=4, size=2, starts=np.array([1, 2]))
+    @pytest.mark.parametrize("size, width", [(2, 0), (2, -2), (2, 1.5), (2, True), (1, 3), (3, 2)])
+    def test_rejects_a_bad_width(self, size, width):
+        # a width must be a positive integer that cuts n into exactly size parts
+        with pytest.raises(ValueError, match="interval width"):
+            ps.PartitionFamily(n=4, size=size, width=width)
 
     def test_interval_parts_of_rejects_out_of_range(self):
         part = ps.PartitionFamily.contiguous(10, 4)

@@ -194,6 +194,11 @@ class TestGaussianMeasurements:
         with pytest.raises(ValueError, match="finite"):
             recovery.correlation(schema, y, [0, 1])
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -1.0])
+    def test_rejects_a_noise_sigma_that_is_not_finite_and_nonnegative(self, sigma):
+        with pytest.raises(ValueError, match="noise_sigma"):
+            recovery.GaussianSchema(rows=64, n=16, seed=5, noise_sigma=sigma)
+
     def test_noise_changes_bits(self):
         x = RandomSource(10).gaussian(np.arange(32)) * 0.01
         quiet = recovery.GaussianSchema(rows=2048, n=32, seed=11, noise_sigma=0.0)

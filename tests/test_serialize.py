@@ -293,6 +293,28 @@ class TestMalformedHeaders:
         with pytest.raises(ValueError, match="bit blocks"):
             serialize.load_measurement(str(path))
 
+    @pytest.mark.parametrize("edit", [
+        lambda header: header.pop("widths"),
+        lambda header: header.update(widths=[334, 48, 7, 1]),
+        lambda header: header.update(widths=header["widths"][:-1]),
+        lambda header: header.update(widths=7),
+    ], ids=["missing", "unnested", "short", "not-a-list"])
+    def test_btree_file_without_its_widths_rejected(self, tmp_path, capsys, edit):
+        # a file written before the header held the widths may have been
+        # measured under other partitions: at n = 1000, k = 3, b = 7 the
+        # widths were 334, 48, 7, 1 and are now 343, 49, 7, 1
+        x, _ = sparse_unit(1000, 3, 23)
+        schema, bits = btree.build_and_measure(x, 1000, 3, 7, 0.1, seed=24)
+        path = tmp_path / "t.bits"
+        serialize.save(str(path), schema, bits)
+        assert serialize.read_blocks(str(path))[1]["widths"] == [343, 49, 7, 1]
+        rewrite(path, edit_header=edit)
+        with pytest.raises(ValueError, match="'widths'"):
+            serialize.load_measurement(str(path))
+        assert cli.main(["decode", "--bits", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("onebitcs: error:") and captured.err.count("\n") == 1
+
     def test_pipeline_file_missing_a_block_rejected(self, tmp_path):
         schema = recovery.build_pipeline(512, 2, 0.3, seed=29, gauss_rows=400)
         x, _ = sparse_unit(512, 2, 30)
