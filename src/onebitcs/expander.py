@@ -157,7 +157,7 @@ def _word_fields(widths) -> list[range]:
 
 
 def _pack_rows(columns, widths) -> np.ndarray:
-    """Pack columns of small nonnegative integers into one comparable name per
+    """Pack uint64 columns of small integers into one comparable name per
     row: a (words, rows) uint64 array, each word holding a run of fields
     (see ``_word_fields``), so names compare word by word in the
     lexicographic order of the columns."""
@@ -166,7 +166,7 @@ def _pack_rows(columns, widths) -> np.ndarray:
     for word, cols in zip(out, fields):
         for i in cols:
             word <<= np.uint64(widths[i])
-            np.bitwise_or(word, columns[i], out=word, dtype=np.uint64, casting="unsafe")
+            word |= columns[i]
     return out
 
 
@@ -210,10 +210,11 @@ def build_schema(
     deg = len(neighbors[0])
     h_range = max(16, math.ceil(math.log2(n)) ** 3)
 
-    # (s, n): row j hashes every coordinate under name_key(j)
+    # (s, n) uint64 rows, contiguous for _pack_rows: row j hashes every
+    # coordinate under name_key(j), and chunks[j] is every coordinate's chunk j
     name_keys = np.array([derive_key(seed, 300 + j) for j in range(s)])
-    own_hash = uniform_index(name_keys[:, None], np.arange(n), h_range)
-    codewords = code.codeword_table(n)  # (n, s), shared by every build at this n
+    own_hash = uniform_index(name_keys[:, None], np.arange(n), h_range).view(np.uint64)
+    chunks = np.ascontiguousarray(code.codeword_table(n).T, dtype=np.uint64)
 
     heavy_delta = float((1 << code.t)) ** -2
     check_delta = min(0.5, float(math.ceil(math.log2(n))) ** -2)
@@ -222,7 +223,7 @@ def build_schema(
 
     layers = []
     for j in range(s):
-        columns = [own_hash[j], codewords[:, j]] + [own_hash[nb] for nb in neighbors[j]]
+        columns = [own_hash[j], chunks[j]] + [own_hash[nb] for nb in neighbors[j]]
         partition = ps.PartitionFamily.from_names(_pack_rows(columns, widths))
         heavy_schema = ps.build_schema(
             partition, k, heavy_delta,

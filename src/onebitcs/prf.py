@@ -32,10 +32,11 @@ from scipy.special import ndtri
 
 U64 = np.uint64
 
-_MUL1 = U64(0xBF58476D1CE4E5B9)
-_MUL2 = U64(0x94D049BB133111EB)
-_GAMMA = U64(0x9E3779B97F4A7C15)
-_PHI = U64(0x165667B19E3779F9)
+# splitmix64's finalizer multipliers, and the index word idx * GAMMA + PHI
+# that ``fold`` absorbs, as Python integers; numpy code takes them as U64
+_MASK = (1 << 64) - 1
+_MUL1, _MUL2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_GAMMA, _PHI = 0x9E3779B97F4A7C15, 0x165667B19E3779F9
 _BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
@@ -104,20 +105,9 @@ def scratch(name: str, shape, dtype) -> np.ndarray:
 
 
 def mix64(z) -> np.ndarray:
-    """splitmix64 finalizer; wraps mod 2**64 by construction.
-
-    Leaves ``z`` unmodified: the first shift makes a fresh array, and every
-    xor and multiply after it writes into that array in place.
-    """
-    z = np.asarray(z, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        out = z >> U64(30)
-        out ^= z
-        out *= _MUL1
-        out ^= out >> U64(27)
-        out *= _MUL2
-        out ^= out >> U64(31)
-    return out
+    """splitmix64 finalizer of a copy of ``z``; wraps mod 2**64 by construction."""
+    out = np.array(z, dtype=np.uint64)
+    return _mix64_inplace(out, np.empty_like(out))[()]
 
 
 def _mix64_inplace(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -125,7 +115,7 @@ def _mix64_inplace(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     for shift, mul in ((30, _MUL1), (27, _MUL2)):
         np.right_shift(z, U64(shift), out=tmp)
         z ^= tmp
-        z *= mul
+        z *= U64(mul)
     np.right_shift(z, U64(31), out=tmp)
     z ^= tmp
     return z
@@ -135,9 +125,9 @@ def col_words(idx) -> np.ndarray:
     """``idx * GAMMA + PHI``: the index half of ``fold``, computed once."""
     # one array, written in place: array ufuncs wrap uint64 without a warning
     idx = np.asarray(idx)
-    z = np.multiply(idx, _GAMMA, out=np.empty(idx.shape, np.uint64), dtype=np.uint64,
+    z = np.multiply(idx, U64(_GAMMA), out=np.empty(idx.shape, np.uint64), dtype=np.uint64,
                     casting="unsafe")
-    return np.add(z, _PHI, out=z)
+    return np.add(z, U64(_PHI), out=z)
 
 
 def fold(key, word) -> np.ndarray:
@@ -190,12 +180,24 @@ def block_cells(keys, cols) -> tuple[np.ndarray, np.ndarray]:
     return mid, half
 
 
+def _mix_int(z: int) -> int:
+    """``mix64`` of one word in [0, 2**64), in Python integers."""
+    z = ((z ^ (z >> 30)) * _MUL1) & _MASK
+    z = ((z ^ (z >> 27)) * _MUL2) & _MASK
+    return z ^ (z >> 31)
+
+
 def derive_key(seed: int, *words: int) -> np.uint64:
-    """A 64-bit stream key for (seed, words); equal inputs give equal keys."""
-    key = mix64(np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF))
+    """A 64-bit stream key for (seed, words); equal inputs give equal keys.
+
+    ``mix64`` of the seed, then ``fold`` of each word in turn, all mod
+    2**64 in Python integers: on one word, numpy's per-call overhead costs
+    about ten times the arithmetic.
+    """
+    key = _mix_int(int(seed) & _MASK)
     for w in words:
-        key = fold(key, int(w) & 0xFFFFFFFFFFFFFFFF)
-    return np.uint64(key)
+        key = _mix_int(key ^ (((int(w) & _MASK) * _GAMMA + _PHI) & _MASK))
+    return U64(key)
 
 
 def uniform01(key, idx) -> np.ndarray:

@@ -18,7 +18,8 @@ field earlier v2 files lack may be absent.  A b-tree file without
 measured under other partitions.  The block count must be the schema's,
 every block must have exactly the length its bit count requires, and nothing
 may follow the last block.  Header values are typed: integer fields must be
-JSON integers and float fields finite JSON numbers (booleans are neither).
+JSON integers and float fields finite JSON numbers (booleans are neither);
+list fields, such as ``widths``, are JSON lists of such values.
 A partition sketch's block may not hold a (-1, -1) polarity pair, which no
 measurement produces.
 
@@ -84,7 +85,7 @@ def unpack_sign_vector(data: bytes, rows: int) -> np.ndarray:
 
 _CONSTANT_FIELDS = ("bucket_factor", "rep_factor", "cap_factor")
 
-# type of every top-level header field a loader reads
+# type of every top-level header field a loader reads; [int] is a list of integers
 _FIELD_TYPES = {
     **dict.fromkeys(
         ("n", "k", "seed", "parts", "reps", "buckets", "b", "levels", "layers",
@@ -94,6 +95,7 @@ _FIELD_TYPES = {
     **dict.fromkeys(
         ("delta", "error_fraction", "log_factor", "bucket_factor", "noise_sigma"), float
     ),
+    **dict.fromkeys(("block_lengths", "widths"), [int]),
 }
 
 
@@ -127,6 +129,10 @@ class _Header(dict):
     def __getitem__(self, key):
         value = super().__getitem__(key)
         kind = self.types.get(key)
+        if isinstance(kind, list):
+            if not isinstance(value, list):
+                raise ValueError(f"bits file header field {key!r} must be a list, not {value!r}")
+            return [_typed(key, item, kind[0]) for item in value]
         return value if kind is None else _typed(key, value, kind)
 
 
@@ -158,10 +164,8 @@ def read_blocks(path: str) -> tuple[str, dict, list[bytes]]:
             raise ValueError(f"{path}: header scheme does not match magic line")
         header = _Header(header, _FIELD_TYPES)
         lengths = header["block_lengths"]
-        if not isinstance(lengths, list):
-            raise ValueError(f"{path}: header field 'block_lengths' must be a list")
         for length in lengths:
-            if _typed("block_lengths", length, int) < 0:
+            if length < 0:
                 raise ValueError(f"{path}: negative block length {length}")
         blocks = [fh.read(length) for length in lengths]
         if any(len(b) != length for b, length in zip(blocks, lengths)):

@@ -17,7 +17,7 @@ from onebitcs.partition_sketch import (
     build_schema,
     measure,
 )
-from onebitcs.prf import RandomSource, derive_key, fold, standard_normal, uniform_index
+from onebitcs.prf import RandomSource, derive_key, fold, mix64, standard_normal, uniform_index
 
 
 def label_partition(labels):
@@ -390,6 +390,15 @@ def unmix64(z):
             if mul is not None:
                 z *= np.uint64(pow(mul, -1, 1 << 64))
     return z
+
+
+def derive_key_numpy(seed, *words):
+    """``prf.derive_key`` on numpy scalars: the seed's low 64 bits through
+    ``mix64``, then each word's low 64 bits absorbed by ``fold``."""
+    key = mix64(np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF))
+    for w in words:
+        key = fold(key, int(w) & 0xFFFFFFFFFFFFFFFF)
+    return np.uint64(key)
 
 
 def spikes(n, coords, seed=1):

@@ -97,7 +97,7 @@ class TestNames:
 
     def test_pack_rows_wide_fallback(self):
         fields = np.array([[1, 2, 3], [1, 2, 3], [4, 5, 6]])
-        packed = expander._pack_rows(fields.T, [40, 40, 40])
+        packed = expander._pack_rows(fields.T.astype(np.uint64), [40, 40, 40])
         assert packed.shape == (3, 3) and packed.dtype == np.uint64
         assert np.array_equal(packed[:, 0], packed[:, 1])
         assert not np.array_equal(packed[:, 0], packed[:, 2])
@@ -178,7 +178,8 @@ class TestNameKeys:
             fields[:, 0] = rng.permutation(3000)
         records = np.ascontiguousarray(fields).view([("", np.int64)] * len(widths)).reshape(-1)
         want_keys, want_ranks = np.unique(records, return_inverse=True)
-        partition = ps.PartitionFamily.from_names(expander._pack_rows(fields.T, widths))
+        partition = ps.PartitionFamily.from_names(
+            expander._pack_rows(fields.T.astype(np.uint64), widths))
         assert partition.size == want_keys.size
         assert np.array_equal(partition.parts_of(np.arange(3000)), want_ranks)
         subset = rng.integers(0, 3000, size=400)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import unmix64
+from oracles import derive_key_numpy, unmix64
 
 from onebitcs import prf
 from onebitcs.prf import (
@@ -24,6 +24,22 @@ from onebitcs.prf import (
 @given(st.integers(0, 2**64 - 1), st.lists(st.integers(0, 2**32), max_size=4))
 def test_derive_key_deterministic(seed, words):
     assert derive_key(seed, *words) == derive_key(seed, *words)
+
+
+@pytest.mark.parametrize("seed", [-1, 0, 2**64 - 1, 2**64, 2**70,
+                                  np.int64(-3), np.uint64(2**64 - 1)])
+@pytest.mark.parametrize("words", [
+    (), (0,), (-1, 2**64 + 5), (np.int64(-2), np.uint64(2**63), 2**70),
+], ids=["none", "one", "two", "three"])
+def test_derive_key_matches_the_numpy_route(seed, words):
+    # seeds and words are taken mod 2**64, negatives and numpy integers too
+    key = derive_key(seed, *words)
+    assert type(key) is np.uint64 and key == derive_key_numpy(seed, *words)
+
+
+@given(st.integers(-2**70, 2**70), st.lists(st.integers(-2**70, 2**70), max_size=3))
+def test_derive_key_matches_the_numpy_route_anywhere(seed, words):
+    assert derive_key(seed, *words) == derive_key_numpy(seed, *words)
 
 
 def test_distinct_labels_give_distinct_streams():

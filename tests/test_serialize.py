@@ -298,7 +298,9 @@ class TestMalformedHeaders:
         lambda header: header.update(widths=[334, 48, 7, 1]),
         lambda header: header.update(widths=header["widths"][:-1]),
         lambda header: header.update(widths=7),
-    ], ids=["missing", "unnested", "short", "not-a-list"])
+        lambda header: header.update(widths=[343.0, 49.0, 7.0, 1.0]),
+        lambda header: header.update(widths=[343, 49, 7, True]),
+    ], ids=["missing", "unnested", "short", "not-a-list", "floats", "boolean"])
     def test_btree_file_without_its_widths_rejected(self, tmp_path, capsys, edit):
         # a file written before the header held the widths may have been
         # measured under other partitions: at n = 1000, k = 3, b = 7 the
