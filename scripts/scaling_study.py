@@ -30,12 +30,13 @@
    normal through ``ndtri`` (``exact_sign_measure`` of ``tests/oracles.py``).
 7. A b-tree decoder that starts from a bits file (k = 16, b = 16,
    delta = 0.05, exactly sparse, n = 2^12 .. 2^24; with ``--trials 1``, a
-   smoke run, only to 2^20): the file's size, the median time to load it and
-   rebuild the schema (``serialize.load_measurement``) and to decode it
-   (``btree.decode``), the ``tracemalloc`` peak of one load and decode, and
-   the point queries, each with its log-log slope in n, and whether the
-   decode found the support.  Written as JSON to ``--json`` (default
-   ``BENCH_btree_file.json``).
+   smoke run, only to 2^20): the file's size, the median time, with its
+   quartiles, to load it and rebuild the schema
+   (``serialize.load_measurement``) and to decode it (``btree.decode``), over
+   up to 25 repeats (5 per trial), the ``tracemalloc`` peak of one load and
+   decode, and the point queries, each with its log-log slope in n, and
+   whether the decode found the support.  Written as JSON to ``--json``
+   (default ``BENCH_btree_file.json``).
 """
 
 import argparse
@@ -125,13 +126,14 @@ def recomputed_rows(schema, x) -> int:
     return sum(rows)
 
 
-def median_seconds(fn, repeats) -> float:
+def quartile_seconds(fn, repeats) -> tuple[float, float, float]:
+    """First quartile, median and third quartile of ``repeats`` timed calls."""
     times = []
     for _ in range(repeats):
         start = time.perf_counter()
         fn()
         times.append(time.perf_counter() - start)
-    return float(np.median(times))
+    return tuple(float(q) for q in np.percentile(times, [25, 50, 75]))
 
 
 def btree_file_study(exps, repeats, seed) -> dict:
@@ -147,17 +149,19 @@ def btree_file_study(exps, repeats, seed) -> dict:
             serialize.save(path, schema, bits)
             support = np.flatnonzero(x)
             del x, bits
-            load = median_seconds(lambda: serialize.load_measurement(path), repeats)
+            load = quartile_seconds(lambda: serialize.load_measurement(path), repeats)
             _, schema, bits = serialize.load_measurement(path)
-            decode = median_seconds(lambda: btree.decode(schema, bits), repeats)
+            decode = quartile_seconds(lambda: btree.decode(schema, bits), repeats)
             tracemalloc.start()
             _, schema, bits = serialize.load_measurement(path)
             result = btree.decode(schema, bits)
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
             rows.append({
-                "n": n, "file_bytes": os.path.getsize(path), "load_rebuild_s": load,
-                "decode_s": decode, "tracemalloc_peak_bytes": peak,
+                "n": n, "file_bytes": os.path.getsize(path),
+                "load_rebuild_s": load[1], "load_rebuild_quartiles_s": [load[0], load[2]],
+                "decode_s": decode[1], "decode_quartiles_s": [decode[0], decode[2]],
+                "tracemalloc_peak_bytes": peak,
                 "point_queries": result.point_queries,
                 "support_found": bool(np.isin(support, result.indices).all()),
             })
@@ -286,13 +290,13 @@ def main():
             x = signals.gen_signal(model, n, 8, RandomSource(args.seed + 600 + exp))
             redo = recomputed_rows(schema, x)
             filtered, exact = (
-                median_seconds(lambda: measure(schema, x), min(args.trials, 3))
+                quartile_seconds(lambda: measure(schema, x), min(args.trials, 3))[1]
                 for measure in (recovery.sign_measure, exact_sign_measure)
             )
             print(f"{model:>17} {n:>8} {redo:>11} {filtered * 1e3:>12.1f} {exact * 1e3:>9.1f}")
 
     print()
-    repeats = min(args.trials, 5)
+    repeats = min(5 * args.trials, 25)
     print(f"b-tree decoder from a bits file (k=16, b=16, exact-sparse; median of {repeats})")
     print(f"{'n':>9} {'file kB':>8} {'load ms':>8} {'decode ms':>10} {'peak MB':>8} {'queries':>8}")
     study = btree_file_study(range(12, 25 if args.trials > 1 else 21, 2), repeats, args.seed)

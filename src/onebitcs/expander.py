@@ -162,11 +162,15 @@ def _pack_rows(columns, widths) -> np.ndarray:
     (see ``_word_fields``), so names compare word by word in the
     lexicographic order of the columns."""
     fields = _word_fields(widths)
-    out = np.zeros((len(fields), len(columns[0])), dtype=np.uint64)
+    out = np.empty((len(fields), len(columns[0])), dtype=np.uint64)
     for word, cols in zip(out, fields):
-        for i in cols:
-            word <<= np.uint64(widths[i])
+        # Horner's rule over the fields, its first shift writing the word
+        shifts = [widths[i] for i in cols[1:]] + [0]  # each field's successor's width
+        np.left_shift(columns[cols[0]], np.uint64(shifts[0]), out=word)
+        for i, shift in zip(cols[1:], shifts[1:]):
             word |= columns[i]
+            if shift:
+                word <<= np.uint64(shift)
     return out
 
 
@@ -214,7 +218,7 @@ def build_schema(
     # coordinate under name_key(j), and chunks[j] is every coordinate's chunk j
     name_keys = np.array([derive_key(seed, 300 + j) for j in range(s)])
     own_hash = uniform_index(name_keys[:, None], np.arange(n), h_range).view(np.uint64)
-    chunks = np.ascontiguousarray(code.codeword_table(n).T, dtype=np.uint64)
+    chunks = code.codeword_table(n)
 
     heavy_delta = float((1 << code.t)) ** -2
     check_delta = min(0.5, float(math.ceil(math.log2(n))) ** -2)

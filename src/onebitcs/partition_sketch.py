@@ -130,7 +130,8 @@ def _sorted_distinct(words: np.ndarray) -> np.ndarray:
     """
     if words.shape[0] == 1:
         ordered = np.sort(words[0])
-        return ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))][None, :]
+        same = ordered[1:] == ordered[:-1]
+        return (ordered[np.concatenate(([True], ~same))] if same.any() else ordered)[None, :]
     order = np.argsort(words[0])
     first = words[0].take(order)
     same = first[1:] == first[:-1]  # sorted neighbours tied in every word so far
@@ -383,7 +384,8 @@ def _measure(schemas, nz, vals, labels) -> list[SketchBits]:
     level the repetitions are independent, so every level's rows are
     distributed exactly as if it were measured alone, and a union bound over
     levels needs no independence between them.  One pass over the nonzeros
-    per repetition forms the finest level's part sums; each coarser level
+    per repetition forms the finest level's part sums (with one nonzero per
+    finest part, their weighted normals in part order); each coarser level
     sums the occupied children of its parts.  The underlying real
     measurements exist only transiently.  sign(0) = +1, so rows start as
     (+1, +1) pairs and only rows with z != 0 are written; a z that
@@ -405,9 +407,13 @@ def _measure(schemas, nz, vals, labels) -> list[SketchBits]:
     block = min(reps, max(1, prf.BLOCK_WORDS // nz.size))
     block_reps = np.arange(block)[:, None]
     # where a full block's sums add up, as flat (repetition, part) offsets,
-    # finest level first: each nonzero's part, then each occupied part's
-    # parent among the next coarser level's; a shorter block uses a prefix
-    sum_into = [(block_reps * occupied[-1].size + inverse[-1]).ravel()]
+    # finest level first: each nonzero's part (None: one per part, in part
+    # order), then each occupied part's parent; a shorter block uses a prefix
+    if occupied[-1].size == nz.size:
+        order = np.argsort(inverse[-1])
+        nz, vals, sum_into = nz[order], vals[order], [None]
+    else:
+        sum_into = [(block_reps * occupied[-1].size + inverse[-1]).ravel()]
     for level in reversed(range(len(schemas) - 1)):
         parent = np.empty(occupied[level + 1].size, dtype=np.intp)
         parent[inverse[level + 1]] = inverse[level]
@@ -417,11 +423,13 @@ def _measure(schemas, nz, vals, labels) -> list[SketchBits]:
     def measure_block(r0):
         rr = np.arange(r0, min(r0 + block, reps))
         nb = rr.size
-        sums = prf.block_normals(fold(schemas[0].gauss_key, rr)[:, None], gauss_cols)
-        sums *= vals
+        normals = prf.block_normals(fold(schemas[0].gauss_key, rr)[:, None], gauss_cols)
+        # out of the "words" scratch, which _row_hashes overwrites
+        sums = np.multiply(normals, vals, out=prf.scratch("sums", normals.shape, np.float64))
         for level, into in zip(reversed(range(len(schemas))), sum_into):
             schema, parts = schemas[level], occupied[level]
-            sums = np.bincount(into[: sums.size], weights=sums.ravel(), minlength=nb * parts.size)
+            if into is not None:
+                sums = np.bincount(into[: sums.size], weights=sums.ravel(), minlength=nb * parts.size)
             words, rows = _row_hashes(schema, rr, parts)
             # each weight is its part's sum, sign bit flipped where the part's is 0
             weights = prf.scratch("weights", rows.shape, np.uint64)

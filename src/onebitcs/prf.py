@@ -224,18 +224,21 @@ def uniform_index(key, idx, size: int) -> np.ndarray:
     cols = col_words(idx)
     shape = np.broadcast_shapes(np.shape(key), cols.shape)
     words = np.bitwise_xor(np.asarray(key, dtype=np.uint64), cols, out=np.empty(shape, np.uint64))
-    # per block of BLOCK_WORDS: splitmix, then ``% size`` as a floor
-    # division, a multiply and a subtract, which numpy runs faster than its
-    # uint64 modulo by a scalar
+    # per block of BLOCK_WORDS: splitmix, then ``% size``: the low bits for
+    # a power of two, else a floor division, a multiply and a subtract,
+    # which numpy runs faster than its uint64 modulo by a scalar
     flat = words.reshape(-1)
     tmp = np.empty(min(flat.size, BLOCK_WORDS), np.uint64)
     for start in range(0, flat.size, BLOCK_WORDS):
         z = flat[start:start + BLOCK_WORDS]
         t = tmp[:z.size]
         _mix64_inplace(z, t)
-        np.floor_divide(z, U64(size), out=t)
-        t *= U64(size)
-        z -= t
+        if size & (size - 1):
+            np.floor_divide(z, U64(size), out=t)
+            t *= U64(size)
+            z -= t
+        else:
+            z &= U64(size - 1)
     return words.view(np.int64)[()]
 
 

@@ -85,18 +85,18 @@ def _sign_measure(schema: GaussianSchema, nz, vals) -> np.ndarray:
     recomputed from ``prf.block_normals``, so the bits are the exact route's."""
     y = np.empty(schema.rows, dtype=np.int8)
     step = max(1, prf.BLOCK_WORDS // max(nz.size, 1))
+    keys = fold(schema.matrix_key, np.arange(schema.rows))[:, None]
     cols = prf.col_words(nz)[None, :]
     size = np.abs(vals)
 
     def measure_block(lo):
         rows = np.arange(lo, min(lo + step, schema.rows))
-        keys = fold(schema.matrix_key, rows)[:, None]
         noise = schema.noise(rows) if schema.noise_sigma > 0 else np.zeros(rows.size)
-        mid, half = prf.block_cells(keys, cols)
+        mid, half = prf.block_cells(keys[lo : lo + step], cols)
         dot = np.einsum("ij,j->i", mid, vals) + noise
         redo = _unsettled(dot, np.einsum("ij,j->i", half, size), size)
         if redo.size:
-            exact = np.einsum("ij,j->i", prf.block_normals(keys[redo], cols), vals) + noise[redo]
+            exact = np.einsum("ij,j->i", prf.block_normals(keys[lo + redo], cols), vals) + noise[redo]
             ps._require_finite(exact)
             dot[redo] = exact
         y[lo : lo + rows.size] = np.where(dot >= 0, 1, -1)

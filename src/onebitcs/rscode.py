@@ -226,7 +226,7 @@ class ChunkCode:
         return np.concatenate([data, parity], axis=1)
 
     def codeword_table(self, n: int) -> np.ndarray:
-        """Read-only (n, length) uint16 codewords of identifiers 0..n-1,
+        """Read-only, C-contiguous (length, n) uint64 codewords of 0..n-1,
         computed once per (code, n) and shared by every caller."""
         return _codeword_table(self, n)
 
@@ -314,7 +314,7 @@ class ChunkCode:
 
 @lru_cache(maxsize=4)
 def _codeword_table(code: ChunkCode, n: int) -> np.ndarray:
-    table = code.encode_many(np.arange(n)).astype(np.uint16)  # t <= 16
+    table = np.ascontiguousarray(code.encode_many(np.arange(n)).T, dtype=np.uint64)
     table.flags.writeable = False
     return table
 

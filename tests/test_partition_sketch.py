@@ -111,6 +111,13 @@ class TestPartitionFamily:
         assert part.parts_of(np.arange(5)).tolist() == [2, 0, 2, 1, 0]
         assert part.parts_of([[4, 0], [3, 3]]).tolist() == [[0, 2], [1, 1]]
 
+    def test_distinct_names_are_their_sorted_keys(self):
+        names = np.array([[9, 3, 12, 7, 0]], dtype=np.uint64)
+        part = ps.PartitionFamily.from_names(names)
+        assert np.array_equal(part.keys, np.sort(names[0])[None])
+        assert not np.shares_memory(part.keys, names)
+        assert names.tolist() == [[9, 3, 12, 7, 0]]
+
     def test_rejects_names_without_keys(self):
         names = np.zeros((1, 4), dtype=np.uint64)
         with pytest.raises(ValueError, match="together"):
@@ -285,6 +292,28 @@ class TestMeasureNested:
             for schema, got in zip(schemas, bits):
                 want = brute_force_bits(schema, x, gauss_key=schemas[0].gauss_key)
                 assert np.array_equal(got.bits, want), name
+
+    @pytest.mark.parametrize("case", ["distinct", "distinct-under-coarse", "one-shared-part"])
+    def test_finest_parts_of_their_own_match_brute_force(self, monkeypatch, case):
+        # a nonzero alone in its finest part takes its weighted normal as the
+        # part's sum; scrambled labels put the parts out of coordinate order
+        src = RandomSource(61)
+        labels = 3 * np.argsort(src.derive(1).uniform(np.arange(60))) + 5
+        if case == "one-shared-part":
+            labels[[4, 17, 31, 50]] = labels[9]
+        levels = [labels % 7, labels] if case == "distinct-under-coarse" else [labels]
+        schemas = [ps.build_schema(label_partition(lab), 2, 0.3, seed=62 + i)
+                   for i, lab in enumerate(levels)]
+        dense = src.derive(2).gaussian(np.arange(60))
+        signals = {"dense": dense, "half": dense * (src.derive(3).uniform(np.arange(60)) < 0.5)}
+        for name, x in signals.items():
+            want = [brute_force_bits(s, x, gauss_key=schemas[0].gauss_key) for s in schemas]
+            for block_words in (1, 7, prf.BLOCK_WORDS):
+                for count in (1, 4):
+                    monkeypatch.setattr(prf, "BLOCK_WORDS", block_words)
+                    monkeypatch.setattr(prf, "available_cpus", lambda: count)
+                    got = [b.bits for b in measure_nested(schemas, x)]
+                    assert all(map(np.array_equal, got, want)), (name, block_words, count)
 
     def test_every_level_matches_brute_force_with_the_root_key(self):
         schemas = nested_label_schemas()

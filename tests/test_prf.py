@@ -107,7 +107,7 @@ def test_uniform_index_in_range(size):
     assert vals.min() >= 0 and vals.max() < size
 
 
-@pytest.mark.parametrize("size", [1, 2, 97, 4913, 2**32 + 7, 2**62 + 1])
+@pytest.mark.parametrize("size", [1, 2, 97, 4096, 4913, 2**32 + 7, 2**62 + 1, 2**63])
 def test_uniform_index_is_fold_mod_size(size):
     # 3 x 50,000 words: two full blocks of prf.BLOCK_WORDS and a partial one
     keys = np.array([derive_key(11, j) for j in range(3)])[:, None]

@@ -66,13 +66,15 @@ class TestChunkCode:
     def test_codeword_table_is_shared_and_read_only(self):
         code = ChunkCode.for_error_fraction(message_bits=12, length=4, e0=0.25)
         table = code.codeword_table(3000)
-        assert table.dtype == np.uint16 and not table.flags.writeable
-        assert np.array_equal(table, code.encode_many(np.arange(3000)))
+        assert table.dtype == np.uint64 and not table.flags.writeable
+        # one contiguous row per chunk position
+        assert table.shape == (4, 3000) and table.flags.c_contiguous
+        assert np.array_equal(table, code.encode_many(np.arange(3000)).T)
         assert code.codeword_table(3000) is table
         # an equal code shares the table; another n gets its own
         twin = ChunkCode.for_error_fraction(message_bits=12, length=4, e0=0.25)
         assert twin.codeword_table(3000) is table
-        assert code.codeword_table(2000).shape == (2000, 4)
+        assert code.codeword_table(2000).shape == (4, 2000)
         with pytest.raises(ValueError):
             table[0, 0] = 1
 
