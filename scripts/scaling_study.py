@@ -33,10 +33,10 @@
    smoke run, only to 2^20): the file's size, the median time, with its
    quartiles, to load it and rebuild the schema
    (``serialize.load_measurement``) and to decode it (``btree.decode``), over
-   up to 25 repeats (5 per trial), the ``tracemalloc`` peak of one load and
-   decode, and the point queries, each with its log-log slope in n, and
-   whether the decode found the support.  Written as JSON to ``--json``
-   (default ``BENCH_btree_file.json``).
+   up to 25 repeats (5 per trial) that each time every size in turn, the
+   ``tracemalloc`` peak of one load and decode, and the point queries, each
+   with its log-log slope in n, and whether the decode found the support.
+   Written as JSON to ``--json`` (default ``BENCH_btree_file.json``).
 """
 
 import argparse
@@ -126,32 +126,49 @@ def recomputed_rows(schema, x) -> int:
     return sum(rows)
 
 
-def quartile_seconds(fn, repeats) -> tuple[float, float, float]:
-    """First quartile, median and third quartile of ``repeats`` timed calls."""
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
+def seconds(fn) -> float:
+    """Wall time of one call."""
+    start = time.perf_counter()
+    fn()
+    return time.perf_counter() - start
+
+
+def quartiles(times) -> tuple[float, float, float]:
+    """First quartile, median and third quartile of some times."""
     return tuple(float(q) for q in np.percentile(times, [25, 50, 75]))
 
 
+def quartile_seconds(fn, repeats) -> tuple[float, float, float]:
+    """Quartiles of ``repeats`` timed calls."""
+    return quartiles([seconds(fn) for _ in range(repeats)])
+
+
 def btree_file_study(exps, repeats, seed) -> dict:
-    """Study 7: a b-tree bits file loaded and decoded in this process."""
+    """Study 7: a b-tree bits file loaded and decoded in this process.
+
+    Each repeat times every size in turn, so a slow spell of the host lands
+    on all rows rather than shifting whole rows against each other.
+    """
     k, b, delta = 16, 16, 0.05
-    rows = []
+    sizes = [1 << exp for exp in exps]
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "btree.bits")
-        for exp in exps:
-            n = 1 << exp
+        paths, supports = [], []
+        for exp, n in zip(exps, sizes):
             x = signals.gen_signal(signals.EXACT_SPARSE, n, k, RandomSource(seed + exp))
             schema, bits = btree.build_and_measure(x, n, k, b, delta, seed=seed + 700 + exp)
-            serialize.save(path, schema, bits)
-            support = np.flatnonzero(x)
+            paths.append(os.path.join(tmp, f"btree-{n}.bits"))
+            serialize.save(paths[-1], schema, bits)
+            supports.append(np.flatnonzero(x))
             del x, bits
-            load = quartile_seconds(lambda: serialize.load_measurement(path), repeats)
-            _, schema, bits = serialize.load_measurement(path)
-            decode = quartile_seconds(lambda: btree.decode(schema, bits), repeats)
+        loaded = [serialize.load_measurement(path)[1:] for path in paths]
+        loads, decodes = [[] for _ in sizes], [[] for _ in sizes]
+        for _ in range(repeats):
+            for i, path in enumerate(paths):
+                loads[i].append(seconds(lambda: serialize.load_measurement(path)))
+                decodes[i].append(seconds(lambda: btree.decode(*loaded[i])))
+        rows = []
+        for n, path, support, load, decode in zip(sizes, paths, supports, loads, decodes):
+            load, decode = quartiles(load), quartiles(decode)
             tracemalloc.start()
             _, schema, bits = serialize.load_measurement(path)
             result = btree.decode(schema, bits)
@@ -165,7 +182,7 @@ def btree_file_study(exps, repeats, seed) -> dict:
                 "point_queries": result.point_queries,
                 "support_found": bool(np.isin(support, result.indices).all()),
             })
-    log_n = np.log2([row["n"] for row in rows])
+    log_n = np.log2(sizes)
     slopes = {
         metric: float(np.polyfit(log_n, np.log2([row[metric] for row in rows]), 1)[0])
         for metric in ("file_bytes", "load_rebuild_s", "decode_s", "tracemalloc_peak_bytes",

@@ -71,7 +71,7 @@ class BTreeSchema:
         parts = np.atleast_1d(as_indices(parts, parent.size, f"level-{level} part"))
         ratio = parent.width // child.width
         first = parts * ratio
-        counts = np.minimum(first + ratio, child.size) - first
+        counts = np.minimum(child.size - first, ratio)  # first + ratio may pass int64
         return np.repeat(first - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
 
 

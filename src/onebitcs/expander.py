@@ -120,7 +120,6 @@ class LayerBits:
 class LayerList:
     """Surviving candidates of one layer after filtering and point queries."""
 
-    layer: int
     parts: np.ndarray
     names: np.ndarray  # (len(parts), 2 + degree)
     good_counts: np.ndarray
@@ -310,7 +309,7 @@ def layer_decode(schema: ExpanderSchema, layer: int, bits: LayerBits) -> LayerLi
     reads += int(found.size) * 3 * ls.check_schema.reps * 2
     found, good = ps._count_sketch_decode(ls.check_schema, check, found)
     return LayerList(
-        layer=layer, parts=found, names=ls.names_of(found), good_counts=good,
+        parts=found, names=ls.names_of(found), good_counts=good,
         point_queries=queries, bit_reads=reads,
     )
 
@@ -336,40 +335,21 @@ def _components(
 ) -> list[list[tuple[int, int]]]:
     """Connected (layer, row) survivors: an edge joins adjacent layers only
     when each endpoint's name carries the other's own-hash."""
-    s = schema.layers_count
-    offsets = np.cumsum([0] + [ll.parts.size for ll in layer_lists])
-    total = int(offsets[-1])
-    uf = _UnionFind(total)
-    # index of j in the name fields of layer j2 (and vice versa)
-    pos = {
-        (j, nb): 2 + idx
-        for j in range(s)
-        for idx, nb in enumerate(schema.neighbors[j])
-    }
-    lookup = []
-    for ll in layer_lists:
-        table: dict[int, list[int]] = {}
-        for row in range(ll.parts.size):
-            table.setdefault(int(ll.names[row, 0]), []).append(row)
-        lookup.append(table)
-    for j in range(s):
-        ll = layer_lists[j]
-        for nb in schema.neighbors[j]:
+    offsets = np.cumsum([0] + [ll.parts.size for ll in layer_lists]).tolist()
+    uf = _UnionFind(offsets[-1])
+    for j, neighbors in enumerate(schema.neighbors):
+        for col, nb in enumerate(neighbors, start=2):
             if nb < j:
                 continue
-            col_fwd = pos[(j, nb)]
-            col_back = pos[(nb, j)]
-            other = layer_lists[nb]
-            for row in range(ll.parts.size):
-                claimed = int(ll.names[row, col_fwd])
-                for row2 in lookup[nb].get(claimed, ()):
-                    if int(other.names[row2, col_back]) == int(ll.names[row, 0]):
-                        uf.union(int(offsets[j]) + row, int(offsets[nb]) + row2)
+            a, b = layer_lists[j].names, layer_lists[nb].names
+            back = 2 + schema.neighbors[nb].index(j)  # b's field carrying j's own-hash
+            linked = (a[:, col, None] == b[:, 0]) & (a[:, 0, None] == b[:, back])
+            for row, row2 in zip(*np.nonzero(linked)):
+                uf.union(offsets[j] + int(row), offsets[nb] + int(row2))
     components: dict[int, list[tuple[int, int]]] = {}
-    for j in range(s):
-        for row in range(layer_lists[j].parts.size):
-            root = uf.find(int(offsets[j]) + row)
-            components.setdefault(root, []).append((j, row))
+    for j, ll in enumerate(layer_lists):
+        for row in range(ll.parts.size):
+            components.setdefault(uf.find(offsets[j] + row), []).append((j, row))
     return list(components.values())
 
 
@@ -380,57 +360,45 @@ def link_cluster_decode(
 
     Vertices are (layer, name) survivors; an edge is added between adjacent
     layers only when each endpoint's name carries the other's own-hash (both
-    endpoints must suggest it).  Each connected component contributes one
-    chunk per layer (a missing layer is an erasure, conflicting claims count
-    as a possible corruption), is decoded, and is kept only when the decoded
-    coordinate's recomputed names agree with the component on enough layers.
-    Every component is decoded first; then one ``make_name`` call per layer
-    recomputes that layer's names for all decoded coordinates.
+    endpoints must suggest it).  One table per (component, layer) counts the
+    claiming rows and keeps, of those, the one with the lowest part index,
+    whose chunk the component decodes: a missing layer is an erasure, and
+    conflicting claims stay in as a possible corruption for the code to fix.
+    Then one ``make_name`` call per layer recomputes that layer's names for
+    all decoded coordinates.  A layer counts as a match when the component
+    claims it exactly once and the name there equals the decoded
+    coordinate's; a coordinate is kept only when enough layers match, and it
+    scores the good counts of its single claims.
     """
     s = schema.layers_count
     components = _components(schema, layer_lists)
-    decode_failures = 0
-    values: list[int] = []
-    claims_of: list[dict[int, list[int]]] = []
-    for members in components:
-        claims: dict[int, list[int]] = {}
-        for j, row in members:
-            claims.setdefault(j, []).append(row)
-        slots = np.zeros(s, dtype=np.int64)
-        for j, rows in claims.items():
-            # conflicting claims stay in as a possible corruption for the
-            # code to fix; the lowest part index supplies the symbol
-            row = min(rows, key=lambda r: layer_lists[j].parts[r])
-            slots[j] = layer_lists[j].names[row, 1]
-        value = schema.code.decode(slots, [j for j in range(s) if j not in claims])
-        if value is None or not 0 <= value < schema.n:
-            decode_failures += 1
-            continue
-        values.append(value)
-        claims_of.append(claims)
+    claims, row, chunk = np.zeros((3, len(components), s), dtype=np.int64)
+    for c, members in enumerate(components):
+        for j, r in members:
+            parts = layer_lists[j].parts
+            if not claims[c, j] or parts[r] < parts[row[c, j]]:
+                row[c, j], chunk[c, j] = r, layer_lists[j].names[r, 1]
+            claims[c, j] += 1
+    values = [schema.code.decode(symbols, np.flatnonzero(count == 0))
+              for symbols, count in zip(chunk, claims)]
+    kept = [c for c, value in enumerate(values) if value is not None and value < schema.n]
+    decoded = np.array([values[c] for c in kept], dtype=np.int64)
+    claims, row = claims[kept], row[kept]
 
-    # a layer counts as a match when the component has exactly one name
-    # there and it equals the decoded coordinate's name
-    decoded = np.array(values, dtype=np.int64)
     matches = np.zeros(decoded.size, dtype=np.int64)
+    scores = np.zeros(decoded.size)
     for j in range(s):
-        single = [c for c, claims in enumerate(claims_of) if len(claims.get(j, ())) == 1]
-        if not single:
-            continue
-        rows = [claims_of[c][j][0] for c in single]
+        single = np.flatnonzero(claims[:, j] == 1)
+        rows = row[single, j]
         expected = make_name(schema, decoded[single], j)
         matches[single] += (expected == layer_lists[j].names[rows]).all(axis=1)
+        scores[single] += layer_lists[j].good_counts[rows]
 
     verified = matches >= math.ceil((1.0 - ERROR_FRACTION) * s - 1e-9)
-    scores = np.array([
-        float(sum(layer_lists[j].good_counts[rows[0]]
-                  for j, rows in claims.items() if len(rows) == 1))
-        for claims in claims_of
-    ])
     coords, scores = ps.cap_by_score(decoded[verified], scores[verified], schema.cap)
     diag = RecoveryDiagnostics(
         components=len(components),
-        decode_failures=decode_failures,
+        decode_failures=len(components) - len(kept),
         verify_failures=int(np.count_nonzero(~verified)),
         point_queries=sum(ll.point_queries for ll in layer_lists),
         bit_reads=sum(ll.bit_reads for ll in layer_lists),

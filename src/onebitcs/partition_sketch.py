@@ -71,6 +71,8 @@ class PartitionFamily:
     def __post_init__(self):
         if self.n < 1 or self.size < 1:
             raise ValueError("partition needs n >= 1 and at least one part")
+        if self.n >= 1 << 63:
+            raise ValueError(f"n={self.n} does not fit the int64 coordinate indices (n < 2^63)")
         if (self.width is None) == (self.names is None):
             raise ValueError("exactly one of width/names must be given")
         if (self.names is None) != (self.keys is None):

@@ -167,12 +167,15 @@ def read_blocks(path: str) -> tuple[str, dict, list[bytes]]:
         for length in lengths:
             if length < 0:
                 raise ValueError(f"{path}: negative block length {length}")
-        blocks = [fh.read(length) for length in lengths]
-        if any(len(b) != length for b, length in zip(blocks, lengths)):
-            raise ValueError(f"{path} is truncated")
-        if fh.read(1):
-            raise ValueError(f"{path} has trailing bytes after its last block")
-    return scheme, header, blocks
+        body = fh.read()
+    # the body is read whole, so a block length beyond the file's size is
+    # caught here and never allocated
+    if sum(lengths) > len(body):
+        raise ValueError(f"{path} is truncated")
+    if sum(lengths) < len(body):
+        raise ValueError(f"{path} has trailing bytes after its last block")
+    ends = np.cumsum([0] + lengths).tolist()
+    return scheme, header, [body[a:b] for a, b in zip(ends, ends[1:])]
 
 
 def _blocks(bits) -> list[bytes]:

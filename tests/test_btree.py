@@ -27,6 +27,10 @@ class TestBuild:
         schema = btree.build_schema(100, 3, 3, 0.1, seed=1)
         assert schema.levels[-1].starts.size == 100
 
+    def test_rejects_n_beyond_int64_indices(self):
+        with pytest.raises(ValueError, match=f"n={1 << 64}"):
+            btree.build_schema(1 << 64, 2, 16, 0.05, seed=1)
+
     def test_level_widths_nest_and_bound_every_part(self):
         sizes = [*range(1, 300), 500, 1000, 12345, 65537, (1 << 20) + 1]
         for n, k, b in itertools.product(sizes, range(1, 10), range(2, 10)):
@@ -115,6 +119,17 @@ class TestBuild:
             got = schema.children(r, np.array(parts, dtype=np.int64))
             assert got.dtype == np.int64
             assert np.array_equal(got, children_loop(schema, r, parts))
+
+    def test_children_of_the_last_part_at_the_largest_n(self):
+        # at n = 2^63 - 1 a last part's first child plus the width ratio
+        # passes int64, yet its children stop at the child level's last part
+        schema = btree.build_schema((1 << 63) - 1, 2, 16, 0.05, seed=5)
+        for r in range(schema.depth):
+            parent, child = (lv.schema.partition for lv in schema.levels[r : r + 2])
+            ratio = parent.width // child.width
+            first = (parent.size - 1) * ratio
+            kids = schema.children(r, [parent.size - 1])
+            assert kids.tolist() == list(range(first, min(first + ratio, child.size)))
 
     @pytest.mark.parametrize("bad", [[99], [-1], [0.5], np.array([True])])
     def test_children_reject_parts_that_are_not_parts(self, bad):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from oracles import layer_name_table, link_cluster_loop
 from onebitcs import expander
 from onebitcs import partition_sketch as ps
 from onebitcs.prf import RandomSource
+from onebitcs.rscode import ChunkCode
 
 
 def sparse_unit(n, k, seed):
@@ -218,13 +220,42 @@ def tangled_lists(schema, seed):
         names = np.array(names, dtype=np.int64).reshape(-1, width)
         lists.append(
             expander.LayerList(
-                layer=j,
                 parts=rng.choice(schema.layers[j].partition.size, size=len(names), replace=False),
                 names=names,
                 good_counts=rng.integers(0, 40, size=len(names)),
             )
         )
     return lists
+
+
+def linked_components(schema, layer_lists):
+    """The components of the (layer, row) survivors by the edge definition,
+    pair by pair: rows of adjacent layers j and nb are linked when j's name
+    carries nb's own-hash in the field of nb, and nb's name carries j's in
+    the field of j.  A set of frozensets of (layer, row)."""
+    def linked(u, v):
+        (j, a), (nb, b) = u, v
+        if nb not in schema.neighbors[j]:
+            return False
+        name_a, name_b = layer_lists[j].names[a], layer_lists[nb].names[b]
+        return (name_a[2 + schema.neighbors[j].index(nb)] == name_b[0]
+                and name_b[2 + schema.neighbors[nb].index(j)] == name_a[0])
+
+    vertices = [(j, row) for j, ll in enumerate(layer_lists) for row in range(ll.parts.size)]
+    components, seen = set(), set()
+    for v in vertices:
+        if v in seen:
+            continue
+        component, stack = {v}, [v]
+        while stack:
+            u = stack.pop()
+            for w in vertices:
+                if w not in component and linked(u, w):
+                    component.add(w)
+                    stack.append(w)
+        seen |= component
+        components.add(frozenset(component))
+    return components
 
 
 class TestLayerDecode:
@@ -323,6 +354,47 @@ class TestLayerDecode:
         with pytest.raises(ValueError, match="bit tensor"):
             expander.recover(schema, tuple(bits))
 
+    def test_link_cluster_ignores_row_order(self):
+        # a conflicting claim's chunk comes from its lowest part index,
+        # wherever that row sits in its layer list
+        schema = expander.build_schema(1 << 10, 2, seed=17)
+        rng = np.random.default_rng(5)
+        for seed in range(40):
+            lists = tangled_lists(schema, seed)
+            coords, scores, diag = expander.link_cluster_decode(schema, lists)
+            for _ in range(3):
+                shuffled = []
+                for ll in lists:
+                    order = rng.permutation(ll.parts.size)
+                    shuffled.append(dataclasses.replace(
+                        ll, parts=ll.parts[order], names=ll.names[order],
+                        good_counts=ll.good_counts[order]))
+                got = expander.link_cluster_decode(schema, shuffled)
+                assert np.array_equal(got[0], coords) and np.array_equal(got[1], scores)
+                assert (got[2].components, got[2].decode_failures, got[2].verify_failures) == (
+                    diag.components, diag.decode_failures, diag.verify_failures)
+
+    def test_link_cluster_on_a_sparse_neighbour_graph(self):
+        # every built schema up to n = 2^22 has at most 5 layers, so its
+        # circulant is complete; 7 layers of degree 4 leave out some pairs
+        base = expander.build_schema(1 << 10, 2, seed=17)
+        schema = dataclasses.replace(
+            base, layers_count=7, degree=4, neighbors=expander.circulant_neighbors(7, 4),
+            code=ChunkCode.for_error_fraction(10, 7, 0.25), layers=(base.layers * 2)[:7],
+        )
+        totals = np.zeros(3, dtype=np.int64)
+        for seed in range(40):
+            lists = tangled_lists(schema, seed)
+            components = expander._components(schema, lists)
+            assert {frozenset(c) for c in components} == linked_components(schema, lists)
+            coords, scores, diag = expander.link_cluster_decode(schema, lists)
+            want_coords, want_scores, want_diag = link_cluster_loop(schema, lists)
+            assert np.array_equal(coords, want_coords)
+            assert np.array_equal(scores, want_scores)
+            assert (diag.components, diag.decode_failures, diag.verify_failures) == want_diag
+            totals += [coords.size, diag.decode_failures, diag.verify_failures]
+        assert (totals > 0).all()
+
 
 class TestLinkCluster:
     def test_single_heavy_full_component(self):
@@ -344,7 +416,6 @@ class TestLinkCluster:
         schema = expander.build_schema(1 << 10, 2, seed=11)
         empty = [
             expander.LayerList(
-                layer=j,
                 parts=np.empty(0, dtype=np.int64),
                 names=np.empty((0, 2 + schema.degree), dtype=np.int64),
                 good_counts=np.empty(0, dtype=np.int64),
@@ -369,7 +440,6 @@ class TestLinkCluster:
         fake_name = expander.make_name(schema, 3999, 0).copy()
         fake_name[0, 0] = (fake_name[0, 0] + 1) % schema.h_range  # break own hash
         lists[0] = expander.LayerList(
-            layer=0,
             parts=np.append(lists[0].parts, schema.layers[0].partition.size - 1),
             names=np.vstack([lists[0].names, fake_name]),
             good_counts=np.append(lists[0].good_counts, 10**6),

@@ -81,6 +81,15 @@ class TestPartitionFamily:
         with pytest.raises(ValueError, match="interval width"):
             ps.PartitionFamily(n=4, size=size, width=width)
 
+    def test_rejects_n_beyond_int64_indices(self):
+        # every coordinate index is an int64, so n stops below 2^63
+        for make in (lambda n: ps.PartitionFamily.contiguous(n, 4),
+                     lambda n: ps.PartitionFamily(n=n, size=1, width=n)):
+            assert make((1 << 63) - 1).n == (1 << 63) - 1
+            for n in (1 << 63, 1 << 64):
+                with pytest.raises(ValueError, match=f"n={n}"):
+                    make(n)
+
     def test_interval_parts_of_rejects_out_of_range(self):
         part = ps.PartitionFamily.contiguous(10, 4)
         with pytest.raises(ValueError, match="out of range"):

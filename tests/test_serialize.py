@@ -317,6 +317,37 @@ class TestMalformedHeaders:
         captured = capsys.readouterr()
         assert captured.err.startswith("onebitcs: error:") and captured.err.count("\n") == 1
 
+    def test_block_longer_than_the_file_rejected(self, tmp_path, capsys):
+        # the header claims a 2^62-byte block; no read may ask for it
+        path = ppcs_file(tmp_path)
+        magic, header, body = path.read_bytes().split(b"\n", 2)
+        fields = json.loads(header)
+        fields["block_lengths"] = [1 << 62]
+        path.write_bytes(b"\n".join([magic, json.dumps(fields).encode(), body]))
+        with pytest.raises(ValueError, match="truncated"):
+            serialize.load_measurement(str(path))
+        assert cli.main(["decode", "--bits", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("onebitcs: error:") and captured.err.count("\n") == 1
+
+    def test_btree_file_beyond_int64_indices_rejected(self, tmp_path, capsys):
+        # a depth-16 file at n = 2^62 holding the zero signal's bits, whose
+        # header is then made that of n = 2^64, also depth 16: every derived
+        # field agrees, so only the bound on n can reject it
+        schema = btree.build_schema(1 << 62, 2, 16, 0.05, seed=24)
+        zero = [ps.SketchBits(bits=np.ones((lv.schema.reps, 3, lv.schema.buckets, 2), np.int8))
+                for lv in schema.levels]
+        path = tmp_path / "t.bits"
+        serialize.save(str(path), schema, zero)
+        serialize.load_measurement(str(path))  # intact, it loads
+        widths = btree._level_widths(1 << 64, 2, 16, schema.depth)
+        rewrite(path, edit_header=lambda header: header.update(n=1 << 64, widths=widths))
+        with pytest.raises(ValueError, match=f"n={1 << 64}"):
+            serialize.load_measurement(str(path))
+        assert cli.main(["decode", "--bits", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("onebitcs: error:") and captured.err.count("\n") == 1
+
     def test_pipeline_file_missing_a_block_rejected(self, tmp_path):
         schema = recovery.build_pipeline(512, 2, 0.3, seed=29, gauss_rows=400)
         x, _ = sparse_unit(512, 2, 30)
