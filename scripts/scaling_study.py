@@ -59,7 +59,7 @@ from onebitcs import partition_sketch as ps
 from onebitcs.prf import RandomSource
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
-from oracles import exact_sign_measure  # noqa: E402
+from oracles import exact_sign_measure, sparse_unit  # noqa: E402
 
 # run as ``python -c FRESH_MEASURE src scheme n k seed``: one measure, and
 # the process's own wall time, CPU time and minor faults around it
@@ -80,14 +80,6 @@ wall, after = time.perf_counter() - start, resource.getrusage(resource.RUSAGE_SE
 cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
 print(json.dumps([wall, cpu, after.ru_minflt - before.ru_minflt]))
 """
-
-
-def sparse_unit(n, k, seed):
-    src = RandomSource(seed)
-    sup = src.derive(1).choice_without_replacement(n, k)
-    x = np.zeros(n)
-    x[sup] = src.derive(2).signs(np.arange(k)) / math.sqrt(k)
-    return x, sup
 
 
 def vote_reads(schema, bits, candidates) -> int:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import partition_sketch as ps
-from .model import as_indices, signal_nonzeros
+from .model import as_indices, positive_int, signal_nonzeros
 from .prf import derive_key
 
 
@@ -114,6 +114,7 @@ def build_schema(
     per-level failure target delta / (b k R) so a union bound over all point
     queries made during descent yields overall failure delta.
     """
+    n, k, b = positive_int(n, "n"), positive_int(k, "k"), positive_int(b, "b")
     if not 2 <= b <= n:
         raise ValueError(f"branching factor must be in [2, n], got b={b}")
     if not 1 <= k <= n:
@@ -167,15 +168,12 @@ def decode(schema: BTreeSchema, level_bits: list[ps.SketchBits]) -> BTreeDecodeR
             f"got bits for {len(level_bits)} levels, schema has {len(schema.levels)}"
         )
     pairs = [ps._check_bits(lv.schema, bits) for lv, bits in zip(schema.levels, level_bits)]
-    root = schema.levels[0].schema
-    survivors = ps._count_sketch_decode(root, pairs[0], None)[0]
-    point_queries = root.partition.size
-    bit_reads = point_queries * 3 * root.reps * 2
-    per_level = [int(survivors.size)]
-    for r in range(1, len(schema.levels)):
-        # survivors are sorted and distinct, so their children are too
-        candidates = schema.children(r - 1, survivors)
-        level = schema.levels[r].schema
+    point_queries = bit_reads = 0
+    per_level = []
+    for r, level in enumerate(lv.schema for lv in schema.levels):
+        # the root's candidates are all its parts, a finer level's the
+        # survivors' children: sorted and distinct, as the survivors are
+        candidates = schema.children(r - 1, survivors) if r else np.arange(level.partition.size)
         survivors = ps._count_sketch_decode(level, pairs[r], candidates)[0]
         point_queries += candidates.size
         bit_reads += candidates.size * 3 * level.reps * 2

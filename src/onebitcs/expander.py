@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import partition_sketch as ps
-from .model import as_indices, signal_nonzeros
+from .model import as_indices, positive_int, signal_nonzeros
 from .prf import derive_key, uniform_index
 from .rscode import ChunkCode
 
@@ -40,23 +40,13 @@ LOG_FACTOR = 1.0
 def circulant_neighbors(s: int, degree: int) -> tuple[tuple[int, ...], ...]:
     """Neighbor lists of a circulant graph on [s]; connected, equal degrees.
 
-    Offsets 1, 2, ... are added symmetrically until the requested degree is
-    reached (capped at s-1, the complete graph).
+    Layer j takes the first min(degree, s-1) distinct layers of j+1, j-1,
+    j+2, j-2, ... (mod s), sorted; degree s-1 is the complete graph.
     """
-    if s < 2:
-        raise ValueError("need at least two layers")
-    degree = min(degree, s - 1)
-    neighbors = []
-    for j in range(s):
-        seen: list[int] = []
-        offset = 1
-        while len(seen) < degree:
-            for cand in ((j + offset) % s, (j - offset) % s):
-                if cand != j and cand not in seen and len(seen) < degree:
-                    seen.append(cand)
-            offset += 1
-        neighbors.append(tuple(sorted(seen)))
-    return tuple(neighbors)
+    if s < 2 or degree < 0:
+        raise ValueError(f"need at least two layers and degree >= 0, got s={s}, degree={degree}")
+    offsets = list(dict.fromkeys(d * sign % s for d in range(1, s // 2 + 1) for sign in (1, -1)))
+    return tuple(tuple(sorted((j + d) % s for d in offsets[:degree])) for j in range(s))
 
 
 @dataclass(frozen=True)
@@ -195,10 +185,9 @@ def build_schema(
     The count-sketch failure target is (2^t)^-2 for name chunks of t bits;
     the point-query failure target is log2(n)^-2.
     """
+    n, k = positive_int(n, "n"), positive_int(k, "k")
     if n < 2:
         raise ValueError("need n >= 2")
-    if k < 1:
-        raise ValueError("need k >= 1")
     if k > max_sparsity(n):
         raise ValueError(
             f"sparsity {k} exceeds the small-sparsity limit "
@@ -257,12 +246,9 @@ def make_name(schema: ExpanderSchema, i, layer: int) -> np.ndarray:
     [0, layers_count), raises ``ValueError``."""
     layer = int(as_indices(layer, schema.layers_count, "layer"))
     i = np.atleast_1d(as_indices(i, schema.n, "coordinate"))
-    own = uniform_index(schema.name_key(layer), i, schema.h_range)
-    chunk = schema.code.encode_many(i)[:, layer]
-    cols = [own, chunk]
-    for nb in schema.neighbors[layer]:
-        cols.append(uniform_index(schema.name_key(nb), i, schema.h_range))
-    return np.column_stack(cols)
+    keys = np.array([schema.name_key(j) for j in (layer, *schema.neighbors[layer])])
+    own, *neighbors = uniform_index(keys[:, None], i, schema.h_range)
+    return np.column_stack([own, schema.code.encode_many(i)[:, layer], *neighbors])
 
 
 def measure(schema: ExpanderSchema, x) -> tuple[LayerBits, ...]:

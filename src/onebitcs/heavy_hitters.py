@@ -11,15 +11,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import expander
 from . import partition_sketch as ps
-from .model import signal_nonzeros
+from .model import positive_int, signal_nonzeros
 from .prf import derive_key, uniform_index
 
-# buckets per unit of k / log2(n) once k reaches expander.max_sparsity(n)
+# buckets per unit of k / log2(n), rounded up: one below expander.max_sparsity(n)
 BUCKET_FACTOR = 1.0
 
 
@@ -29,7 +30,6 @@ class HeavyHitterSchema:
     k: int
     seed: int
     buckets: int  # 1 when the sparsity is small enough to skip bucketing
-    bucket_of: np.ndarray | None  # None when buckets == 1
     sub_sparsity: int
     sub_schemas: tuple[expander.ExpanderSchema, ...]
     constants: ps.SketchConstants
@@ -42,6 +42,18 @@ class HeavyHitterSchema:
     def cap(self) -> int:
         return self.constants.cap_factor * self.k
 
+    @cached_property
+    def bucket_key(self) -> np.uint64:
+        return derive_key(self.seed, 7)
+
+    @property
+    def bucket_of(self) -> np.ndarray | None:
+        """Every coordinate's bucket, built on each read, or None below the
+        layered sketch's limit; the measure hashes its nonzeros only."""
+        if self.k < expander.max_sparsity(self.n):
+            return None
+        return uniform_index(self.bucket_key, np.arange(self.n), self.buckets)
+
 
 def build_schema(
     n: int,
@@ -51,29 +63,22 @@ def build_schema(
 ) -> HeavyHitterSchema:
     """Bucketing layout plus one layered sketch per bucket.
 
-    Bucketing is skipped entirely (one bucket, sub-sparsity k) when k is
-    below the layered sketch's limit ``expander.max_sparsity(n)``; otherwise
-    coordinates hash into ceil(BUCKET_FACTOR * k / log2(n)) buckets and each
-    sub-sketch is built for that limit.
+    Coordinates hash into ceil(BUCKET_FACTOR * k / log2(n)) buckets, each
+    with a layered sketch for sparsity min(k, ``expander.max_sparsity(n)``).
+    Below that limit this is one bucket of sparsity k: no bucketing.
     """
-    if n < 2 or k < 1 or k > n:
+    n, k = positive_int(n, "n"), positive_int(k, "k")
+    if n < 2 or k > n:
         raise ValueError(f"invalid (n={n}, k={k})")
-    limit = expander.max_sparsity(n)
-    if k < limit:
-        buckets = 1
-        sub_sparsity = k
-        bucket_of = None
-    else:
-        buckets = max(1, math.ceil(BUCKET_FACTOR * k / math.log2(n)))
-        sub_sparsity = limit
-        bucket_of = uniform_index(derive_key(seed, 7), np.arange(n), buckets)
+    buckets = max(1, math.ceil(BUCKET_FACTOR * k / math.log2(n)))
+    sub_sparsity = min(k, expander.max_sparsity(n))
     subs = tuple(
         expander.build_schema(n, sub_sparsity, seed=int(derive_key(seed, 600 + j)),
                               constants=constants)
         for j in range(buckets)
     )
     return HeavyHitterSchema(
-        n=n, k=k, seed=seed, buckets=buckets, bucket_of=bucket_of,
+        n=n, k=k, seed=seed, buckets=buckets,
         sub_sparsity=sub_sparsity, sub_schemas=subs, constants=constants,
     )
 
@@ -85,7 +90,7 @@ def measure(schema: HeavyHitterSchema, x) -> list[tuple[expander.LayerBits, ...]
 def _measure(schema: HeavyHitterSchema, nz, vals) -> list[tuple[expander.LayerBits, ...]]:
     """``measure`` of the signal whose nonzeros ``vals`` sit at ``nz``: each
     bucket's sketch measures the nonzeros hashed to that bucket."""
-    bucket = np.zeros_like(nz) if schema.bucket_of is None else schema.bucket_of[nz]
+    bucket = uniform_index(schema.bucket_key, nz, schema.buckets)
     return [
         expander._measure(sub_schema, nz[bucket == j], vals[bucket == j])
         for j, sub_schema in enumerate(schema.sub_schemas)

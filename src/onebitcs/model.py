@@ -51,6 +51,14 @@ def as_indices(values, size: int, what: str) -> np.ndarray:
     return idx
 
 
+def positive_int(value, what: str) -> int:
+    """``value`` as an int when it is a Python or numpy integer (bool is
+    neither) of at least 1; anything else raises ``ValueError`` naming ``what``."""
+    if (type(value) is int or isinstance(value, np.integer)) and value >= 1:
+        return int(value)
+    raise ValueError(f"{what} must be a positive integer, not {value!r}")
+
+
 def signal_nonzeros(x, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Validate a signal of length n; its nonzero coordinates, ascending, and
     their values: the one scan of x each measure takes and hands down."""

@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from . import prf
-from .model import as_indices, signal_nonzeros
+from .model import as_indices, positive_int, signal_nonzeros
 from .prf import U64, derive_key, fold
 
 # a bucket index is a multiply-shift reduction of a 20-bit slice of a row word
@@ -78,11 +78,10 @@ class PartitionFamily:
         if (self.names is None) != (self.keys is None):
             raise ValueError("names and keys must be given together")
         if self.width is not None:
-            w = self.width
-            whole = isinstance(w, (int, np.integer)) and not isinstance(w, bool)
-            if not whole or w < 1 or -(-self.n // w) != self.size:
-                raise ValueError(f"interval width {w!r} must be a positive integer that cuts "
-                                 f"n={self.n} into {self.size} parts")
+            parts = -(-self.n // positive_int(self.width, "interval width"))
+            if parts != self.size:
+                raise ValueError(f"interval width {self.width} cuts n={self.n} into {parts} "
+                                 f"parts, not {self.size}")
         else:
             names, keys = self.names, self.keys
             words = names.shape[0] if names.ndim == 2 else 0
@@ -95,9 +94,9 @@ class PartitionFamily:
     @classmethod
     def contiguous(cls, n: int, parts: int) -> "PartitionFamily":
         """Equal-width intervals of width ceil(n/parts); last may be short.
-        n or parts below 1 raises ``ValueError``."""
-        if n < 1 or parts < 1:
-            raise ValueError(f"contiguous partition needs n, parts >= 1, got n={n}, parts={parts}")
+        An n or parts that is not a positive integer raises ``ValueError``."""
+        n, parts = (positive_int(v, f"{name} (a contiguous partition needs n, parts >= 1)")
+                    for name, v in (("n", n), ("parts", parts)))
         width = -(-n // parts)
         return cls(n=n, size=-(-n // width), width=width)
 
@@ -126,9 +125,9 @@ def _sorted_distinct(words: np.ndarray) -> np.ndarray:
     """The distinct columns of a (words, m) uint64 array, in word-by-word order.
 
     One word is sorted with ``np.sort``.  Wider columns are ordered by an
-    argsort of their first word, and only the columns whose first word is
-    tied are ordered by all words with ``np.lexsort``: every sort runs on
-    uint64 arrays, never on records, whose generic compares are slow.
+    argsort of their first word and, if some first word is tied, by a
+    ``np.lexsort`` of all words: every sort runs on uint64 arrays, never on
+    records, whose generic compares are slow.
     """
     if words.shape[0] == 1:
         ordered = np.sort(words[0])
@@ -136,18 +135,11 @@ def _sorted_distinct(words: np.ndarray) -> np.ndarray:
         return (ordered[np.concatenate(([True], ~same))] if same.any() else ordered)[None, :]
     order = np.argsort(words[0])
     first = words[0].take(order)
-    same = first[1:] == first[:-1]  # sorted neighbours tied in every word so far
+    same = first[1:] == first[:-1]
     if same.any():
-        tied = np.zeros(order.size, dtype=bool)
-        tied[1:] |= same
-        tied[:-1] |= same
-        # tied columns form runs in first-word order; sorting them by all
-        # words keeps the runs in place and orders each run by the later words
-        sub = order[tied]
-        order[tied] = sub[np.lexsort(words[::-1, sub])]
-        for word in words[1:]:
-            ordered = word.take(order)
-            same &= ordered[1:] == ordered[:-1]
+        order = np.lexsort(words[::-1])
+        ordered = words.take(order, axis=1)
+        same = (ordered[:, 1:] == ordered[:, :-1]).all(axis=0)
     return words.take(order[np.concatenate(([True], ~same))], axis=1)
 
 
@@ -157,9 +149,9 @@ def _key_ranks(keys: np.ndarray, needles: np.ndarray) -> np.ndarray:
 
     The needles' first words are sorted for one ``searchsorted`` over the
     keys' first word, and the ranks scattered back.  A needle whose first
-    word several keys share is then placed by all words: it and the keys of
-    the tied runs are lexsorted together, each key before the needles equal
-    to it, and the needle takes the rank of the last key at or before it.
+    word several keys share is then placed by all words: such needles and
+    all keys are lexsorted together, each key before the needles equal to
+    it, and the needle takes the rank of the last key at or before it.
     """
     first = keys[0]
     order = np.argsort(needles[0])
@@ -173,14 +165,12 @@ def _key_ranks(keys: np.ndarray, needles: np.ndarray) -> np.ndarray:
     pending = np.flatnonzero((ranks + 1 < first.size) & (first[after] == needles[0]))
     if pending.size == 0:
         return ranks
-    run = first[1:] == first[:-1]
-    pool = np.flatnonzero(np.concatenate(([False], run)) | np.concatenate((run, [False])))
-    both = np.concatenate([keys.take(pool, axis=1), needles.take(pending, axis=1)], axis=1)
-    is_needle = np.arange(both.shape[1]) >= pool.size
+    both = np.concatenate([keys, needles.take(pending, axis=1)], axis=1)
+    is_needle = np.arange(both.shape[1]) >= first.size
     merged = np.lexsort([is_needle, *both[::-1]])
-    last_key = np.cumsum(~is_needle[merged]) - 1  # index into pool
+    last_key = np.cumsum(~is_needle[merged]) - 1
     hit = is_needle[merged]
-    ranks[pending[merged[hit] - pool.size]] = pool[last_key[hit]]
+    ranks[pending[merged[hit] - first.size]] = last_key[hit]
     return ranks
 
 
@@ -204,8 +194,7 @@ class SketchConstants:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ValueError(f"sketch constant {name} must be a positive integer, not {value!r}")
+            object.__setattr__(self, name, positive_int(value, f"sketch constant {name}"))
 
 
 @dataclass(frozen=True)
@@ -278,8 +267,7 @@ def build_schema(
     """Lay out a point-query sketch for the given partition and sparsity."""
     if not 0.0 < delta < 1.0:
         raise ValueError(f"failure target delta must be in (0,1), got {delta}")
-    if k < 1:
-        raise ValueError(f"sparsity k must be >= 1, got {k}")
+    k = positive_int(k, "sparsity k")
     reps = max(1, math.ceil(constants.rep_factor * math.log2(1.0 / delta)))
     buckets = constants.bucket_factor * k
     if buckets > MAX_BUCKETS:
@@ -456,12 +444,6 @@ def _measure(schemas, nz, vals, labels) -> list[SketchBits]:
     return [SketchBits(bits=b) for b in bits]
 
 
-def _check_parts(schema: PointQuerySchema, parts) -> np.ndarray:
-    """``parts`` as 1-D int64; a part that is not an integer in [0, size)
-    raises ``ValueError``."""
-    return np.atleast_1d(as_indices(parts, schema.partition.size, "queried part index"))
-
-
 def point_query(schema: PointQuerySchema, sketch: SketchBits, part: int) -> int:
     """1 if the part is judged to contain a heavy hitter, else 0: the vote
     over the one part."""
@@ -504,9 +486,7 @@ def _nonzero_candidates(schema: PointQuerySchema, pairs: np.ndarray) -> np.ndarr
         keep = prf.map_blocks(probe_block, range(0, parts.size, step))
         return np.concatenate(keep) if keep else parts[:0]
 
-    keep = np.arange(schema.partition.size)
-    if reps > 0:
-        keep = sweep(keep, 0, 1)
+    keep = sweep(np.arange(schema.partition.size), 0, 1)
     if reps > 1:
         keep = sweep(keep, 1, reps)
     return keep
@@ -540,7 +520,8 @@ def _count_sketch_decode(
     and their good counts, which are complete, as a part still read in the
     last round was read in every repetition."""
     size = schema.partition.size
-    parts = np.arange(size) if candidates is None else _check_parts(schema, candidates)
+    parts = np.arange(size) if candidates is None else candidates
+    parts = np.atleast_1d(as_indices(parts, size, "queried part index"))
     reps, need = schema.reps, schema.vote_threshold
     good = np.zeros(parts.size, dtype=np.int64)
     first, least = 0, reps - need + 1

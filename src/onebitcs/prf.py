@@ -30,6 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
+from .model import positive_int
+
 U64 = np.uint64
 
 # splitmix64's finalizer multipliers, and the index word idx * GAMMA + PHI
@@ -217,10 +219,11 @@ def rademacher(key, idx) -> np.ndarray:
 
 
 def uniform_index(key, idx, size: int) -> np.ndarray:
-    """Indices in [0, size) as int64, broadcasting like ``fold``.  Modulo bias
-    is < size/2**64, negligible here."""
-    if size < 1:
-        raise ValueError(f"range size must be positive, got {size}")
+    """Indices in [0, size) as int64, broadcasting like ``fold``, for a size
+    in [1, 2**63].  Modulo bias is < size/2**64, negligible here."""
+    size = positive_int(size, "range size")
+    if size > 1 << 63:
+        raise ValueError(f"range size {size} exceeds 2^63, past which int64 indices turn negative")
     cols = col_words(idx)
     shape = np.broadcast_shapes(np.shape(key), cols.shape)
     words = np.bitwise_xor(np.asarray(key, dtype=np.uint64), cols, out=np.empty(shape, np.uint64))

@@ -33,7 +33,7 @@ import numpy as np
 from . import heavy_hitters as hh
 from . import partition_sketch as ps
 from . import prf
-from .model import SparseEstimate, as_indices, signal_nonzeros
+from .model import SparseEstimate, as_indices, positive_int, signal_nonzeros
 from .prf import derive_key, fold, standard_normal
 
 
@@ -48,9 +48,7 @@ class GaussianSchema:
 
     def __post_init__(self):
         for name in ("rows", "n"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, not {value!r}")
+            object.__setattr__(self, name, positive_int(getattr(self, name), name))
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
             raise ValueError(f"noise_sigma must be finite and >= 0, not {self.noise_sigma!r}")
 

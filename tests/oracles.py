@@ -445,6 +445,22 @@ def children_loop(schema, level, parts):
     return np.array(out, dtype=np.int64)
 
 
+def circulant_loop(s, degree):
+    """Circulant neighbour lists, layer by layer: offsets 1, 2, ... each way
+    until ``degree`` distinct layers other than j are found (at most s-1)."""
+    degree = min(degree, s - 1)
+    neighbors = []
+    for j in range(s):
+        seen, offset = [], 1
+        while len(seen) < degree:
+            for cand in ((j + offset) % s, (j - offset) % s):
+                if cand != j and cand not in seen and len(seen) < degree:
+                    seen.append(cand)
+            offset += 1
+        neighbors.append(tuple(sorted(seen)))
+    return tuple(neighbors)
+
+
 # --- finite field oracle ----------------------------------------------------
 
 

@@ -286,3 +286,19 @@ class TestChooseBranching:
     def test_matches_formula(self, n, k, delta, gamma):
         want = max(2, math.floor((k * math.log2(n / delta)) ** gamma + 0.5))
         assert btree.choose_branching(n, k, delta, gamma) == want
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: btree.build_schema(256, 2, 4, 0.0, seed=1), "delta must be in"),
+    (lambda: btree.build_schema(256, 2, 4, 1.0, seed=1), "delta must be in"),
+    (lambda: btree.choose_branching(0, 2, 0.1, 0.5), "invalid"),
+    (lambda: btree.choose_branching(256, 0, 0.1, 0.5), "invalid"),
+    (lambda: btree.choose_branching(256, 2, 1.0, 0.5), "invalid"),
+    (lambda: btree.build_schema(256, 2.5, 4, 0.1, seed=1), "k must be a positive integer"),
+    (lambda: btree.build_schema(256.0, 2, 4, 0.1, seed=1), "n must be a positive integer"),
+    (lambda: btree.build_schema(256, 2, 4.0, 0.1, seed=1), "b must be a positive integer"),
+    (lambda: btree.build_schema(256, True, 4, 0.1, seed=1), "k must be a positive integer"),
+])
+def test_rejects_invalid_arguments(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -4,20 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from oracles import layer_name_table, link_cluster_loop
+from oracles import circulant_loop, layer_name_table, link_cluster_loop, sparse_unit
 
 from onebitcs import expander
 from onebitcs import partition_sketch as ps
 from onebitcs.prf import RandomSource
 from onebitcs.rscode import ChunkCode
-
-
-def sparse_unit(n, k, seed):
-    src = RandomSource(seed)
-    sup = src.derive(1).choice_without_replacement(n, k)
-    x = np.zeros(n)
-    x[sup] = src.derive(2).signs(np.arange(k)) / math.sqrt(k)
-    return x, sup
 
 
 class TestGraph:
@@ -44,6 +36,11 @@ class TestGraph:
                     seen.add(w)
                     frontier.append(w)
         assert seen == set(range(9))
+
+    def test_circulant_matches_the_offset_loop(self):
+        for s in range(2, 90):
+            for degree in range(12):
+                assert expander.circulant_neighbors(s, degree) == circulant_loop(s, degree)
 
 
 class TestBuild:
@@ -496,3 +493,14 @@ class TestRecover:
         bits = expander.measure(schema, np.zeros(1 << 10))
         with pytest.raises(ValueError):
             expander.recover(schema, bits[:-1])
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: expander.circulant_neighbors(1, 4), "at least two layers"),
+    (lambda: expander.circulant_neighbors(5, -1), "degree >= 0"),
+    (lambda: expander.build_schema(1024, 1.5, seed=1), "k must be a positive integer"),
+    (lambda: expander.build_schema(1024.0, 2, seed=1), "n must be a positive integer"),
+])
+def test_rejects_invalid_arguments(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -170,3 +170,16 @@ class TestConfig:
         path.write_text("just words\n", encoding="utf-8")
         with pytest.raises(ValueError):
             harness.read_config_file(str(path))
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: harness.ExperimentConfig(scheme="bogus").validate(), "unknown scheme"),
+    (lambda: harness.ExperimentConfig(trials=0).validate(), "at least one trial"),
+    (lambda: harness.ExperimentConfig(n=8, k=9).validate(), "need 1 <= k <= n"),
+    (lambda: harness.ExperimentConfig(delta=1.0).validate(), "delta must be in"),
+    (lambda: harness.ExperimentConfig(model="bogus").validate(), "unknown signal model"),
+    (lambda: harness.summarize([]), "no trial records"),
+])
+def test_rejects_invalid_arguments(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

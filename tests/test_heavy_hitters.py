@@ -3,19 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from oracles import bucket_split
+from oracles import bucket_split, sparse_unit
 
 from onebitcs import heavy_hitters as hh
 from onebitcs.model import tail_stats
 from onebitcs.prf import RandomSource, derive_key, uniform_index
-
-
-def sparse_unit(n, k, seed):
-    src = RandomSource(seed)
-    sup = src.derive(1).choice_without_replacement(n, k)
-    x = np.zeros(n)
-    x[sup] = src.derive(2).signs(np.arange(k)) / math.sqrt(k)
-    return x, sup
 
 
 class TestLayout:
@@ -155,3 +147,12 @@ class TestDecode:
         schema = hh.build_schema(n, k, seed=12)
         assert schema.total_rows == sum(s.total_rows for s in schema.sub_schemas)
         assert schema.total_rows <= 12_000 * k * math.log2(n)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: hh.build_schema(1024.5, 2, seed=1), "n must be a positive integer"),
+    (lambda: hh.build_schema(1024, 2.0, seed=1), "k must be a positive integer"),
+])
+def test_rejects_invalid_arguments(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from onebitcs.model import (
     SparseEstimate,
+    as_signal,
+    positive_int,
     restrict,
     sign_scalar,
     sign_vector,
@@ -149,3 +151,27 @@ class TestSparseEstimate:
     def test_rejects_overfull(self):
         with pytest.raises(ValueError):
             SparseEstimate(np.array([0, 1, 2]), np.zeros(3), 2)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: sign_vector([1.0, np.nan]), "non-finite"),
+    (lambda: as_signal(np.zeros((2, 2))), "1-D"),
+    (lambda: SparseEstimate(indices=[1, 2], values=[1.0], sparsity_bound=2), "matching 1-D"),
+    (lambda: SparseEstimate(indices=[3], values=[1.0], sparsity_bound=1).to_dense(3),
+     "out of range"),
+    (lambda: positive_int(2.5, "width"), "width must be a positive integer, not 2.5"),
+    (lambda: positive_int(np.float64(2.0), "width"), "width must be a positive integer"),
+    (lambda: positive_int(True, "width"), "width must be a positive integer, not True"),
+    (lambda: positive_int(0, "width"), "width must be a positive integer, not 0"),
+    (lambda: positive_int(np.int64(-3), "width"), "width must be a positive integer"),
+    (lambda: positive_int("3", "width"), "width must be a positive integer"),
+])
+def test_rejects_invalid_arguments(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def test_positive_int_returns_a_python_int():
+    for value in (1, 7, np.int64(7), np.uint8(7), 1 << 70):
+        got = positive_int(value, "count")
+        assert type(got) is int and got == value

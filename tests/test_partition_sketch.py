@@ -731,3 +731,28 @@ class TestVote:
             so_far = good_rep[: rr[0]].sum(axis=0)
             assert np.array_equal(parts, np.flatnonzero(so_far + reps - rr[0] >= need))
         assert sum(rr.size * parts.size for rr, parts in rounds) < reps * size
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: ps.PartitionFamily(n=0, size=1, width=1), "partition needs n >= 1"),
+    (lambda: ps.PartitionFamily(n=4, size=2), "exactly one of width/names"),
+    (lambda: ps.PartitionFamily(n=4, size=1, width=4, names=np.zeros((1, 4), np.uint64),
+                                keys=np.zeros((1, 1), np.uint64)), "exactly one of width/names"),
+    (lambda: ps.SketchBits(np.ones((2, 3, 4, 2), dtype=np.int16)), "bad bit tensor"),
+    (lambda: ps.SketchBits(np.ones((2, 2, 4, 2), dtype=np.int8)), "bad bit tensor"),
+    (lambda: ps.PartitionFamily.contiguous(16.0, 4), "n, parts >= 1"),
+    (lambda: ps.PartitionFamily.contiguous(16, 2.5), "n, parts >= 1"),
+    (lambda: ps.build_schema(ps.PartitionFamily.contiguous(256, 16), 2.5, 0.1, seed=1),
+     "sparsity k must be a positive integer"),
+    (lambda: ps.build_schema(ps.PartitionFamily.contiguous(256, 16), True, 0.1, seed=1),
+     "sparsity k must be a positive integer"),
+])
+def test_rejects_invalid_arguments(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def test_numpy_integer_constants_are_accepted_as_ints():
+    constants = ps.SketchConstants(rep_factor=np.int64(8), cap_factor=np.uint16(16))
+    assert constants == ps.SketchConstants()
+    assert all(type(value) is int for value in vars(constants).values())

@@ -235,3 +235,21 @@ def test_every_cell_holds_its_words_normals():
     assert np.array_equal(mid[[0, -1]], exact[[0, -1]])
     assert np.all(half[[0, -1]] == 0)
     assert np.all(half[1:-1] > 0) and half.max() < 0.1
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: RandomSource(1).choice_without_replacement(4, 5), "cannot draw 5"),
+    (lambda: uniform_index(derive_key(11), np.arange(5), 2.0), "range size must be a positive"),
+    (lambda: uniform_index(derive_key(11), np.arange(5), (1 << 63) + 1), "exceeds 2\\^63"),
+    (lambda: uniform_index(derive_key(11), np.arange(5), 1 << 64), "exceeds 2\\^63"),
+    (lambda: RandomSource(1).indices(np.arange(5), (1 << 64) - 1), "exceeds 2\\^63"),
+])
+def test_rejects_invalid_arguments(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def test_uniform_index_takes_sizes_up_to_2_63():
+    # the largest size whose indices an int64 holds: each word's low 63 bits
+    want = (fold(derive_key(11), np.arange(1000)) & np.uint64((1 << 63) - 1)).astype(np.int64)
+    assert np.array_equal(uniform_index(derive_key(11), np.arange(1000), 1 << 63), want)

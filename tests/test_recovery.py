@@ -375,3 +375,21 @@ class TestSignFilter:
         assert recovery._unsettled(np.array([left_to_right]), np.zeros(1), size).tolist() == [0]
         # the slack is only as wide as rounding needs: a dot of 2**10 settles
         assert recovery._unsettled(np.array([2.0**10]), np.zeros(1), size).size == 0
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: recovery.correlation(recovery.GaussianSchema(rows=8, n=16, seed=1), np.ones(7), [0]),
+     "measurement length mismatch"),
+    (lambda: recovery.solve_l1l2(np.ones(3), 0.0), "l1 bound must be positive"),
+    (lambda: recovery.build_pipeline(1024, 2, 1.0, seed=1), "delta must be in"),
+    (lambda: recovery.build_pipeline(1024, 2.5, 0.25, seed=1), "k must be a positive integer"),
+])
+def test_rejects_invalid_arguments(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def test_numpy_integer_dimensions_are_stored_as_ints():
+    schema = recovery.GaussianSchema(rows=np.int64(8), n=np.uint32(16), seed=1)
+    assert schema == recovery.GaussianSchema(rows=8, n=16, seed=1)
+    assert type(schema.rows) is int and type(schema.n) is int

@@ -192,3 +192,18 @@ class TestChunkCode:
         bad[erased] = 0
         if 2 * (n_bad // 2) + len(erased) <= code.parity:
             assert code.decode(bad, erasures=erased) == value
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: GaloisField(4).inv(0), ZeroDivisionError, "inverse of 0"),
+    (lambda: ChunkCode(message_bits=8, length=4, t=4, parity=4), ValueError,
+     "parity symbol count out of range"),
+    (lambda: ChunkCode(message_bits=20, length=4, t=2, parity=0), ValueError, "cannot hold"),
+    (lambda: ChunkCode(message_bits=4, length=8, t=2, parity=0), ValueError,
+     "longer than field order"),
+    (lambda: ChunkCode.for_error_fraction(8, 4, 0.5), ValueError, "correctable fraction"),
+    (lambda: ChunkCode.for_error_fraction(8, 0, 0.25), ValueError, "no data symbols left"),
+])
+def test_rejects_invalid_arguments(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

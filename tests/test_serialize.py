@@ -1,24 +1,15 @@
 import dataclasses
 import json
-import math
 
 import numpy as np
 import pytest
 
-from oracles import btree_measure_per_level, label_partition
+from oracles import btree_measure_per_level, label_partition, sparse_unit
 
 from onebitcs import btree, cli, expander, harness, heavy_hitters, recovery, serialize, signals
 from onebitcs import partition_sketch as ps
 from onebitcs.model import tail_stats
 from onebitcs.prf import RandomSource
-
-
-def sparse_unit(n, k, seed):
-    src = RandomSource(seed)
-    sup = src.derive(1).choice_without_replacement(n, k)
-    x = np.zeros(n)
-    x[sup] = src.derive(2).signs(np.arange(k)) / math.sqrt(k)
-    return x, sup
 
 
 def ppcs_file(tmp_path):
@@ -540,3 +531,11 @@ class TestFormatTable:
                 assert captured.out == ""
                 assert captured.err.startswith("onebitcs: error:")
                 assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("header", [{"scheme": "expander"}, {}])
+def test_read_blocks_rejects_a_header_scheme_unlike_the_magic_line(tmp_path, header):
+    path = tmp_path / "m.bits"
+    path.write_bytes(f"{serialize.MAGIC} btree\n{json.dumps(header)}\n".encode())
+    with pytest.raises(ValueError, match="header scheme does not match magic line"):
+        serialize.read_blocks(str(path))

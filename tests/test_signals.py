@@ -69,3 +69,14 @@ def test_dirichlet_flat_is_dense():
 def test_unknown_model_rejected():
     with pytest.raises(ValueError):
         signals.gen_signal("bogus", 16, 1, RandomSource(1))
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: signals.gen_signal(signals.EXACT_SPARSE, 8, 0, RandomSource(1)), "need 1 <= k <= n"),
+    (lambda: signals.gen_signal(signals.EXACT_SPARSE, 8, 9, RandomSource(1)), "need 1 <= k <= n"),
+    (lambda: signals.gen_signal(signals.SPARSE_PLUS_TAIL, 8, 8, RandomSource(1)),
+     "no coordinates left for the tail"),
+])
+def test_rejects_invalid_arguments(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
