@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import partition_sketch as ps
-from .model import as_indices, positive_int, signal_nonzeros
+from .model import as_indices, integer, positive_int, signal_nonzeros
 from .prf import derive_key
 
 
@@ -115,6 +115,7 @@ def build_schema(
     queries made during descent yields overall failure delta.
     """
     n, k, b = positive_int(n, "n"), positive_int(k, "k"), positive_int(b, "b")
+    seed = integer(seed, "seed")
     if not 2 <= b <= n:
         raise ValueError(f"branching factor must be in [2, n], got b={b}")
     if not 1 <= k <= n:
@@ -191,9 +192,10 @@ def choose_branching(n: int, k: int, delta: float, gamma: float) -> int:
 
     Larger gamma trades more decode work for fewer measurement rows.
     """
-    if gamma <= 0 or gamma > 1:
+    n, k = positive_int(n, "n"), positive_int(k, "k")
+    if not 0 < gamma <= 1:  # false for a NaN gamma too
         raise ValueError(f"gamma must be in (0, 1], got {gamma}")
-    if not (n >= 1 and 1 <= k and 0 < delta < 1):
-        raise ValueError("invalid (n, k, delta)")
+    if not 0 < delta < 1:
+        raise ValueError(f"delta must be in (0,1), got {delta}")
     value = (k * math.log2(n / delta)) ** gamma
     return max(2, int(math.floor(value + 0.5)))

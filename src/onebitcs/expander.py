@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import partition_sketch as ps
-from .model import as_indices, positive_int, signal_nonzeros
+from .model import as_indices, integer, positive_int, signal_nonzeros
 from .prf import derive_key, uniform_index
 from .rscode import ChunkCode
 
@@ -185,7 +185,7 @@ def build_schema(
     The count-sketch failure target is (2^t)^-2 for name chunks of t bits;
     the point-query failure target is log2(n)^-2.
     """
-    n, k = positive_int(n, "n"), positive_int(k, "k")
+    n, k, seed = positive_int(n, "n"), positive_int(k, "k"), integer(seed, "seed")
     if n < 2:
         raise ValueError("need n >= 2")
     if k > max_sparsity(n):
@@ -276,10 +276,12 @@ def layer_decode(schema: ExpanderSchema, layer: int, bits: LayerBits) -> LayerLi
     count.  Both sketches are checked first.  ``bit_reads`` counts the probe
     as reading all parts' rows in all ``ps.PROBE_REPS`` repetitions and each
     vote all its candidates' in all; both stop reading parts that fail, so
-    the count is an upper bound.  A layer outside [0, layers_count) raises
-    ``ValueError``.
+    the count is an upper bound.  A layer outside [0, layers_count), or
+    ``bits`` that are not ``LayerBits``, raises ``ValueError``.
     """
     layer = int(as_indices(layer, schema.layers_count, "layer"))
+    if not isinstance(bits, LayerBits):
+        raise ValueError(f"layer bits must be LayerBits, not {type(bits).__name__}")
     ls = schema.layers[layer]
     heavy = ps._check_bits(ls.heavy_schema, bits.heavy)
     check = ps._check_bits(ls.check_schema, bits.check)

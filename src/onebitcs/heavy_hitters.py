@@ -17,7 +17,7 @@ import numpy as np
 
 from . import expander
 from . import partition_sketch as ps
-from .model import positive_int, signal_nonzeros
+from .model import integer, positive_int, signal_nonzeros
 from .prf import derive_key, uniform_index
 
 # buckets per unit of k / log2(n), rounded up: one below expander.max_sparsity(n)
@@ -67,7 +67,7 @@ def build_schema(
     with a layered sketch for sparsity min(k, ``expander.max_sparsity(n)``).
     Below that limit this is one bucket of sparsity k: no bucketing.
     """
-    n, k = positive_int(n, "n"), positive_int(k, "k")
+    n, k, seed = positive_int(n, "n"), positive_int(k, "k"), integer(seed, "seed")
     if n < 2 or k > n:
         raise ValueError(f"invalid (n={n}, k={k})")
     buckets = max(1, math.ceil(BUCKET_FACTOR * k / math.log2(n)))

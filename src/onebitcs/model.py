@@ -51,6 +51,14 @@ def as_indices(values, size: int, what: str) -> np.ndarray:
     return idx
 
 
+def integer(value, what: str) -> int:
+    """``value`` as an int when it is a Python or numpy integer (bool is
+    neither); anything else raises ``ValueError`` naming ``what``."""
+    if type(value) is int or isinstance(value, np.integer):
+        return int(value)
+    raise ValueError(f"{what} must be an integer, not {value!r}")
+
+
 def positive_int(value, what: str) -> int:
     """``value`` as an int when it is a Python or numpy integer (bool is
     neither) of at least 1; anything else raises ``ValueError`` naming ``what``."""

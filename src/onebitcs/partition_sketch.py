@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from . import prf
-from .model import as_indices, positive_int, signal_nonzeros
+from .model import as_indices, integer, positive_int, signal_nonzeros
 from .prf import U64, derive_key, fold
 
 # a bucket index is a multiply-shift reduction of a 20-bit slice of a row word
@@ -267,7 +267,7 @@ def build_schema(
     """Lay out a point-query sketch for the given partition and sparsity."""
     if not 0.0 < delta < 1.0:
         raise ValueError(f"failure target delta must be in (0,1), got {delta}")
-    k = positive_int(k, "sparsity k")
+    k, seed = positive_int(k, "sparsity k"), integer(seed, "seed")
     reps = max(1, math.ceil(constants.rep_factor * math.log2(1.0 / delta)))
     buckets = constants.bucket_factor * k
     if buckets > MAX_BUCKETS:
@@ -343,6 +343,8 @@ def _check_bits(schema: PointQuerySchema, sketch: SketchBits) -> np.ndarray:
     schema's layout; any other shape is malformed, and so is a bit other than
     +-1 or a (-1, -1) pair.  Reductions only, no temporaries: with every bit
     +-1, a pair read as uint16 is 0xFFFF exactly when it is (-1, -1)."""
+    if not isinstance(sketch, SketchBits):
+        raise ValueError(f"sketch bits must be SketchBits, not {type(sketch).__name__}")
     bits = sketch.bits
     expected = (schema.reps, 3, schema.buckets, 2)
     if bits.shape != expected:
@@ -508,7 +510,9 @@ def count_sketch_decode(
     good count plus the repetitions left is below ``vote_threshold``, so the
     result is exact.  No part can fail in the first reps - vote_threshold
     repetitions, and each round but the last reads ``prf.BLOCK_WORDS`` words
-    per CPU or more, as each ``map_blocks`` call starts a pool.
+    per CPU or more, so each round's ``map_blocks`` call has a block for
+    every thread and spreads its fixed cost, handing work to the helpers and
+    waiting for them, over many words.
     """
     return _count_sketch_decode(schema, _check_bits(schema, sketch), candidates)[0]
 

@@ -10,8 +10,16 @@ processes.
 Measure kernels draw blocks through ``block_words`` and ``block_normals``
 into ``scratch`` arrays that each thread reuses from block to block.  A
 block result is valid until the thread's next call for that buffer, and no
-public function returns one.  The scratch is a ``threading.local``, so a
-``map_blocks`` helper's buffers die with it.
+public function returns one.  The scratch is a ``threading.local``.
+
+``map_blocks`` runs blocks on helper threads that persist for the life of
+the process, so their scratch stays warm from call to call.  This module
+state is kept on purpose: a pool made per call started a thread and
+rebuilt that helper's scratch on each of the 33 calls a pipeline-tail
+decode makes (a two-block call of a trivial function took 84-126 us that
+way, against 11-15 us on a live pool, on a 2-vCPU host).  The helpers
+start on the first call that needs one, never at import; a forked child,
+which has none of its parent's threads, starts its own.
 
 ``block_cells`` bounds normals without ``ndtri``: a word's top ``CELL_BITS``
 bits name the cell [i, i + 1) / 4096 holding its uniform, so its normal lies
@@ -24,7 +32,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,12 +73,20 @@ def map_blocks(fn, starts) -> list:
     ufuncs, which release the interpreter lock, so blocks overlap.  The
     calling thread takes blocks too, beside one helper thread per further
     CPU: each thread keeps block temporaries in its own malloc arena, so
-    fewer threads hold less memory.  One block, or one CPU, runs inline
-    without a pool.  An exception raised by any block reaches the caller.
+    fewer threads hold less memory.  One block, one CPU, or a call made
+    inside a block runs inline.
+
+    The helpers belong to this process (see the module docstring) and are
+    shared by every call.  A helper task that has not started when the
+    caller runs out of blocks is cancelled, so another call's long blocks
+    cannot hold this one up.  An exception raised by any block reaches the
+    caller, and no block of this call is still running when it returns or
+    raises.
     """
     starts = list(starts)
-    workers = min(len(starts), available_cpus())
-    if workers <= 1:
+    cpus = available_cpus()
+    workers = min(len(starts), cpus)
+    if workers <= 1 or getattr(_helper, "busy", False):
         return [fn(s) for s in starts]
     results = [None] * len(starts)
     todo = iter(range(len(starts)))
@@ -84,12 +100,38 @@ def map_blocks(fn, starts) -> list:
                 return
             results[i] = fn(starts[i])
 
-    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
-        helpers = [pool.submit(drain) for _ in range(workers - 1)]
+    helpers = _submit(drain, workers - 1, cpus - 1)
+    try:
         drain()
-        for helper in helpers:
-            helper.result()
+    finally:
+        running = [helper for helper in helpers if not helper.cancel()]
+        wait(running)
+    for helper in running:
+        helper.result()
     return results
+
+
+_helper = threading.local()  # ``busy`` on the helper threads
+_pool = (0, None, 0)  # (process id, executor, thread cap) of this process's helpers
+_pool_lock = threading.Lock()
+
+
+def _submit(task, count: int, size: int) -> list:
+    """Futures of ``count`` runs of ``task`` on this process's helpers, first
+    replacing the pool by one of ``size`` threads if it has fewer or belongs
+    to the parent of a fork.  A replaced pool runs what it was given, then
+    its threads exit."""
+    global _pool
+    with _pool_lock:
+        pid, pool, cap = _pool
+        if pid != os.getpid() or cap < count:
+            if pid == os.getpid():
+                pool.shutdown(wait=False)
+            pool = ThreadPoolExecutor(
+                size, "onebitcs-block", initializer=setattr, initargs=(_helper, "busy", True)
+            )
+            _pool = (os.getpid(), pool, size)
+        return [pool.submit(task) for _ in range(count)]
 
 
 _scratch = threading.local()

@@ -33,7 +33,7 @@ import numpy as np
 from . import heavy_hitters as hh
 from . import partition_sketch as ps
 from . import prf
-from .model import SparseEstimate, as_indices, positive_int, signal_nonzeros
+from .model import SparseEstimate, as_indices, integer, positive_int, signal_nonzeros
 from .prf import derive_key, fold, standard_normal
 
 
@@ -49,6 +49,7 @@ class GaussianSchema:
     def __post_init__(self):
         for name in ("rows", "n"):
             object.__setattr__(self, name, positive_int(getattr(self, name), name))
+        object.__setattr__(self, "seed", integer(self.seed, "seed"))
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
             raise ValueError(f"noise_sigma must be finite and >= 0, not {self.noise_sigma!r}")
 
@@ -146,8 +147,8 @@ def solve_l1l2(c, l1_bound: float) -> np.ndarray:
         raise ValueError("correlation vector must be 1-D and nonempty")
     if not np.all(np.isfinite(c)):
         raise ValueError("correlation vector has non-finite entries")
-    if l1_bound <= 0:
-        raise ValueError("l1 bound must be positive")
+    if not l1_bound > 0:  # an infinite bound is no l1 constraint; NaN is no bound
+        raise ValueError(f"l1 bound must be positive, not {l1_bound!r}")
     norm2 = float(np.linalg.norm(c))
     if norm2 == 0.0:
         return np.zeros_like(c)
@@ -233,6 +234,7 @@ def build_pipeline(
 ) -> PipelineSchema:
     if not 0 < delta < 1:
         raise ValueError(f"delta must be in (0,1), got {delta}")
+    seed = integer(seed, "seed")
     support_schema = hh.build_schema(n, k, seed=int(derive_key(seed, 21)), constants=constants)
     if gauss_rows is None:
         gauss_rows = default_gauss_rows(n, k, delta)
@@ -257,6 +259,8 @@ def decode(
     schema: PipelineSchema, bits: PipelineBits
 ) -> tuple[SparseEstimate, PipelineDiagnostics]:
     """Support from the sketch block, values from the gaussian block."""
+    if not isinstance(bits, PipelineBits):
+        raise ValueError(f"pipeline bits must be PipelineBits, not {type(bits).__name__}")
     y = bits.sign_bits
     if not (isinstance(y, np.ndarray) and y.dtype == np.int8
             and y.shape == (schema.gauss_rows,) and np.all(np.abs(y) == 1)):

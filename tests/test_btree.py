@@ -291,9 +291,13 @@ class TestChooseBranching:
 @pytest.mark.parametrize("call, match", [
     (lambda: btree.build_schema(256, 2, 4, 0.0, seed=1), "delta must be in"),
     (lambda: btree.build_schema(256, 2, 4, 1.0, seed=1), "delta must be in"),
-    (lambda: btree.choose_branching(0, 2, 0.1, 0.5), "invalid"),
-    (lambda: btree.choose_branching(256, 0, 0.1, 0.5), "invalid"),
-    (lambda: btree.choose_branching(256, 2, 1.0, 0.5), "invalid"),
+    (lambda: btree.choose_branching(0, 2, 0.1, 0.5), "n must be a positive integer"),
+    (lambda: btree.choose_branching(256, 0, 0.1, 0.5), "k must be a positive integer"),
+    (lambda: btree.choose_branching(256, 2, 1.0, 0.5), "delta must be in"),
+    (lambda: btree.choose_branching(1024, 2.5, 0.1, 0.5), "k must be a positive integer"),
+    (lambda: btree.choose_branching(1024, True, 0.1, 0.5), "k must be a positive integer"),
+    (lambda: btree.choose_branching(1024.0, 2, 0.1, 0.5), "n must be a positive integer"),
+    (lambda: btree.choose_branching(1024, 2, 0.1, math.nan), "gamma must be in"),
     (lambda: btree.build_schema(256, 2.5, 4, 0.1, seed=1), "k must be a positive integer"),
     (lambda: btree.build_schema(256.0, 2, 4, 0.1, seed=1), "n must be a positive integer"),
     (lambda: btree.build_schema(256, 2, 4.0, 0.1, seed=1), "b must be a positive integer"),

@@ -381,6 +381,7 @@ class TestSignFilter:
     (lambda: recovery.correlation(recovery.GaussianSchema(rows=8, n=16, seed=1), np.ones(7), [0]),
      "measurement length mismatch"),
     (lambda: recovery.solve_l1l2(np.ones(3), 0.0), "l1 bound must be positive"),
+    (lambda: recovery.solve_l1l2(np.ones(3), math.nan), "l1 bound must be positive, not nan"),
     (lambda: recovery.build_pipeline(1024, 2, 1.0, seed=1), "delta must be in"),
     (lambda: recovery.build_pipeline(1024, 2.5, 0.25, seed=1), "k must be a positive integer"),
 ])

@@ -12,9 +12,13 @@ its bits-file digest again when its header gained the levels' ``widths``
 import argparse
 import hashlib
 
+import numpy as np
 import pytest
 
-from onebitcs import cli, harness, serialize, signals
+from oracles import sparse_unit
+
+from onebitcs import partition_sketch as ps
+from onebitcs import btree, cli, expander, harness, recovery, serialize, signals
 from onebitcs.prf import RandomSource
 
 # scheme -> small experiment; k = 12 at n = 2^10 buckets the heavy hitters
@@ -115,3 +119,58 @@ def test_harness_cli_and_files_name_the_same_schemes():
     file_schemes = {name for name, scheme in harness.SCHEMES.items() if scheme.layout}
     assert scheme_choices("experiment") == set(harness.SCHEMES)
     assert scheme_choices("encode") == file_schemes == set(FILE_DIGESTS)
+
+
+def build(scheme, seed):
+    """The scheme's schema for its small experiment, built from ``seed``."""
+    config = harness.ExperimentConfig(scheme=scheme, **EXPERIMENTS[scheme])
+    return harness.SCHEMES[scheme].build(config, config.n, seed)
+
+
+@pytest.mark.parametrize("seed", [2.7, np.float64(2.0), True])
+@pytest.mark.parametrize("scheme", list(harness.SCHEMES))
+def test_build_rejects_a_seed_that_is_not_an_integer(scheme, seed):
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        build(scheme, seed)
+
+
+@pytest.mark.parametrize("scheme", list(FILE_DIGESTS))
+def test_numpy_integer_seed_round_trips_through_a_file(tmp_path, scheme):
+    steps = harness.SCHEMES[scheme]
+    schema = build(scheme, np.int64(5))
+    assert type(schema.seed) is int
+    path = tmp_path / "m.bits"
+    x, _ = sparse_unit(schema.n, 2, 6)
+    serialize.save(str(path), schema, steps.measure(schema, x))
+    _, loaded, _ = serialize.load_measurement(str(path))
+    assert steps.header(loaded) == steps.header(build(scheme, 5))
+
+
+def wrong_bits(entry):
+    """A decoder entry point called with bits of the wrong type: arrays or
+    tuples where it takes the bits dataclasses."""
+    x, _ = sparse_unit(256, 2, 7)
+    if entry in ("count_sketch_decode", "nonzero_candidates"):
+        schema = ps.build_schema(ps.PartitionFamily.contiguous(256, 16), 2, 0.1, seed=1)
+        return getattr(ps, entry)(schema, ps.measure(schema, x).bits)
+    if entry == "btree.decode":
+        schema = btree.build_schema(256, 2, 4, 0.1, seed=1)
+        return btree.decode(schema, [b.bits for b in btree.measure(schema, x)])
+    if entry == "recovery.decode":
+        schema = recovery.build_pipeline(256, 2, 0.4, seed=1, gauss_rows=64)
+        bits = recovery.measure(schema, x)
+        return recovery.decode(schema, (bits.support_bits, bits.sign_bits))
+    schema = expander.build_schema(256, 2, seed=1)
+    bits = expander.measure(schema, x)
+    if entry == "layer_decode":
+        return expander.layer_decode(schema, 0, (bits[0].heavy, bits[0].check))
+    return expander.recover(schema, [layer.heavy.bits for layer in bits])
+
+
+@pytest.mark.parametrize("entry", [
+    "count_sketch_decode", "nonzero_candidates", "btree.decode", "layer_decode",
+    "recover", "recovery.decode",
+])
+def test_decoders_reject_bits_of_the_wrong_type(entry):
+    with pytest.raises(ValueError, match="bits must be"):
+        wrong_bits(entry)

@@ -7,9 +7,13 @@ and shorten the interpreter's switch interval so threads interleave often.
 """
 
 import functools
+import multiprocessing
+import os
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +47,33 @@ def cpus(monkeypatch):
         yield lambda count: monkeypatch.setattr(prf, "available_cpus", lambda: count)
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.fixture
+def fresh_pool(monkeypatch):
+    """Start this test's ``map_blocks`` calls without helper threads; the
+    pool made here is dropped after the test, and its threads exit."""
+    monkeypatch.setattr(prf, "_pool", (0, None, 0))
+
+
+def run_bounded(fn, seconds=60):
+    """``fn()`` on its own thread, failing if it has not returned within
+    ``seconds``; its result, or its exception raised here."""
+    out = {}
+
+    def run():
+        try:
+            out["value"] = fn()
+        except BaseException as exc:  # re-raised by the calling thread
+            out["error"] = exc
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout=seconds)
+    assert not thread.is_alive(), f"still running after {seconds} s"
+    if "error" in out:
+        raise out["error"]
+    return out["value"]
 
 
 def sketch_case():
@@ -136,6 +167,120 @@ class TestMapBlocks:
 
         with pytest.raises(ArithmeticError, match="helper"):
             prf.map_blocks(block, range(12))
+
+    def test_calls_reuse_helpers_and_their_scratch(self, cpus, fresh_pool):
+        cpus(2)
+        caller = threading.current_thread()
+
+        def block(s):
+            time.sleep(0.005)
+            prf.scratch("reuse", (8,), np.uint8)
+            return threading.current_thread(), prf._scratch.reuse
+
+        first, second = (
+            {t: buf for t, buf in prf.map_blocks(block, range(8)) if t is not caller}
+            for _ in range(2)
+        )
+        assert len(first) == 1  # one helper beside the caller
+        assert first.keys() == second.keys()
+        assert all(second[t] is buf for t, buf in first.items())
+
+    # Python 3.12+ warns that a fork in a process with threads may deadlock
+    # the child: this test forks one on purpose
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+    def test_forked_child_starts_its_own_helpers(self, cpus):
+        cpus(2)
+        prf.map_blocks(time.sleep, [0.005] * 4)  # this process has its helpers
+
+        def child():
+            def block(s):
+                time.sleep(0.01)
+                return threading.current_thread().ident, s
+
+            got = prf.map_blocks(block, range(8))
+            # exit 0 only if the blocks came back in order and helpers ran some
+            os._exit(0 if [s for _, s in got] == list(range(8))
+                     and len({t for t, _ in got}) == 2 else 1)
+
+        process = multiprocessing.get_context("fork").Process(target=child)
+        process.start()
+        process.join(timeout=60)
+        if process.is_alive():
+            process.kill()
+            process.join()
+            pytest.fail("the forked child did not finish its call within 60 s")
+        assert process.exitcode == 0
+
+    @pytest.mark.parametrize("count", [1, 2, 4])
+    def test_nested_call_completes_inline_on_a_helper(self, cpus, count):
+        cpus(count)
+
+        def inner(i):
+            time.sleep(0.002)
+            return threading.current_thread()
+
+        def outer(s):
+            if s == 0:
+                time.sleep(0.05)  # so that helpers take the other blocks
+            return threading.current_thread(), prf.map_blocks(inner, range(8))
+
+        def call():
+            return threading.current_thread(), prf.map_blocks(outer, range(3))
+
+        caller, got = run_bounded(call)
+        assert len(got) == 3 and all(len(threads) == 8 for _, threads in got)
+        # a call made on a helper ran on that helper alone
+        for thread, threads in got:
+            if thread is not caller:
+                assert set(threads) == {thread}
+
+    def test_pool_grows_with_the_cpu_count(self, cpus, fresh_pool):
+        cpus(2)
+        prf.map_blocks(time.sleep, [0.005] * 4)
+        cpus(4)
+        # four blocks meet at a barrier: they must run on four threads at once
+        meet = threading.Barrier(4, timeout=20)
+
+        def block(s):
+            meet.wait()
+            return threading.current_thread()
+
+        assert len(set(prf.map_blocks(block, range(4)))) == 4
+
+    def test_no_block_runs_after_an_error_reaches_the_caller(self, cpus):
+        cpus(4)
+        caller = threading.current_thread()
+        lock = threading.Lock()
+        running = []
+
+        def block(s):
+            with lock:
+                running.append(s)
+            try:
+                time.sleep(0.005 if threading.current_thread() is caller else 0.03)
+                if threading.current_thread() is caller:
+                    raise ArithmeticError("caller")
+            finally:
+                with lock:
+                    running.remove(s)
+
+        with pytest.raises(ArithmeticError, match="caller"):
+            prf.map_blocks(block, range(12))
+        assert running == []
+
+    def test_a_process_that_used_helpers_exits_promptly(self):
+        code = (
+            "import time\n"
+            "from onebitcs import prf\n"
+            "prf.available_cpus = lambda: 4\n"
+            "assert prf.map_blocks(time.sleep, [0.01] * 8) == [None] * 8\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=20,
+        )
+        assert done.returncode == 0, done.stderr
 
 
 class TestIdenticalOnAnyThreadCount:
