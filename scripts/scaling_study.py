@@ -147,7 +147,8 @@ def btree_file_study(exps, repeats, seed) -> dict:
         paths, supports = [], []
         for exp, n in zip(exps, sizes):
             x = signals.gen_signal(signals.EXACT_SPARSE, n, k, RandomSource(seed + exp))
-            schema, bits = btree.build_and_measure(x, n, k, b, delta, seed=seed + 700 + exp)
+            schema = btree.build_schema(n, k, b, delta, seed=seed + 700 + exp)
+            bits = btree.measure(schema, x)
             paths.append(os.path.join(tmp, f"btree-{n}.bits"))
             serialize.save(paths[-1], schema, bits)
             supports.append(np.flatnonzero(x))
@@ -206,9 +207,8 @@ def main():
         queries, reads = [], []
         for t in range(args.trials):
             x, _ = sparse_unit(n, args.k, args.seed + t)
-            schema, bits = btree.build_and_measure(
-                x, n, args.k, 8, 0.1, seed=args.seed + 100 + t
-            )
+            schema = btree.build_schema(n, args.k, 8, 0.1, seed=args.seed + 100 + t)
+            bits = btree.measure(schema, x)
             result = btree.decode(schema, bits)
             queries.append(result.point_queries)
             reads.append(result.bit_reads)
@@ -282,7 +282,7 @@ def main():
         layer_bits = heavy_hitters.measure(schema, x)[0]
         for j, layer in enumerate(schema.sub_schemas[0].layers):
             heavy, bits = layer.heavy_schema, layer_bits[j].heavy
-            candidates = ps.nonzero_candidates(heavy, bits)
+            candidates = ps._nonzero_candidates(heavy, ps._check_bits(heavy, bits))
             reads = vote_reads(heavy, bits, candidates)
             exhaustive = candidates.size * heavy.reps
             print(f"{n:>8} {j:>6} {candidates.size:>11} {reads:>10} {exhaustive:>11}"

@@ -27,17 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import partition_sketch as ps
-from .model import as_indices, integer, positive_int, signal_nonzeros
+from .model import as_indices, bits_list, integer, positive_int, signal_nonzeros
 from .prf import derive_key
-
-
-@dataclass(frozen=True)
-class BTreeLevel:
-    schema: ps.PointQuerySchema
-
-    @property
-    def starts(self) -> np.ndarray:  # built on each read, see PartitionFamily.starts
-        return self.schema.partition.starts
 
 
 @dataclass(frozen=True)
@@ -48,12 +39,12 @@ class BTreeSchema:
     delta: float
     seed: int
     depth: int  # levels are 0..depth inclusive
-    levels: tuple[BTreeLevel, ...]
+    levels: tuple[ps.PointQuerySchema, ...]
     constants: ps.SketchConstants
 
     @property
     def total_rows(self) -> int:
-        return sum(level.schema.rows for level in self.levels)
+        return sum(level.rows for level in self.levels)
 
     @property
     def cap(self) -> int:
@@ -67,7 +58,7 @@ class BTreeSchema:
         is not the integer index of a ``level`` part raises ``ValueError``."""
         if not 0 <= level < self.depth:
             raise ValueError(f"level {level} has no child level: need 0 <= level < {self.depth}")
-        parent, child = (lv.schema.partition for lv in self.levels[level : level + 2])
+        parent, child = (lv.partition for lv in self.levels[level : level + 2])
         parts = np.atleast_1d(as_indices(parts, parent.size, f"level-{level} part"))
         ratio = parent.width // child.width
         first = parts * ratio
@@ -127,10 +118,8 @@ def build_schema(
         depth += 1
     level_delta = delta / (b * k * max(depth, 1))
     levels = tuple(
-        BTreeLevel(ps.build_schema(
-            ps.PartitionFamily(n=n, size=-(-n // width), width=width), k, level_delta,
-            seed=int(derive_key(seed, 100 + r)), constants=constants,
-        ))
+        ps.build_schema(ps.PartitionFamily(n=n, size=-(-n // width), width=width), k,
+                        level_delta, seed=int(derive_key(seed, 100 + r)), constants=constants)
         for r, width in enumerate(_level_widths(n, k, b, depth))
     )
     return BTreeSchema(
@@ -142,16 +131,7 @@ def measure(schema: BTreeSchema, x) -> list[ps.SketchBits]:
     """Sign measurements for every level, root first, from one shared
     gaussian draw; the levels nest by construction (``_level_widths``)."""
     nz, vals = signal_nonzeros(x, schema.n)
-    levels = [level.schema for level in schema.levels]
-    return ps._measure(levels, nz, vals, [s.partition.parts_of(nz) for s in levels])
-
-
-def build_and_measure(
-    x, n: int, k: int, b: int, delta: float, seed: int,
-    constants: ps.SketchConstants = ps.SketchConstants(),
-) -> tuple[BTreeSchema, list[ps.SketchBits]]:
-    schema = build_schema(n, k, b, delta, seed, constants)
-    return schema, measure(schema, x)
+    return ps._measure(schema.levels, nz, vals, [s.partition.parts_of(nz) for s in schema.levels])
 
 
 def decode(schema: BTreeSchema, level_bits: list[ps.SketchBits]) -> BTreeDecodeResult:
@@ -164,14 +144,11 @@ def decode(schema: BTreeSchema, level_bits: list[ps.SketchBits]) -> BTreeDecodeR
     every candidate, an upper bound: the vote stops reading a part once it
     cannot pass.
     """
-    if len(level_bits) != len(schema.levels):
-        raise ValueError(
-            f"got bits for {len(level_bits)} levels, schema has {len(schema.levels)}"
-        )
-    pairs = [ps._check_bits(lv.schema, bits) for lv, bits in zip(schema.levels, level_bits)]
+    level_bits = bits_list(level_bits, len(schema.levels), "b-tree level")
+    pairs = [ps._check_bits(lv, bits) for lv, bits in zip(schema.levels, level_bits)]
     point_queries = bit_reads = 0
     per_level = []
-    for r, level in enumerate(lv.schema for lv in schema.levels):
+    for r, level in enumerate(schema.levels):
         # the root's candidates are all its parts, a finer level's the
         # survivors' children: sorted and distinct, as the survivors are
         candidates = schema.children(r - 1, survivors) if r else np.arange(level.partition.size)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import partition_sketch as ps
-from .model import as_indices, integer, positive_int, signal_nonzeros
+from .model import as_indices, bits_list, integer, positive_int, signal_nonzeros
 from .prf import derive_key, uniform_index
 from .rscode import ChunkCode
 
@@ -398,7 +398,6 @@ def recover(
     schema: ExpanderSchema, bits: tuple[LayerBits, ...]
 ) -> tuple[np.ndarray, np.ndarray, RecoveryDiagnostics]:
     """Full decode: per-layer lists, then link-and-cluster reassembly."""
-    if len(bits) != schema.layers_count:
-        raise ValueError("layer bit count does not match schema")
+    bits = bits_list(bits, schema.layers_count, "layered-sketch layer")
     lists = [layer_decode(schema, j, bits[j]) for j in range(schema.layers_count)]
     return link_cluster_decode(schema, lists)

@@ -175,6 +175,14 @@ def _hh_header(s: heavy_hitters.HeavyHitterSchema) -> dict:
             "constants": asdict(s.constants)}
 
 
+def _bucketed_k(h: dict, field: str) -> int:
+    """The header's k, once its ``field`` holds the bucket count n and k give:
+    a forged k is caught before a rebuild builds a layered sketch per bucket."""
+    if h[field] != heavy_hitters.bucket_count(h["n"], h["k"]):
+        raise ValueError(f"rebuilt schema does not match file header field {field!r}")
+    return h["k"]
+
+
 def _pipeline_header(s: recovery.PipelineSchema) -> dict:
     header = _hh_header(s.support_schema)
     header["hh_buckets"] = header.pop("buckets")
@@ -221,9 +229,9 @@ SCHEMES = {
         schema_type=btree.BTreeSchema,
         header=lambda s: {"n": s.n, "k": s.k, "b": s.b, "delta": s.delta, "seed": s.seed,
                           "levels": len(s.levels), "constants": asdict(s.constants),
-                          "widths": [level.schema.partition.width for level in s.levels]},
+                          "widths": [level.partition.width for level in s.levels]},
         rebuild=lambda h, c: btree.build_schema(h["n"], h["k"], h["b"], h["delta"], h["seed"], c),
-        layout=lambda s, take: [take(level.schema) for level in s.levels],
+        layout=lambda s, take: [take(level) for level in s.levels],
     ),
     "expander": Scheme(
         build=lambda c, n, seed: expander.build_schema(n, c.k, seed),
@@ -239,7 +247,8 @@ SCHEMES = {
         build=lambda c, n, seed: heavy_hitters.build_schema(n, c.k, seed),
         measure=heavy_hitters.measure, decode=_decode_heavy_hitters, judge=_judge_coords,
         schema_type=heavy_hitters.HeavyHitterSchema, header=_hh_header,
-        rebuild=lambda h, c: heavy_hitters.build_schema(h["n"], h["k"], h["seed"], c),
+        rebuild=lambda h, c: heavy_hitters.build_schema(h["n"], _bucketed_k(h, "buckets"),
+                                                        h["seed"], c),
         layout=_buckets, optional=("degree", "error_fraction"),
     ),
     "pipeline": Scheme(
@@ -249,8 +258,8 @@ SCHEMES = {
         measure=recovery.measure, decode=_decode_pipeline, judge=_judge_estimate,
         schema_type=recovery.PipelineSchema, header=_pipeline_header,
         rebuild=lambda h, c: recovery.build_pipeline(
-            h["n"], h["k"], h["delta"], h["seed"], gauss_rows=h["gauss_rows"],
-            noise_sigma=h["noise_sigma"], constants=c,
+            h["n"], _bucketed_k(h, "hh_buckets"), h["delta"], h["seed"],
+            gauss_rows=h["gauss_rows"], noise_sigma=h["noise_sigma"], constants=c,
         ),
         layout=lambda s, take: recovery.PipelineBits(
             support_bits=_buckets(s.support_schema, take), sign_bits=take(s.gauss_schema)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import expander
 from . import partition_sketch as ps
-from .model import integer, positive_int, signal_nonzeros
+from .model import bits_list, integer, positive_int, signal_nonzeros
 from .prf import derive_key, uniform_index
 
 # buckets per unit of k / log2(n), rounded up: one below expander.max_sparsity(n)
@@ -55,6 +55,14 @@ class HeavyHitterSchema:
         return uniform_index(self.bucket_key, np.arange(self.n), self.buckets)
 
 
+def bucket_count(n: int, k: int) -> int:
+    """ceil(BUCKET_FACTOR * k / log2(n)), at least 1: the buckets of a
+    schema for sparsity k over [n].  n < 2 or k > n raises ``ValueError``."""
+    if n < 2 or k > n:
+        raise ValueError(f"invalid (n={n}, k={k})")
+    return max(1, math.ceil(BUCKET_FACTOR * k / math.log2(n)))
+
+
 def build_schema(
     n: int,
     k: int,
@@ -63,14 +71,12 @@ def build_schema(
 ) -> HeavyHitterSchema:
     """Bucketing layout plus one layered sketch per bucket.
 
-    Coordinates hash into ceil(BUCKET_FACTOR * k / log2(n)) buckets, each
+    Coordinates hash into ``bucket_count(n, k)`` buckets, each
     with a layered sketch for sparsity min(k, ``expander.max_sparsity(n)``).
     Below that limit this is one bucket of sparsity k: no bucketing.
     """
     n, k, seed = positive_int(n, "n"), positive_int(k, "k"), integer(seed, "seed")
-    if n < 2 or k > n:
-        raise ValueError(f"invalid (n={n}, k={k})")
-    buckets = max(1, math.ceil(BUCKET_FACTOR * k / math.log2(n)))
+    buckets = bucket_count(n, k)
     sub_sparsity = min(k, expander.max_sparsity(n))
     subs = tuple(
         expander.build_schema(n, sub_sparsity, seed=int(derive_key(seed, 600 + j)),
@@ -103,8 +109,7 @@ def decode(
 ) -> tuple[np.ndarray, np.ndarray, list[expander.RecoveryDiagnostics]]:
     """Union of per-bucket recoveries, each coordinate with its best score,
     capped at cap_factor * k by score (``ps.cap_by_score``)."""
-    if len(bucket_bits) != schema.buckets:
-        raise ValueError("bucket bit count does not match schema")
+    bucket_bits = bits_list(bucket_bits, schema.buckets, "heavy-hitter bucket")
     coords, scores, diags = zip(*(
         expander.recover(sub_schema, bits)
         for sub_schema, bits in zip(schema.sub_schemas, bucket_bits)

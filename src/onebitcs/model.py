@@ -67,6 +67,14 @@ def positive_int(value, what: str) -> int:
     raise ValueError(f"{what} must be a positive integer, not {value!r}")
 
 
+def bits_list(bits, count: int, what: str):
+    """``bits`` if it is a list or tuple of ``count`` entries, else ``ValueError``."""
+    if not (isinstance(bits, (list, tuple)) and len(bits) == count):
+        got = len(bits) if isinstance(bits, (list, tuple)) else type(bits).__name__
+        raise ValueError(f"{what} bits must be a list or tuple of {count}, not {got}")
+    return bits
+
+
 def signal_nonzeros(x, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Validate a signal of length n; its nonzero coordinates, ascending, and
     their values: the one scan of x each measure takes and hands down."""

@@ -106,11 +106,6 @@ class PartitionFamily:
         keys = _sorted_distinct(names)
         return cls(n=names.shape[1], size=keys.shape[1], names=names, keys=keys)
 
-    @property
-    def starts(self) -> np.ndarray:
-        """An interval partition's part starts, built on each read; the library reads none."""
-        return np.arange(self.size, dtype=np.int64) * self.width
-
     def parts_of(self, coords) -> np.ndarray:
         """Part index of each coordinate (vectorized); a coordinate that is
         not an integer in [0, n) raises ``ValueError``."""
@@ -452,7 +447,7 @@ def point_query(schema: PointQuerySchema, sketch: SketchBits, part: int) -> int:
     return int(count_sketch_decode(schema, sketch, [part]).size)
 
 
-def nonzero_candidates(schema: PointQuerySchema, sketch: SketchBits) -> np.ndarray:
+def _nonzero_candidates(schema: PointQuerySchema, pairs: np.ndarray) -> np.ndarray:
     """Parts whose three bucket rows are nonzero in each of the first
     ``PROBE_REPS`` repetitions.
 
@@ -467,11 +462,8 @@ def nonzero_candidates(schema: PointQuerySchema, sketch: SketchBits) -> np.ndarr
     the survivors; on dense ones every part passes and the work is that of
     probing all repetitions at once.  Each sweep runs through
     ``prf.map_blocks`` in blocks of about ``prf.BLOCK_WORDS`` PRF words.
+    ``pairs`` are the sketch's checked bit pairs (``_check_bits``).
     """
-    return _nonzero_candidates(schema, _check_bits(schema, sketch))
-
-
-def _nonzero_candidates(schema: PointQuerySchema, pairs: np.ndarray) -> np.ndarray:
     reps = min(PROBE_REPS, schema.reps)
 
     def sweep(parts, first, last):

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .model import positive_int
+from .model import integer, positive_int
 
 U64 = np.uint64
 
@@ -299,12 +299,16 @@ class RandomSource:
     seed: int
     label: tuple[int, ...] = ()
 
+    def __post_init__(self):
+        object.__setattr__(self, "seed", integer(self.seed, "random seed"))
+        object.__setattr__(self, "label", tuple(integer(w, "label word") for w in self.label))
+
     @property
     def key(self) -> np.uint64:
         return derive_key(self.seed, *self.label)
 
     def derive(self, *words: int) -> "RandomSource":
-        return RandomSource(self.seed, self.label + tuple(int(w) for w in words))
+        return RandomSource(self.seed, self.label + words)
 
     def gaussian(self, idx) -> np.ndarray:
         return standard_normal(self.key, idx)

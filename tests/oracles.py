@@ -275,7 +275,7 @@ def btree_measure_per_level(schema, x):
     """b-tree bits with every level measured on its own, each drawing its
     gaussians with its own key: the encoder of the b-tree before its levels
     shared one draw.  Files it wrote are still ``onebitcs-bits v2``."""
-    return [measure(level.schema, x) for level in schema.levels]
+    return [measure(level, x) for level in schema.levels]
 
 
 def bucket_split(schema, x):
@@ -437,8 +437,9 @@ def measure_signal(case, schema):
 def children_loop(schema, level, parts):
     """Children of each of ``parts`` of a b-tree level, part by part: the
     parts of the next level whose start lies in the parent's interval."""
-    starts = [int(s) for s in schema.levels[level].starts] + [schema.n]
-    nxt = schema.levels[level + 1].starts
+    parent, child = (lv.partition for lv in schema.levels[level : level + 2])
+    starts = [int(s) for s in np.arange(parent.size) * parent.width] + [schema.n]
+    nxt = np.arange(child.size) * child.width
     out = []
     for p in parts:
         out.extend(c for c in range(nxt.size) if starts[p] <= nxt[c] < starts[p + 1])

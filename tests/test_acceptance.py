@@ -114,11 +114,12 @@ def test_04_btree_end_to_end():
     budget_ok = True
     for t in range(trials):
         x, sup = sparse_unit(n, k, 46_000 + t)
-        schema, bits = btree.build_and_measure(x, n, k, b, delta, seed=47_000 + t)
+        schema = btree.build_schema(n, k, b, delta, seed=47_000 + t)
+        bits = btree.measure(schema, x)
         rows_exact &= schema.total_rows == closed_form
         rows_exact &= sum(lb.bits.size for lb in bits) == closed_form
         result = btree.decode(schema, bits)
-        t0 = schema.levels[0].starts.size
+        t0 = schema.levels[0].partition.size
         budget_ok &= result.point_queries <= t0 + b * schema.cap * schema.depth
         full += bool(np.isin(sup, result.indices).all())
     criterion(
@@ -292,7 +293,8 @@ def test_11_invariant_suites():
             ps.count_sketch_decode(schema, ps.measure(schema, 0.125 * x)),
         ):
             violations.append(f"count-sketch scaling (seed {seed})")
-        bt_schema, bt_bits = btree.build_and_measure(x, n, k, 4, 0.1, seed=seed)
+        bt_schema = btree.build_schema(n, k, 4, 0.1, seed=seed)
+        bt_bits = btree.measure(bt_schema, x)
         bt_scaled = btree.measure(bt_schema, 9.5 * x)
         if not np.array_equal(
             btree.decode(bt_schema, bt_bits).indices,

@@ -21,11 +21,11 @@ class TestBuild:
 
     def test_root_has_about_k_parts(self):
         schema = btree.build_schema(1 << 16, 8, 16, 0.05, seed=1)
-        assert schema.levels[0].starts.size == 8
+        assert schema.levels[0].partition.size == 8
 
     def test_leaves_are_singletons(self):
         schema = btree.build_schema(100, 3, 3, 0.1, seed=1)
-        assert schema.levels[-1].starts.size == 100
+        assert schema.levels[-1].partition.size == 100
 
     def test_rejects_n_beyond_int64_indices(self):
         with pytest.raises(ValueError, match=f"n={1 << 64}"):
@@ -67,7 +67,7 @@ class TestBuild:
 
         schema = btree.build_schema(n, 16, 16, 0.05, seed=1)
         for level in schema.levels:  # cache the keys, so the walk sees them too
-            level.schema.bucket_key, level.schema.gauss_key
+            level.bucket_key, level.gauss_key
         assert arrays(schema) == []
 
     def test_rejects_bad_branching(self):
@@ -98,15 +98,15 @@ class TestBuild:
         k = min(k, n)
         schema = btree.build_schema(n, k, b, 0.2, seed=4)
         for r in range(len(schema.levels) - 1):
-            child_starts = schema.levels[r + 1].starts
+            child_parts = schema.levels[r + 1].partition.size
             seen = []
-            for part in range(schema.levels[r].starts.size):
+            for part in range(schema.levels[r].partition.size):
                 kids = schema.children(r, part)
                 assert kids.size <= b
                 seen.append(kids)
             seen = np.concatenate(seen)
             # every child is enumerated exactly once, by exactly one parent
-            assert np.array_equal(seen, np.arange(child_starts.size))
+            assert np.array_equal(seen, np.arange(child_parts))
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(10, 400), st.integers(1, 6), st.integers(2, 7), st.randoms())
@@ -114,7 +114,7 @@ class TestBuild:
         k = min(k, n)
         schema = btree.build_schema(n, k, b, 0.2, seed=4)
         for r in range(len(schema.levels) - 1):
-            size = schema.levels[r].starts.size
+            size = schema.levels[r].partition.size
             parts = sorted(rnd.sample(range(size), rnd.randint(0, size)))
             got = schema.children(r, np.array(parts, dtype=np.int64))
             assert got.dtype == np.int64
@@ -125,7 +125,7 @@ class TestBuild:
         # passes int64, yet its children stop at the child level's last part
         schema = btree.build_schema((1 << 63) - 1, 2, 16, 0.05, seed=5)
         for r in range(schema.depth):
-            parent, child = (lv.schema.partition for lv in schema.levels[r : r + 2])
+            parent, child = (lv.partition for lv in schema.levels[r : r + 2])
             ratio = parent.width // child.width
             first = (parent.size - 1) * ratio
             kids = schema.children(r, [parent.size - 1])
@@ -134,7 +134,7 @@ class TestBuild:
     @pytest.mark.parametrize("bad", [[99], [-1], [0.5], np.array([True])])
     def test_children_reject_parts_that_are_not_parts(self, bad):
         schema = btree.build_schema(256, 2, 4, 0.1, seed=5)
-        assert schema.levels[0].starts.size == 2
+        assert schema.levels[0].partition.size == 2
         with pytest.raises(ValueError, match="level-0 part"):
             schema.children(0, bad)
 
@@ -150,7 +150,7 @@ class TestBuild:
         bits = btree.measure(schema, np.zeros(256))
         assert len(bits) == len(schema.levels)
         for level, b in zip(schema.levels, bits):
-            assert b.bits.shape == (level.schema.reps, 3, level.schema.buckets, 2)
+            assert b.bits.shape == (level.reps, 3, level.buckets, 2)
 
 
 class TestMeasure:
@@ -160,15 +160,16 @@ class TestMeasure:
         src = RandomSource(12)
         x = src.gaussian(np.arange(n)) * (src.uniform(np.arange(n)) < 0.3)
         bits = btree.measure(schema, x)
-        root_key = schema.levels[0].schema.gauss_key
+        root_key = schema.levels[0].gauss_key
         for level, got in zip(schema.levels, bits):
-            want = brute_force_bits(level.schema, x, gauss_key=root_key)
+            want = brute_force_bits(level, x, gauss_key=root_key)
             assert np.array_equal(got.bits, want)
 
 
 class TestDecode:
     def test_zero_signal(self):
-        schema, bits = btree.build_and_measure(np.zeros(64), 64, 2, 2, 0.1, seed=6)
+        schema = btree.build_schema(64, 2, 2, 0.1, seed=6)
+        bits = btree.measure(schema, np.zeros(64))
         result = btree.decode(schema, bits)
         assert result.indices.size == 0
 
@@ -179,7 +180,8 @@ class TestDecode:
         for t in range(trials):
             x = np.zeros(16)
             x[7] = 1.0
-            schema, bits = btree.build_and_measure(x, 16, 1, 2, 0.05, seed=700 + t)
+            schema = btree.build_schema(16, 1, 2, 0.05, seed=700 + t)
+            bits = btree.measure(schema, x)
             result = btree.decode(schema, bits)
             hits += bool(7 in result.indices)
         assert hits / trials >= 0.95
@@ -192,7 +194,8 @@ class TestDecode:
             sup = src.derive(1).choice_without_replacement(n, k)
             x = np.zeros(n)
             x[sup] = src.derive(2).signs(np.arange(k)) / math.sqrt(k)
-            schema, bits = btree.build_and_measure(x, n, k, b, 0.05, seed=900 + t)
+            schema = btree.build_schema(n, k, b, 0.05, seed=900 + t)
+            bits = btree.measure(schema, x)
             result = btree.decode(schema, bits)
             assert result.indices.size <= schema.cap
             hits += bool(np.isin(sup, result.indices).all())
@@ -208,8 +211,9 @@ class TestDecode:
             sup = src.derive(1).choice_without_replacement(n, k)
             x = np.zeros(n)
             x[sup] = src.derive(2).signs(np.arange(k)) / math.sqrt(k)
-            schema, bits = btree.build_and_measure(x, n, k, b, 0.05, seed=1200 + t)
-            assert [lv.schema.partition.width for lv in schema.levels] == [343, 49, 7, 1]
+            schema = btree.build_schema(n, k, b, 0.05, seed=1200 + t)
+            bits = btree.measure(schema, x)
+            assert [lv.partition.width for lv in schema.levels] == [343, 49, 7, 1]
             hits += bool(np.isin(sup, btree.decode(schema, bits).indices).all())
         assert hits / trials >= 1 - 2 * 0.05 - 3 * math.sqrt(0.1 * 0.9 / trials)
 
@@ -217,9 +221,10 @@ class TestDecode:
         n, k, b = 1 << 12, 4, 8
         x = np.zeros(n)
         x[5] = 1.0
-        schema, bits = btree.build_and_measure(x, n, k, b, 0.05, seed=7)
+        schema = btree.build_schema(n, k, b, 0.05, seed=7)
+        bits = btree.measure(schema, x)
         result = btree.decode(schema, bits)
-        t0 = schema.levels[0].starts.size
+        t0 = schema.levels[0].partition.size
         assert result.point_queries <= t0 + b * schema.cap * schema.depth
 
     def test_locality_bit_reads_below_total(self):
@@ -227,7 +232,8 @@ class TestDecode:
         n, k, b = 1 << 14, 2, 16
         x = np.zeros(n)
         x[12345] = 1.0
-        schema, bits = btree.build_and_measure(x, n, k, b, 0.1, seed=8)
+        schema = btree.build_schema(n, k, b, 0.1, seed=8)
+        bits = btree.measure(schema, x)
         result = btree.decode(schema, bits)
         total_bits = schema.total_rows
         assert result.bit_reads < total_bits
@@ -236,14 +242,16 @@ class TestDecode:
         # the zero signal empties the root level, so no level below it is
         # voted on, yet every level's bits are checked
         n = 1 << 12
-        schema, bits = btree.build_and_measure(np.zeros(n), n, 4, 16, 0.1, seed=10)
+        schema = btree.build_schema(n, 4, 16, 0.1, seed=10)
+        bits = btree.measure(schema, np.zeros(n))
         assert btree.decode(schema, bits).per_level_survivors[0] == 0
         bits[1] = ps.SketchBits(bits=np.ones((1, 3, 2, 2), dtype=np.int8))
         with pytest.raises(ValueError, match="bit tensor"):
             btree.decode(schema, bits)
 
     def test_level_mismatch_rejected(self):
-        schema, bits = btree.build_and_measure(np.zeros(64), 64, 2, 2, 0.1, seed=9)
+        schema = btree.build_schema(64, 2, 2, 0.1, seed=9)
+        bits = btree.measure(schema, np.zeros(64))
         with pytest.raises(ValueError):
             btree.decode(schema, bits[:-1])
 
@@ -254,7 +262,8 @@ class TestDecode:
             n = 1 << exp
             x = np.zeros(n)
             x[n // 3] = 1.0
-            schema, bits = btree.build_and_measure(x, n, 2, 4, 0.1, seed=10 + exp)
+            schema = btree.build_schema(n, 2, 4, 0.1, seed=10 + exp)
+            bits = btree.measure(schema, x)
             result = btree.decode(schema, bits)
             ratios.append((result.point_queries + result.bit_reads) / n)
         assert all(a > b for a, b in zip(ratios, ratios[1:]))

@@ -68,7 +68,7 @@ class TestPartitionFamily:
         part = ps.PartitionFamily.contiguous(10, 4)
         assert part.size == 4
         assert part.parts_of(np.arange(10)).tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2, 3]
-        assert part.width == 3 and part.starts.tolist() == [0, 3, 6, 9]
+        assert part.width == 3
 
     @pytest.mark.parametrize("n, parts", [(0, 4), (-1, 4), (10, 0), (0, 0)])
     def test_contiguous_rejects_an_empty_signal_or_no_parts(self, n, parts):
@@ -222,12 +222,12 @@ class TestMeasure:
         bits = ps.measure(schema, x)
         pairs = ps._check_bits(schema, bits)
         vote = ps._count_sketch_decode(schema, pairs, None)
-        probe = ps.nonzero_candidates(schema, bits)
+        probe = ps._nonzero_candidates(schema, ps._check_bits(schema, bits))
         monkeypatch.setattr(prf, "BLOCK_WORDS", block_words)
         assert np.array_equal(ps.measure(schema, x).bits, bits.bits)
         for got, want in zip(ps._count_sketch_decode(schema, pairs, None), vote):
             assert np.array_equal(got, want)
-        assert np.array_equal(ps.nonzero_candidates(schema, bits), probe)
+        assert np.array_equal(ps._nonzero_candidates(schema, ps._check_bits(schema, bits)), probe)
 
 
 def nested_label_schemas():
@@ -485,7 +485,7 @@ class TestQuery:
         with pytest.raises(ValueError, match="does not match the schema"):
             ps.point_query(schema, bad, 0)
         with pytest.raises(ValueError, match="does not match the schema"):
-            ps.nonzero_candidates(schema, bad)
+            ps._nonzero_candidates(schema, ps._check_bits(schema, bad))
         with pytest.raises(ValueError, match="does not match the schema"):
             ps.count_sketch_decode(schema, bad)
 
@@ -508,7 +508,7 @@ class TestQuery:
         bits = ps.measure(schema, x)
         corrupt(bits.bits)
         with pytest.raises(ValueError, match="bit tensor holds"):
-            ps.nonzero_candidates(schema, bits)
+            ps._nonzero_candidates(schema, ps._check_bits(schema, bits))
         with pytest.raises(ValueError, match="bit tensor holds"):
             ps.count_sketch_decode(schema, bits)
         with pytest.raises(ValueError, match="bit tensor holds"):
@@ -615,7 +615,7 @@ class TestCountSketchDecode:
         x = np.zeros(n)
         x[[8, 200]] = [1.0, -0.8]
         bits = ps.measure(schema, x)
-        candidates = ps.nonzero_candidates(schema, bits)
+        candidates = ps._nonzero_candidates(schema, ps._check_bits(schema, bits))
         occupied = np.unique(part.parts_of([8, 200]))
         assert np.isin(occupied, candidates).all()
         pruned = ps.count_sketch_decode(schema, bits, candidates)
@@ -629,7 +629,7 @@ class TestCountSketchDecode:
         schema, bits = sparse_probe_case()
         monkeypatch.setattr(prf, "BLOCK_WORDS", block_words)
         monkeypatch.setattr(ps, "PROBE_REPS", probe_reps)
-        probe = ps.nonzero_candidates(schema, bits)
+        probe = ps._nonzero_candidates(schema, ps._check_bits(schema, bits))
         assert np.array_equal(probe, probe_all_reps(schema, bits, probe_reps))
         assert np.isin([3, 37, 31], probe).all()  # the occupied parts
 
@@ -661,7 +661,8 @@ class TestVote:
         for candidates in (None, subset):
             parts, good = ps._count_sketch_decode(schema, ps._check_bits(schema, bits), candidates)
             assert np.array_equal(good, exhaustive_stats(schema, bits, parts)[0])
-        assert np.array_equal(ps.nonzero_candidates(schema, bits), probe_all_reps(schema, bits, 8))
+        probe = ps._nonzero_candidates(schema, ps._check_bits(schema, bits))
+        assert np.array_equal(probe, probe_all_reps(schema, bits, 8))
 
     @pytest.mark.parametrize("block_words", [1, prf.BLOCK_WORDS])
     @pytest.mark.parametrize("case", VOTE_CASES + ("sparse-probe",))

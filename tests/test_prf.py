@@ -54,6 +54,19 @@ def test_same_stream_twice_identical():
     assert np.array_equal(src.signs(idx), src.signs(idx))
 
 
+@pytest.mark.parametrize("seed, words", [(2.7, ()), (True, ()), (2, (1.5,)), (2, (False,))])
+def test_random_source_rejects_seeds_and_words_that_are_not_integers(seed, words):
+    # int() would truncate 2.7 to 2 and True to 1: another stream, silently
+    with pytest.raises(ValueError, match="must be an integer"):
+        RandomSource(seed).derive(*words)
+
+
+def test_random_source_keys_numpy_integers_like_python_ints():
+    src = RandomSource(np.int64(2)).derive(np.uint32(3), 4)
+    assert src == RandomSource(2).derive(3, 4) and type(src.seed) is int
+    assert src.key == RandomSource(2, (3, 4)).key
+
+
 def test_gaussian_moments():
     # one million draws: mean within 0.01 of 0, variance within 0.01 of 1
     g = standard_normal(derive_key(7, 1), np.arange(10**6))

@@ -18,7 +18,7 @@ import pytest
 from oracles import sparse_unit
 
 from onebitcs import partition_sketch as ps
-from onebitcs import btree, cli, expander, harness, recovery, serialize, signals
+from onebitcs import btree, cli, expander, harness, heavy_hitters, recovery, serialize, signals
 from onebitcs.prf import RandomSource
 
 # scheme -> small experiment; k = 12 at n = 2^10 buckets the heavy hitters
@@ -121,6 +121,19 @@ def test_harness_cli_and_files_name_the_same_schemes():
     assert scheme_choices("encode") == file_schemes == set(FILE_DIGESTS)
 
 
+@pytest.mark.parametrize("model", [signals.EXACT_SPARSE, signals.SPARSE_PLUS_TAIL])
+@pytest.mark.parametrize("scheme", [name for name, s in harness.SCHEMES.items() if s.layout])
+def test_positive_scaling_keeps_the_bits(scheme, model):
+    # sign measurements see x only up to a positive scale; x * 4 and x / 4
+    # are exact in floating point, and the pipeline's noise_sigma is 0
+    steps = harness.SCHEMES[scheme]
+    schema = build(scheme, 9)
+    x = signals.gen_signal(model, schema.n, EXPERIMENTS[scheme]["k"], RandomSource(9))
+    want = serialize._blocks(steps.measure(schema, x))
+    for scale in (4.0, 0.25):
+        assert serialize._blocks(steps.measure(schema, x * scale)) == want, scale
+
+
 def build(scheme, seed):
     """The scheme's schema for its small experiment, built from ``seed``."""
     config = harness.ExperimentConfig(scheme=scheme, **EXPERIMENTS[scheme])
@@ -148,19 +161,28 @@ def test_numpy_integer_seed_round_trips_through_a_file(tmp_path, scheme):
 
 def wrong_bits(entry):
     """A decoder entry point called with bits of the wrong type: arrays or
-    tuples where it takes the bits dataclasses."""
+    tuples where it takes the bits dataclasses, or an int where it takes a
+    list of them."""
     x, _ = sparse_unit(256, 2, 7)
-    if entry in ("count_sketch_decode", "nonzero_candidates"):
+    if entry == "count_sketch_decode":
         schema = ps.build_schema(ps.PartitionFamily.contiguous(256, 16), 2, 0.1, seed=1)
-        return getattr(ps, entry)(schema, ps.measure(schema, x).bits)
-    if entry == "btree.decode":
+        return ps.count_sketch_decode(schema, ps.measure(schema, x).bits)
+    if entry.startswith("btree.decode"):
         schema = btree.build_schema(256, 2, 4, 0.1, seed=1)
+        if entry == "btree.decode(5)":
+            return btree.decode(schema, 5)
         return btree.decode(schema, [b.bits for b in btree.measure(schema, x)])
-    if entry == "recovery.decode":
+    if entry == "heavy_hitters.decode(5)":
+        return heavy_hitters.decode(heavy_hitters.build_schema(256, 2, seed=1), 5)
+    if entry.startswith("recovery.decode"):
         schema = recovery.build_pipeline(256, 2, 0.4, seed=1, gauss_rows=64)
         bits = recovery.measure(schema, x)
+        if entry == "recovery.decode(support_bits=5)":
+            return recovery.decode(schema, recovery.PipelineBits(5, bits.sign_bits))
         return recovery.decode(schema, (bits.support_bits, bits.sign_bits))
     schema = expander.build_schema(256, 2, seed=1)
+    if entry == "recover(5)":
+        return expander.recover(schema, 5)
     bits = expander.measure(schema, x)
     if entry == "layer_decode":
         return expander.layer_decode(schema, 0, (bits[0].heavy, bits[0].check))
@@ -168,8 +190,9 @@ def wrong_bits(entry):
 
 
 @pytest.mark.parametrize("entry", [
-    "count_sketch_decode", "nonzero_candidates", "btree.decode", "layer_decode",
-    "recover", "recovery.decode",
+    "count_sketch_decode", "btree.decode", "btree.decode(5)", "heavy_hitters.decode(5)",
+    "layer_decode", "recover", "recover(5)", "recovery.decode",
+    "recovery.decode(support_bits=5)",
 ])
 def test_decoders_reject_bits_of_the_wrong_type(entry):
     with pytest.raises(ValueError, match="bits must be"):

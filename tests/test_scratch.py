@@ -69,12 +69,12 @@ def oracle(name):
     block of entries."""
     x = signals()[name]
     sketch, tree, gauss = schemas()
-    root = tree.levels[0].schema.gauss_key
+    root = tree.levels[0].gauss_key
     entries = gauss.entries(np.arange(gauss.rows), np.arange(N))
     y = np.where(entries @ x >= 0, 1, -1).astype(np.int8)
     return (
         [brute_force_bits(sketch, x)]
-        + [brute_force_bits(level.schema, x, gauss_key=root) for level in tree.levels]
+        + [brute_force_bits(level, x, gauss_key=root) for level in tree.levels]
         + [y, entries[:, ::4].T @ y.astype(np.float64)]
     )
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -89,7 +90,8 @@ class TestFiles:
     def test_btree_file_round_trip(self, tmp_path):
         n, k, b = 256, 2, 4
         x, sup = sparse_unit(n, k, 23)
-        schema, bits = btree.build_and_measure(x, n, k, b, 0.1, seed=24)
+        schema = btree.build_schema(n, k, b, 0.1, seed=24)
+        bits = btree.measure(schema, x)
         path = tmp_path / "t.bits"
         serialize.save(str(path), schema, bits)
         _, schema2, bits2 = serialize.load_measurement(str(path))
@@ -277,7 +279,8 @@ def rewrite(path, edit_header=None, edit_blocks=None):
 class TestMalformedHeaders:
     def test_btree_file_with_an_extra_block_rejected(self, tmp_path):
         x, _ = sparse_unit(256, 2, 23)
-        schema, bits = btree.build_and_measure(x, 256, 2, 4, 0.1, seed=24)
+        schema = btree.build_schema(256, 2, 4, 0.1, seed=24)
+        bits = btree.measure(schema, x)
         path = tmp_path / "t.bits"
         serialize.save(str(path), schema, bits)
         rewrite(path, edit_blocks=lambda blocks: blocks + [blocks[-1]])
@@ -297,7 +300,8 @@ class TestMalformedHeaders:
         # measured under other partitions: at n = 1000, k = 3, b = 7 the
         # widths were 334, 48, 7, 1 and are now 343, 49, 7, 1
         x, _ = sparse_unit(1000, 3, 23)
-        schema, bits = btree.build_and_measure(x, 1000, 3, 7, 0.1, seed=24)
+        schema = btree.build_schema(1000, 3, 7, 0.1, seed=24)
+        bits = btree.measure(schema, x)
         path = tmp_path / "t.bits"
         serialize.save(str(path), schema, bits)
         assert serialize.read_blocks(str(path))[1]["widths"] == [343, 49, 7, 1]
@@ -326,7 +330,7 @@ class TestMalformedHeaders:
         # header is then made that of n = 2^64, also depth 16: every derived
         # field agrees, so only the bound on n can reject it
         schema = btree.build_schema(1 << 62, 2, 16, 0.05, seed=24)
-        zero = [ps.SketchBits(bits=np.ones((lv.schema.reps, 3, lv.schema.buckets, 2), np.int8))
+        zero = [ps.SketchBits(bits=np.ones((lv.reps, 3, lv.buckets, 2), np.int8))
                 for lv in schema.levels]
         path = tmp_path / "t.bits"
         serialize.save(str(path), schema, zero)
@@ -347,6 +351,44 @@ class TestMalformedHeaders:
         rewrite(path, edit_blocks=lambda blocks: blocks[1:])
         with pytest.raises(ValueError, match="bit blocks"):
             serialize.load_measurement(str(path))
+
+    @pytest.mark.parametrize("drop", [False, True], ids=["kept", "dropped"])
+    @pytest.mark.parametrize("scheme, field", [("heavy-hitters", "buckets"),
+                                               ("pipeline", "hh_buckets")])
+    def test_forged_k_rejected_before_the_rebuild(self, tmp_path, scheme, field, drop):
+        # k = 4096 at n = 2^12 would build 342 layered sketches, one per
+        # bucket, before the header check that follows the rebuild
+        n = 1 << 12
+        if scheme == "pipeline":
+            schema = recovery.build_pipeline(n, 4, 0.3, seed=31, gauss_rows=400)
+        else:
+            schema = heavy_hitters.build_schema(n, 4, seed=31)
+        path = tmp_path / "f.bits"
+        serialize.save(str(path), schema, harness.SCHEMES[scheme].measure(schema, np.ones(n)))
+
+        def load_peak():
+            """The tracemalloc peak of loading the file, and what it raised."""
+            error = None
+            tracemalloc.start()
+            try:
+                serialize.load_measurement(str(path))
+            except ValueError as e:
+                error = e
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            return peak, error
+
+        honest, error = load_peak()
+        assert error is None
+        def forge(header):
+            header["k"] = 4096
+            if drop:  # a file header may not lack the bucket field either
+                del header[field]
+
+        rewrite(path, edit_header=forge)
+        forged, error = load_peak()
+        assert type(error) is ValueError and f"field '{field}'" in str(error)
+        assert forged < 2 * honest
 
     def test_missing_block_lengths_rejected(self, tmp_path):
         path = ppcs_file(tmp_path)
@@ -454,7 +496,7 @@ class TestImpossiblePairs:
 # at n = 1000 is at the layered sketch's sparsity limit, ceil(log2(n)), and
 # above log2(n), so it makes 2 buckets
 BUILD_INPUTS = {"n": 1000, "k": 10, "delta": 0.1, "seed": 5, "parts": 64, "b": 4,
-                "gauss_rows": 400, "noise_sigma": 0.0}
+                "gauss_rows": 400, "noise_sigma": 0.0, "buckets": 2, "hh_buckets": 2}
 FILE_SCHEMES = [name for name, scheme in harness.SCHEMES.items() if scheme.layout]
 
 

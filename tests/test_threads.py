@@ -91,7 +91,8 @@ def sketch_outputs(schema, x):
     parts, good = ps._count_sketch_decode(schema, ps._check_bits(schema, bits), None)
     sparse = np.zeros_like(x)
     sparse[[7, 150]] = x[[7, 150]] + 1.0
-    probe = ps.nonzero_candidates(schema, ps.measure(schema, sparse))
+    sparse_bits = ps.measure(schema, sparse)
+    probe = ps._nonzero_candidates(schema, ps._check_bits(schema, sparse_bits))
     return bits.bits, parts, good, probe
 
 
@@ -356,9 +357,8 @@ class TestIdenticalOnAnyThreadCount:
         schema, bits = sparse_probe_case()
         monkeypatch.setattr(prf, "BLOCK_WORDS", 16)  # several blocks per sweep
         cpus(count)
-        assert np.array_equal(
-            ps.nonzero_candidates(schema, bits), probe_all_reps(schema, bits, 8)
-        )
+        probe = ps._nonzero_candidates(schema, ps._check_bits(schema, bits))
+        assert np.array_equal(probe, probe_all_reps(schema, bits, 8))
 
     @pytest.mark.parametrize("count", [1, 4])
     @pytest.mark.parametrize("case", ["dense-tail", "cap-ties"])
