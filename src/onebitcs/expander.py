@@ -131,6 +131,18 @@ def max_sparsity(n: int) -> int:
     return max(1, math.ceil(LOG_FACTOR * math.log2(max(n, 2))))
 
 
+def chunk_code(n: int) -> ChunkCode:
+    """The code carrying the names' chunks at n coordinates: ceil(log2 n)
+    message bits (as ``(n - 1).bit_length()``, since a float log2 rounds
+    2^49 + 1 down to 49) over s = max(4, ceil(bits / log2 bits)) chunks, one
+    per layer, ERROR_FRACTION of them correctable.  For every n < 2^63 that
+    is at most 11 chunks and 4 parity symbols (2 up to 36 bits), which
+    bounds ``ChunkCode.decode`` at 67 solves."""
+    message_bits = max(1, (n - 1).bit_length())
+    s = max(4, math.ceil(message_bits / max(1.0, math.log2(max(message_bits, 2)))))
+    return ChunkCode.for_error_fraction(message_bits, s, ERROR_FRACTION)
+
+
 def _word_fields(widths) -> list[range]:
     """Fields of each 64-bit key word: runs of consecutive fields, filled
     greedily, so that comparing the words in order compares the fields in
@@ -194,10 +206,8 @@ def build_schema(
             f"{max_sparsity(n)} for n={n}; reduce per-instance "
             "sparsity by bucketing first"
         )
-    message_bits = max(1, math.ceil(math.log2(n)))
-    log_bits = max(1.0, math.log2(max(message_bits, 2)))
-    s = max(4, math.ceil(message_bits / log_bits))
-    code = ChunkCode.for_error_fraction(message_bits, s, ERROR_FRACTION)
+    code = chunk_code(n)
+    s = code.length
     neighbors = circulant_neighbors(s, DEGREE)
     deg = len(neighbors[0])
     h_range = max(16, math.ceil(math.log2(n)) ** 3)

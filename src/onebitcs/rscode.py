@@ -1,24 +1,38 @@
-"""Systematic Reed-Solomon coding over GF(2^t) for small chunked identifiers.
+"""Systematic Reed-Solomon coding over GF(2^t) for short chunked identifiers.
 
 Coordinate identifiers are split into t-bit symbols, extended with parity
-symbols, and carried one symbol per sketch layer.  Decoding tolerates a
-constant fraction of wrong or missing symbols: with p parity symbols, any
-combination of e errors and f erasures with 2e + f <= p is corrected.
+symbols, and carried one symbol per sketch layer.  A word c of ``length``
+symbols is a codeword exactly when its parity syndromes vanish:
+H c = 0, with H[j-1][pos] = alpha^(j * (length - 1 - pos)) for j = 1..parity.
+Any ``parity`` columns of H are independent (a scaled Vandermonde matrix),
+so codewords differ in at least parity + 1 symbols.  One linear solve over
+GF(2^t), ``_solve``, serves both directions:
 
-Polynomial conventions: codeword polynomials are handled high-order-first
-(symbol 0 is the highest-degree coefficient); locator and evaluator
-polynomials are low-order-first (index = degree).  Syndrome roots start at
-alpha^1.
+- Encoding solves H c = 0 for the parity symbols of each unit message, once
+  per code; a message's parity is the GF-linear combination of those rows.
+- Decoding zeroes the f erased symbols and computes the syndromes s = H r
+  once.  For e = 0, 1, ..., floor((parity - f) / 2) and each set of e
+  non-erased positions, it solves H[:, U] d = s for the corrections d on U,
+  the erasures plus those positions, and takes the first consistent
+  solution.  Two codewords that agree with the word outside f + 2e <= parity
+  positions are equal, so every e errors and f erasures with 2e + f <= parity
+  are corrected, and nothing beyond that budget is returned.
+
+A decode costs at most sum_{e <= floor((p - f) / 2)} C(length - f, e) solves
+of at most p unknowns: length + 1 at parity 2, and at most 67 for the codes
+``expander`` builds (length <= 11, parity <= 4).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import combinations
+from operator import xor
 
 import numpy as np
 
-from .model import as_indices
+from .model import as_indices, integer, positive_int
 
 # primitive polynomials for GF(2^t), t = 2..16
 _PRIMITIVE = {
@@ -29,29 +43,31 @@ _PRIMITIVE = {
 
 
 class GaloisField:
-    """GF(2^t) arithmetic via log/antilog tables."""
+    """GF(2^t) arithmetic via log/antilog tables: numpy arrays ``exp`` and
+    ``log`` for vectorised products, and the same tables as lists for the
+    scalar arithmetic of ``_solve``."""
 
     def __init__(self, t: int):
         if t not in _PRIMITIVE:
             raise ValueError(f"symbol width t={t} unsupported (need 2..16)")
         self.t = t
         self.order = 1 << t
-        poly = _PRIMITIVE[t]
-        exp = np.zeros(2 * (self.order - 1), dtype=np.int64)
-        log = np.zeros(self.order, dtype=np.int64)
+        cycle = self.order - 1
+        exp, log = [0] * cycle, [0] * self.order
         x = 1
-        for i in range(self.order - 1):
+        for i in range(cycle):
             exp[i] = x
             log[x] = i
             x <<= 1
             if x & self.order:
-                x ^= poly
-        exp[self.order - 1 :] = exp[: self.order - 1]
+                x ^= _PRIMITIVE[t]
         # log(0) is a sentinel past every sum of two true logs, and exp is
         # 0 from there on, so a product with a zero factor looks up 0
-        log[0] = 2 * (self.order - 1)
-        self.exp = np.concatenate([exp, np.zeros(2 * (self.order - 1) + 1, dtype=np.int64)])
-        self.log = log
+        log[0] = 2 * cycle
+        self.exp_list = exp * 2 + [0] * (2 * cycle + 1)
+        self.log_list = log
+        self.exp = np.array(self.exp_list, dtype=np.int64)
+        self.log = np.array(log, dtype=np.int64)
 
     def mul(self, a, b):
         return self.exp[self.log[a] + self.log[b]]
@@ -62,92 +78,40 @@ class GaloisField:
             raise ZeroDivisionError("inverse of 0 in GF(2^t)")
         return int(self.exp[(self.order - 1) - self.log[a]])
 
-    def pow_alpha(self, e: int) -> int:
-        """alpha**e for any integer exponent (alpha = 2, the generator)."""
-        return int(self.exp[int(e) % (self.order - 1)])
-
 
 @lru_cache(maxsize=None)
 def _field(t: int) -> GaloisField:
     return GaloisField(t)
 
 
+def _solve(gf: GaloisField, rows, width: int) -> list[int] | None:
+    """The solution of the augmented system ``rows`` = [A | b], A of
+    ``width`` independent columns, by Gauss-Jordan elimination over GF(2^t);
+    None when the system is inconsistent."""
+    exp, log, cycle = gf.exp_list, gf.log_list, gf.order - 1
+    rows = list(rows)
+    for col in range(width):
+        pivot = next(r for r in range(col, len(rows)) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        scale = cycle - log[rows[col][col]]
+        lead = rows[col] = [exp[log[a] + scale] for a in rows[col]]
+        for r, row in enumerate(rows):
+            if r != col and row[col]:
+                factor = log[row[col]]
+                rows[r] = [a ^ exp[log[b] + factor] for a, b in zip(row, lead)]
+    if any(row[width] for row in rows[width:]):
+        return None
+    return [row[width] for row in rows[:width]]
+
+
 @lru_cache(maxsize=None)
-def _generator_poly(t: int, parity: int) -> tuple[int, ...]:
-    """prod_{j=1..parity} (x + alpha^j), high-order-first, monic."""
-    gf = _field(t)
-    g = [1]
-    for j in range(1, parity + 1):
-        root = gf.pow_alpha(j)
-        out = g + [0]
-        for i, c in enumerate(g):
-            out[i + 1] ^= int(gf.mul(c, root))
-        g = out
-    return tuple(g)
-
-
-def _poly_eval_high(gf: GaloisField, coeffs, x: int) -> int:
-    """Evaluate a high-order-first polynomial at x (Horner)."""
-    acc = 0
-    for c in coeffs:
-        acc = int(gf.mul(acc, x)) ^ int(c)
-    return acc
-
-
-def _poly_eval_low(gf: GaloisField, coeffs, x: int) -> int:
-    """Evaluate a low-order-first polynomial at x."""
-    acc = 0
-    xi = 1
-    for c in coeffs:
-        acc ^= int(gf.mul(c, xi))
-        xi = int(gf.mul(xi, x))
-    return acc
-
-
-def _poly_mul_low(gf: GaloisField, a, b) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] ^= int(gf.mul(ca, cb))
-    return out
-
-
-def _poly_mod_high(gf: GaloisField, dividend, divisor) -> list[int]:
-    """Remainder of high-order-first polynomial division (monic divisor)."""
-    out = list(dividend)
-    for i in range(len(dividend) - len(divisor) + 1):
-        coef = out[i]
-        if coef != 0:
-            for j in range(1, len(divisor)):
-                out[i + j] ^= int(gf.mul(divisor[j], coef))
-    return out[-(len(divisor) - 1) :]
-
-
-def _berlekamp_massey(gf: GaloisField, synd: list[int]) -> tuple[list[int], int]:
-    """Minimal LFSR (error locator, low-order-first) for a syndrome sequence."""
-    C = [1]
-    B = [1]
-    L, m, b = 0, 1, 1
-    for i in range(len(synd)):
-        d = synd[i]
-        for j in range(1, len(C)):
-            if j <= i:
-                d ^= int(gf.mul(C[j], synd[i - j]))
-        if d == 0:
-            m += 1
-            continue
-        coef = int(gf.mul(d, gf.inv(b)))
-        new_c = C + [0] * max(0, m + len(B) - len(C))
-        for j, cb in enumerate(B):
-            new_c[m + j] ^= int(gf.mul(coef, cb))
-        if 2 * L <= i:
-            B, L, b, m = C, i + 1 - L, d, 1
-        else:
-            m += 1
-        C = new_c
-    return C[: L + 1], L
+def _check_matrix(t: int, length: int, parity: int) -> tuple[tuple[int, ...], ...]:
+    """H, one row per syndrome: H[j-1][pos] = alpha^(j * (length - 1 - pos))."""
+    exp, cycle = _field(t).exp_list, (1 << t) - 1
+    return tuple(
+        tuple(exp[j * (length - 1 - pos) % cycle] for pos in range(length))
+        for j in range(1, parity + 1)
+    )
 
 
 @dataclass(frozen=True)
@@ -156,7 +120,9 @@ class ChunkCode:
 
     Chunk j of the codeword for identifier i is one t-bit symbol; up to
     chunk_errors() wrong chunks (or twice as many known-missing chunks) are
-    corrected.
+    corrected.  ``message_bits`` and ``length`` must be positive integers,
+    ``parity`` a non-negative integer and ``t`` an integer in 2..16; anything
+    else raises ``ValueError`` naming the field.
     """
 
     message_bits: int
@@ -165,6 +131,11 @@ class ChunkCode:
     parity: int
 
     def __post_init__(self):
+        for name, check in (("message_bits", positive_int), ("length", positive_int),
+                            ("t", integer), ("parity", integer)):
+            object.__setattr__(self, name, check(getattr(self, name), name))
+        if self.t not in _PRIMITIVE:
+            raise ValueError(f"symbol width t={self.t} unsupported (need 2..16)")
         if self.parity < 0 or self.parity >= self.length:
             raise ValueError("parity symbol count out of range")
         if self.data_symbols * self.t < self.message_bits:
@@ -189,6 +160,7 @@ class ChunkCode:
     @classmethod
     def for_error_fraction(cls, message_bits: int, length: int, e0: float) -> "ChunkCode":
         """Code of given length correcting floor(e0 * length) chunk errors."""
+        message_bits, length = integer(message_bits, "message_bits"), integer(length, "length")
         if not 0 < e0 < 0.5:
             raise ValueError(f"correctable fraction must be in (0, 1/2), got {e0}")
         parity = 2 * int(e0 * length)
@@ -245,71 +217,27 @@ class ChunkCode:
             raise ValueError(f"expected {self.length} chunk symbols")
         if np.any(symbols < 0) or np.any(symbols >= (1 << self.t)):
             raise ValueError("chunk symbol out of field range")
-        erasures = np.unique(as_indices(erasures, self.length, "erasure position")).tolist()
-        if len(erasures) > self.parity:
-            return None
-        symbols[erasures] = 0
-        corrected = self._correct(symbols, erasures)
-        if corrected is None:
-            return None
-        value = 0
-        for m in range(self.data_symbols):
-            value = (value << self.t) | int(corrected[m])
-        if value >= (1 << self.message_bits):
-            return None
-        return value
-
-    def _locator_of_position(self, p: int) -> int:
-        # position p holds the coefficient of degree length-1-p
-        return self.gf.pow_alpha(self.length - 1 - p)
-
-    def _syndromes(self, symbols) -> list[int]:
-        gf = self.gf
-        return [
-            _poly_eval_high(gf, symbols, gf.pow_alpha(j))
-            for j in range(1, self.parity + 1)
-        ]
-
-    def _correct(self, symbols, erasures) -> np.ndarray | None:
-        if self.parity == 0:
-            return symbols if not erasures else None
-        gf = self.gf
-        synd = self._syndromes(symbols)
-        if not any(synd) and not erasures:
-            return symbols
-        era_loc = [1]
-        for p in erasures:
-            era_loc = _poly_mul_low(gf, era_loc, [1, self._locator_of_position(p)])
-        # Forney syndromes: cancel the erasure contribution, then locate the
-        # remaining errors among the trailing parity - f modified syndromes
-        n_era = len(erasures)
-        forney = _poly_mul_low(gf, synd, era_loc)[: self.parity]
-        err_loc, n_err = _berlekamp_massey(gf, forney[n_era:])
-        if 2 * n_err + n_era > self.parity:
-            return None
-        loc = _poly_mul_low(gf, err_loc, era_loc)
-        degree = len(loc) - 1
-        positions = [
-            p
-            for p in range(self.length)
-            if _poly_eval_low(gf, loc, gf.inv(self._locator_of_position(p))) == 0
-        ]
-        if len(positions) != degree:
-            return None
-        # error magnitudes by Forney's formula with evaluator S*loc mod x^parity
-        omega = _poly_mul_low(gf, synd, loc)[: self.parity]
-        deriv = [loc[d] if d % 2 == 1 else 0 for d in range(1, len(loc))]
-        out = symbols.copy()
-        for p in positions:
-            x_inv = gf.inv(self._locator_of_position(p))
-            denom = _poly_eval_low(gf, deriv, x_inv)
-            if denom == 0:
-                return None
-            magnitude = int(gf.mul(_poly_eval_low(gf, omega, x_inv), gf.inv(denom)))
-            out[p] ^= magnitude
-        if any(self._syndromes(out)):
-            return None
-        return out
+        erased = np.unique(as_indices(erasures, self.length, "erasure position")).tolist()
+        word = symbols.tolist()
+        for p in erased:
+            word[p] = 0
+        gf, checks = self.gf, _check_matrix(self.t, self.length, self.parity)
+        exp, log = gf.exp_list, gf.log_list
+        syndromes = [reduce(xor, [exp[log[h] + log[r]] for h, r in zip(row, word)], 0)
+                     for row in checks]
+        kept = [p for p in range(self.length) if p not in erased]
+        for e in range((self.parity - len(erased)) // 2 + 1):
+            for errors in combinations(kept, e):
+                unknown = erased + list(errors)
+                rows = [[row[u] for u in unknown] + [s] for row, s in zip(checks, syndromes)]
+                fix = _solve(gf, rows, len(unknown))
+                if fix is not None:
+                    for u, d in zip(unknown, fix):
+                        word[u] ^= d
+                    value = sum(c << self.t * (self.data_symbols - 1 - m)
+                                for m, c in enumerate(word[: self.data_symbols]))
+                    return value if value < (1 << self.message_bits) else None
+        return None
 
 
 @lru_cache(maxsize=4)
@@ -320,14 +248,12 @@ def _codeword_table(code: ChunkCode, n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _parity_basis(t: int, data_symbols: int, parity: int) -> tuple:
-    """Parity rows of the unit data vectors for the systematic encoder."""
-    gf = _field(t)
-    gen = list(_generator_poly(t, parity))
-    rows = []
-    for m in range(data_symbols):
-        msg = [0] * data_symbols
-        msg[m] = 1
-        rem = _poly_mod_high(gf, msg + [0] * parity, gen)
-        rows.append(np.array(rem, dtype=np.int64))
-    return tuple(rows)
+def _parity_basis(t: int, data_symbols: int, parity: int) -> np.ndarray:
+    """Row m: the parity symbols that make the unit message with a 1 in data
+    symbol m a codeword, H[:, data:] p = H[:, m] (minus is plus in GF(2^t))."""
+    checks = _check_matrix(t, data_symbols + parity, parity)
+    return np.array(
+        [_solve(_field(t), [row[data_symbols:] + (row[m],) for row in checks], parity)
+         for m in range(data_symbols)],
+        dtype=np.int64,
+    )

@@ -57,6 +57,20 @@ class TestBuild:
         with pytest.raises(ValueError):
             expander.build_schema(1 << 10, 64, seed=1)
 
+    def test_code_shapes_bound_the_chunk_decode(self):
+        # every message-bit count of an n < 2^63, from both ends of its range
+        # of n, without building a schema: ChunkCode.decode's bound of at
+        # most 67 solves per decode rests on these shapes
+        for bits in range(1, 64):
+            for n in {2 ** (bits - 1) + 1, 2 ** bits}:
+                code = expander.chunk_code(n)
+                assert code.message_bits == bits
+                assert code.length <= 11 and code.parity == (2 if bits <= 36 else 4)
+                assert sum(math.comb(code.length, e) for e in range(code.parity // 2 + 1)) <= 67
+        schema = expander.build_schema(1 << 12, 2, seed=2)
+        assert schema.code == expander.chunk_code(1 << 12)
+        assert schema.layers_count == schema.code.length
+
     def test_name_bits_formula(self):
         schema = expander.build_schema(1 << 12, 2, seed=2)
         h_bits = math.ceil(math.log2(schema.h_range))
@@ -445,6 +459,32 @@ class TestLinkCluster:
         assert 3999 not in coords.tolist()
         assert coords.tolist() == [100]
 
+
+    @pytest.mark.parametrize("damage", ["erasure", "error"])
+    @pytest.mark.parametrize("layer", range(4))
+    def test_chunk_code_repairs_one_layer(self, layer, damage):
+        # planted names from make_name: in one layer the first coordinate's
+        # name is missing (an erasure) or carries a wrong chunk (an error);
+        # the code recovers it from the other layers, and 3 of 4 verify
+        schema = expander.build_schema(1 << 12, 2, seed=21)
+        assert schema.layers_count == 4 and schema.code.parity == 2
+        planted = np.array([777, 3001])
+        lists = []
+        for j in range(schema.layers_count):
+            names = expander.make_name(schema, planted, j)
+            keep = np.ones(planted.size, dtype=bool)
+            if j == layer and damage == "erasure":
+                keep[0] = False
+            if j == layer and damage == "error":
+                names[0, 1] ^= 1
+            lists.append(expander.LayerList(
+                parts=schema.layers[j].partition.parts_of(planted)[keep],
+                names=names[keep], good_counts=np.full(keep.sum(), 5),
+            ))
+        coords, scores, diag = expander.link_cluster_decode(schema, lists)
+        assert coords.tolist() == planted.tolist()
+        assert scores.tolist() == [15 if damage == "erasure" else 20, 20]
+        assert (diag.components, diag.decode_failures, diag.verify_failures) == (2, 0, 0)
 
     def test_batched_name_check_matches_component_loop(self):
         schema = expander.build_schema(1 << 10, 2, seed=17)

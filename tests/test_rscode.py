@@ -150,33 +150,61 @@ class TestChunkCode:
             code.decode(code.encode(17), erasures)
         assert code.decode(code.encode(17), []) == 17
 
-    def test_matches_nearest_codeword_oracle(self):
-        # independent route: exhaustive nearest-codeword decoding
-        code = ChunkCode(message_bits=8, length=5, t=4, parity=2)
-        table = code.encode_many(np.arange(256))
+    @pytest.mark.parametrize("code", [
+        ChunkCode(message_bits=8, length=5, t=4, parity=2),
+        ChunkCode(message_bits=10, length=7, t=4, parity=4),
+    ], ids=["parity2", "parity4"])
+    def test_matches_nearest_codeword_oracle(self, code):
+        # independent route: exhaustive search of the codewords of every
+        # message for the one within 2 d + f <= parity of the received word,
+        # d its disagreements outside the f erasures; its data symbols hold
+        # more than message_bits, so some words lie near a codeword of no
+        # message and must decode to None
+        table = code.encode_many(np.arange(1 << code.message_bits))
         rng = np.random.default_rng(3)
 
-        def oracle(symbols):
-            dist = (table != np.asarray(symbols)[None, :]).sum(axis=1)
-            best = int(np.argmin(dist))
-            if dist[best] <= code.chunk_errors() and (dist == dist[best]).sum() == 1:
-                return best
-            return None
+        def oracle(symbols, erased):
+            kept = np.setdiff1d(np.arange(code.length), erased)
+            dist = (table[:, kept] != symbols[kept]).sum(axis=1)
+            near = np.flatnonzero(2 * dist + len(erased) <= code.parity)
+            assert near.size <= 1  # the minimum distance is parity + 1
+            return int(near[0]) if near.size else None
 
+        decoded = 0
         for _ in range(2000):
-            v = int(rng.integers(256))
-            bad = code.encode(v)
-            for p in rng.choice(5, size=int(rng.integers(0, 3)), replace=False):
-                bad[p] ^= int(rng.integers(1, 16))
-            got = code.decode(bad)
-            want = oracle(bad)
-            if want is not None:
-                assert got == want
-            else:
-                # beyond budget: either detected or a (rare) wrong codeword,
-                # but never a silent non-codeword
-                if got is not None:
-                    assert np.array_equal(code.encode(got), code.encode(got))
+            bad = code.encode(int(rng.integers(1 << code.message_bits)))
+            for p in rng.choice(code.length, size=int(rng.integers(0, code.parity + 1)),
+                                replace=False):
+                bad[p] ^= int(rng.integers(1, 1 << code.t))
+            erased = rng.choice(code.length, size=int(rng.integers(0, code.parity + 2)),
+                                replace=False)
+            bad[erased] = rng.integers(0, 1 << code.t, size=erased.size)
+            want = oracle(bad, erased)
+            assert code.decode(bad, erased) == want
+            decoded += want is not None
+        assert 0 < decoded < 2000
+
+    @pytest.mark.parametrize("shape", [(8, 5, 4, 2), (12, 4, 6, 2), (16, 4, 8, 2),
+                                       (10, 7, 4, 4), (40, 8, 10, 4)])
+    def test_codewords_have_zero_syndromes(self, shape):
+        # independent of the encoder: a codeword's data symbols are its
+        # message's t-bit chunks, most significant first, and the word, read
+        # as a polynomial with symbol 0 highest, vanishes at alpha^1..alpha^parity
+        code = ChunkCode(*shape)
+        t, poly = code.t, _PRIMITIVE[code.t]
+        rng = np.random.default_rng(4)
+        values = rng.integers(0, 1 << code.message_bits, size=300)
+        for value, word in zip(values.tolist(), code.encode_many(values).tolist()):
+            chunks = [(value >> t * (code.data_symbols - 1 - m)) & ((1 << t) - 1)
+                      for m in range(code.data_symbols)]
+            assert word[: code.data_symbols] == chunks
+            root = 1
+            for _ in range(code.parity):
+                root = gf_mul(root, 2, t, poly)
+                acc = 0
+                for symbol in word:
+                    acc = gf_mul(acc, root, t, poly) ^ symbol
+                assert acc == 0
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, (1 << 20) - 1), st.integers(0, 4))
@@ -203,6 +231,20 @@ class TestChunkCode:
      "longer than field order"),
     (lambda: ChunkCode.for_error_fraction(8, 4, 0.5), ValueError, "correctable fraction"),
     (lambda: ChunkCode.for_error_fraction(8, 0, 0.25), ValueError, "no data symbols left"),
+    (lambda: ChunkCode(message_bits=8, length=4, t=17, parity=2), ValueError, "t=17 unsupported"),
+    (lambda: ChunkCode(message_bits=8, length=4, t=1, parity=2), ValueError, "t=1 unsupported"),
+    (lambda: ChunkCode.for_error_fraction(40, 4, 0.25), ValueError, "t=20 unsupported"),
+    (lambda: ChunkCode(-3, 4, 4, 2), ValueError, "message_bits must be a positive integer"),
+    (lambda: ChunkCode(0, 4, 4, 2), ValueError, "message_bits must be a positive integer"),
+    (lambda: ChunkCode(True, 4, 4, 2), ValueError, "message_bits must be a positive integer"),
+    (lambda: ChunkCode(8, 4.0, 4, 2), ValueError, "length must be a positive integer"),
+    (lambda: ChunkCode(8, 0, 4, 0), ValueError, "length must be a positive integer"),
+    (lambda: ChunkCode(8, 4, 4.0, 2), ValueError, "t must be an integer"),
+    (lambda: ChunkCode(8, 4, 4, 2.0), ValueError, "parity must be an integer"),
+    (lambda: ChunkCode(8, 4, 4, -1), ValueError, "parity symbol count out of range"),
+    (lambda: ChunkCode.for_error_fraction(8, 4.0, 0.25), ValueError, "length must be an integer"),
+    (lambda: ChunkCode.for_error_fraction(8.0, 4, 0.25), ValueError,
+     "message_bits must be an integer"),
 ])
 def test_rejects_invalid_arguments(call, error, match):
     with pytest.raises(error, match=match):
